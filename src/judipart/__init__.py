@@ -45,7 +45,6 @@ from .errors import (
     TooLargeError,
     TooSmallError,
     VertexOutOfRangeError,
-    XTooLargeError,
 )
 from .gap import GapResult, MfMb, gap, huge_and_residuals, mf_mb, min_gap_partition
 from .oracle import OracleGapResult, OracleResult, exact_max_min_cut, exact_min_gap

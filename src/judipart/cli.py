@@ -40,18 +40,9 @@ from .generators import FAMILIES
 from .oracle import exact_max_min_cut
 from .tight import essential_tight_components
 
-_GEN_PARAM_FLAGS = {
-    "n": "n",
-    "q": "q",
-    "copies": "copies",
-    "extra": "extra",
-    "augment": "augment",
-    "d": "gen_d",
-    "seed": "seed",
-}
-
 
 def _add_input_args(sp: argparse.ArgumentParser) -> None:
+    """Instance source, generator parameters, seed and record output."""
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="edge-list file")
     src.add_argument("--gen", choices=sorted(FAMILIES), help="generate the instance")
@@ -62,42 +53,51 @@ def _add_input_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gen-d", type=int, help="generator: per-vertex outdegree")
     sp.add_argument("--augment", action="store_true",
                     help="generator: wire small cliques into the big one")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("-o", "--output", help="also write the JSON record here")
 
 
-def _gen_kwargs(args, seed: int) -> dict:
-    func, params = FAMILIES[args.gen]
+def _add_x_args(sp: argparse.ArgumentParser) -> None:
+    xgrp = sp.add_mutually_exclusive_group()
+    xgrp.add_argument("--x-file", help="file of X vertex ids, one per line")
+    xgrp.add_argument("--x-auto", action="store_true",
+                      help="X from the degree threshold")
+    sp.add_argument("--threshold-exp", type=float, default=0.75)
+
+
+def _gen_kwargs(family: str, args, d_flag: str) -> dict:
+    """Generator arguments from the parsed flags; the outdegree flag is
+    `gen --d` but `--gen-d` wherever --d is the engine's claimed outdegree."""
+    _, params = FAMILIES[family]
     kwargs = {}
     for p in params:
-        flag = _GEN_PARAM_FLAGS[p]
-        val = seed if p == "seed" else getattr(args, flag, None)
+        flag = d_flag if p == "d" else p
+        val = getattr(args, flag)
         if val is None:
-            if p in ("extra", "copies"):
-                val = 0
-            elif p == "augment":
-                val = False
-            else:
+            if p not in ("extra", "copies"):
                 raise InputError(
-                    f"generator {args.gen!r} needs --{flag.replace('_', '-')}"
+                    f"generator {family!r} needs --{flag.replace('_', '-')}"
                 )
+            val = 0
         kwargs[p] = val
     return kwargs
 
 
 def _load_instance(args) -> tuple[Digraph, dict]:
-    seed = getattr(args, "seed", 0) or 0
     if args.input:
         return load_edge_list(args.input), {"path": args.input}
-    kwargs = _gen_kwargs(args, seed)
+    kwargs = _gen_kwargs(args.gen, args, "gen_d")
     func, _ = FAMILIES[args.gen]
     return func(**kwargs), {"family": args.gen, "params": kwargs}
 
 
 def _load_x(args, D: Digraph) -> tuple[int, ...]:
-    if getattr(args, "x_auto", False):
+    if args.x_auto:
         cfg = EngineConfig(d=max(getattr(args, "d", 1) or 1, 1),
                            threshold_exponent=args.threshold_exp)
         return split_by_degree(D, cfg).x
-    path = getattr(args, "x_file", None)
+    path = args.x_file
     if path is None:
         return ()
     xs = []
@@ -147,14 +147,13 @@ def cmd_partition(args) -> int:
     sweep = tuple(float(s) for s in args.p_sweep.split(",") if s) if args.p_sweep else ()
     cfg = EngineConfig(
         d=args.d, epsilon=args.eps, trials=args.trials, seed=args.seed,
-        threads=args.threads, local_improve_rounds=args.rounds,
-        p_sweep=sweep,
+        local_improve_rounds=args.rounds, p_sweep=sweep,
     )
     out = run_partition(D, cfg)
     record = _record(
         "partition", inp,
         {"d": cfg.d, "eps": cfg.epsilon, "trials": cfg.trials,
-         "seed": cfg.seed, "threads": cfg.threads, "rounds": cfg.local_improve_rounds,
+         "seed": cfg.seed, "rounds": cfg.local_improve_rounds,
          "p_sweep": list(sweep)},
         out.to_jsonable(), started,
     )
@@ -211,15 +210,14 @@ def cmd_gap(args) -> int:
     D, inp = _load_instance(args)
     xs = _load_x(args, D)
     ys = tuple(v for v in range(D.n) if v not in set(xs))
-    gr = min_gap_partition(D, xs, ys, exhaustive_limit=args.limit)
+    gr = min_gap_partition(D, xs, ys)
     outcome = {
         "x": list(gr.x), "x1": list(gr.x1), "x2": list(gr.x2),
         "theta": gr.theta, "theta_abs": gr.theta_abs_min,
         "huge": list(gr.huge), "k": gr.k, "g": gr.g, "b": gr.b,
         "forward": list(gr.forward), "backward": list(gr.backward),
     }
-    record = _record("gap", inp, {"limit": args.limit, "x_auto": args.x_auto},
-                     outcome, started)
+    record = _record("gap", inp, {"x_auto": args.x_auto}, outcome, started)
     human = (
         f"|X|={len(gr.x)} theta={gr.theta} (|theta|={gr.theta_abs_min})\n"
         f"x1={list(gr.x1)}\nx2={list(gr.x2)}\n"
@@ -260,7 +258,7 @@ def cmd_certify(args) -> int:
     ys = tuple(v for v in range(D.n) if v not in set(xs))
     cfg = EngineConfig(d=args.d, epsilon=args.eps,
                        threshold_exponent=args.threshold_exp)
-    gr = min_gap_partition(D, xs, ys, exhaustive_limit=cfg.exhaustive_x_limit)
+    gr = min_gap_partition(D, xs, ys, state_limit=cfg.state_limit)
     tr = essential_tight_components(D, ys)
     cert = build_certificate(D, xs, ys, gr, tr, cfg)
     record = _record("certify", inp,
@@ -272,21 +270,8 @@ def cmd_certify(args) -> int:
 
 def cmd_gen(args) -> int:
     started = time.monotonic()
-    func, params = FAMILIES[args.family]
-    kwargs = {}
-    for p in params:
-        flag = _GEN_PARAM_FLAGS[p] if p != "d" else "d"
-        val = getattr(args, flag, None)
-        if val is None:
-            if p in ("extra", "copies"):
-                val = 0
-            elif p == "augment":
-                val = False
-            elif p == "seed":
-                val = args.seed
-            else:
-                raise InputError(f"family {args.family!r} needs --{p}")
-        kwargs[p] = val
+    kwargs = _gen_kwargs(args.family, args, "d")
+    func, _ = FAMILIES[args.family]
     D = func(**kwargs)
     save_edge_list(D, args.output)
     props = {
@@ -322,58 +307,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="claimed min outdegree")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--rounds", type=int, default=10, help="local improve sweeps")
     p.add_argument("--p-sweep", default="", help="extra p values, comma separated")
     p.add_argument("--certify", action="store_true", help="print the full certificate")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", help="also write the JSON record here")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("oracle", help="exact optimum by exhaustive search")
     _add_input_args(p)
     p.add_argument("--limit", type=int, default=24, help="max n for 2^(n-1) scan")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gap", help="minimum-gap partition of X")
     _add_input_args(p)
-    xgrp = p.add_mutually_exclusive_group()
-    xgrp.add_argument("--x-file", help="file of X vertex ids, one per line")
-    xgrp.add_argument("--x-auto", action="store_true",
-                      help="X from the degree threshold")
-    p.add_argument("--threshold-exp", type=float, default=0.75)
-    p.add_argument("--limit", type=int, default=24, help="exhaustive |X| cap")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add_x_args(p)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("tight", help="tight components of D[Y]")
     _add_input_args(p)
-    xgrp = p.add_mutually_exclusive_group()
-    xgrp.add_argument("--x-file")
-    xgrp.add_argument("--x-auto", action="store_true")
-    p.add_argument("--threshold-exp", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add_x_args(p)
     p.set_defaults(func=cmd_tight)
 
     p = sub.add_parser("certify", help="evaluate all in-regime checks")
     _add_input_args(p)
-    xgrp = p.add_mutually_exclusive_group()
-    xgrp.add_argument("--x-file")
-    xgrp.add_argument("--x-auto", action="store_true")
-    p.add_argument("--threshold-exp", type=float, default=0.75)
+    _add_x_args(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("gen", help="write a generated instance")
@@ -399,8 +357,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LimitError as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
+    except (LimitError, MemoryError) as exc:
+        print(f"limit exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ the first branch).
 
 Randomness contract: trial t of candidate labeled L draws its stream from
 (seed, crc32(L), t), so results are reproducible and independent of execution
-order; --threads only changes wall time.
+order.
 
 Candidate labels and their p:
 
@@ -36,7 +36,6 @@ side 2.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from zlib import crc32
@@ -73,11 +72,9 @@ class EngineConfig:
     threshold_exponent: float = 0.75
     trials: int = 64
     seed: int = 0
-    exhaustive_x_limit: int = 24
     state_limit: int = 10 ** 8
     local_improve_rounds: int = 10
     p_sweep: tuple[float, ...] = ()
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -92,12 +89,10 @@ class EngineConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.exhaustive_x_limit < 0 or self.state_limit < 0:
-            raise InputError("limits must be >= 0")
+        if self.state_limit < 0:
+            raise InputError(f"state_limit must be >= 0, got {self.state_limit}")
         if self.local_improve_rounds < 0:
             raise InputError("local_improve_rounds must be >= 0")
-        if self.threads < 1:
-            raise InputError(f"threads must be >= 1, got {self.threads}")
         for p in self.p_sweep:
             if not 0 <= p <= 0.5:
                 raise InputError(f"p_sweep values must lie in [0, 1/2], got {p}")
@@ -499,11 +494,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     else:
         sp = split_by_degree(D, cfg)
         xs, ys, threshold = sp.x, sp.y, sp.threshold
-        gr = min_gap_partition(
-            D, xs, ys,
-            exhaustive_limit=cfg.exhaustive_x_limit,
-            state_limit=cfg.state_limit,
-        )
+        gr = min_gap_partition(D, xs, ys, state_limit=cfg.state_limit)
         try:
             cands = candidate_x_partitions(D, xs, ys, gr, cfg)
         except HugeSetEvenError:
@@ -524,15 +515,10 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
                 uniq.append(c)
         cands = uniq
 
-    def run(c: CandidateXPartition) -> tuple[CandidateXPartition, Bipartition, CutValue]:
+    results = []
+    for c in cands:
         bip = extend_partition_randomized(D, c, ys, cfg, improve=True)
-        return c, bip, cut_counts(D, bip)
-
-    if cfg.threads > 1 and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, cands))
-    else:
-        results = [run(c) for c in cands]
+        results.append((c, bip, cut_counts(D, bip)))
 
     best = results[0]
     for r in results[1:]:

@@ -47,10 +47,6 @@ class PartitionError(InputError):
 
 # gap solver
 
-class XTooLargeError(LimitError):
-    """e(X) > 0 with |X| above the exhaustive-search limit."""
-
-
 class StateLimitError(LimitError):
     """Subset-sum table would exceed the configured state budget."""
 

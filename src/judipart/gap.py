@@ -8,16 +8,15 @@ the imbalance between the "forward" arc mass m_f = e(x1,Y) + e(Y,x2) and the
 "backward" mass m_b = e(x2,Y) + e(Y,x1). The solver finds a partition of X
 minimizing |theta|.
 
-When e(X) = 0 every arc at an X-vertex crosses to Y, so the gap reduces to a
-signed sum of the per-vertex imbalances splus(x) = outdeg - indeg, and an
-exact subset-sum table over the attainable signed sums applies. When e(X) > 0
-no such reduction is assumed; the solver falls back to exhaustive search over
-the 2^|X| partitions, maintaining the definition incrementally, and refuses
-above a configured size limit.
+Arcs inside X cancel out of theta, so with the per-vertex Y-imbalance
+w(x) = e(x, Y) - e(Y, x) the gap is sum_{x1} w - sum_{x2} w for any e(X).
+One exact subset-sum table over the attainable signed sums therefore solves
+every instance; its size is capped by a state budget. When e(X) = 0, w(x) is
+the imbalance splus(x) = outdeg - indeg.
 
 Ties among minimum-gap partitions are broken deterministically: vertices
 prefer side x2 in increasing index order (equivalently, the x1-indicator
-vector is lexicographically smallest). Vertices with s(x) = 0 always land in
+vector is lexicographically smallest). Vertices with w(x) = 0 always land in
 x2; they cannot affect the gap.
 
 Residual quantities attached to the result (all integers):
@@ -37,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .digraph import Digraph, e_between
-from .errors import PartitionError, StateLimitError, XTooLargeError
+from .errors import PartitionError, StateLimitError
 
 
 @dataclass(frozen=True)
@@ -144,58 +143,22 @@ def _dp_min_gap(xs, values, state_limit: int):
     return chosen, 2 * partial - total
 
 
-def _exhaustive_min_gap(D: Digraph, xs, ys):
-    """Gray-code scan over all partitions of X, gap maintained incrementally.
-
-    Best state under (|gap|, lexicographic x1-indicator); the indicator key
-    puts the lowest vertex index at the most significant bit so that a smaller
-    key means "prefers x2 earlier".
-    """
-    kx = len(xs)
-    w = []
-    ymask = np.zeros(D.n, dtype=bool)
-    ymask[list(ys)] = True
-    for v in xs:
-        wv = int(ymask[D.out_neighbors(v)].sum()) - int(ymask[D.in_neighbors(v)].sum())
-        w.append(wv)
-    sigma = -sum(w)
-    in_x1 = [False] * kx
-    key = 0
-    best = (abs(sigma), key, sigma)
-    best_mask = in_x1.copy()
-    for i in range(1, 1 << kx):
-        j = (i & -i).bit_length() - 1
-        sigma += (2 * w[j]) * (-1 if in_x1[j] else 1)
-        in_x1[j] = not in_x1[j]
-        key ^= 1 << (kx - 1 - j)
-        cand = (abs(sigma), key)
-        if cand < best[:2]:
-            best = (abs(sigma), key, sigma)
-            best_mask = in_x1.copy()
-    chosen = [v for v, inside in zip(xs, best_mask) if inside]
-    return chosen, best[2]
-
-
 def min_gap_partition(
     D: Digraph,
     x,
     y,
-    exhaustive_limit: int = 24,
     state_limit: int = 10 ** 8,
 ) -> GapResult:
     """Partition X minimizing |gap| against Y = V without X; fully completed result."""
-    xs, ys = _check_cover(D, [x, y], "X, Y")[0:2]
-    ex = e_between(D, xs, xs)
-    if ex == 0:
-        splus = [int(D.out_degrees[v] - D.in_degrees[v]) for v in xs]
-        chosen, theta = _dp_min_gap(xs, splus, state_limit)
-    else:
-        if len(xs) > exhaustive_limit:
-            raise XTooLargeError(
-                f"e(X) = {ex} > 0 with |X| = {len(xs)} above the exhaustive "
-                f"search limit {exhaustive_limit}"
-            )
-        chosen, theta = _exhaustive_min_gap(D, xs, ys)
+    xs, _ = _check_cover(D, [x, y], "X, Y")
+    in_x = np.zeros(D.n, dtype=bool)
+    in_x[list(xs)] = True
+    t, h = D.tails, D.heads
+    x_to_y = in_x[t] & ~in_x[h]
+    y_to_x = ~in_x[t] & in_x[h]
+    w = (np.bincount(t[x_to_y], minlength=D.n)
+         - np.bincount(h[y_to_x], minlength=D.n))
+    chosen, theta = _dp_min_gap(xs, w[list(xs)].tolist(), state_limit)
     x1 = tuple(sorted(chosen))
     x2 = tuple(sorted(set(xs) - set(chosen)))
     gr = GapResult(

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from judipart import __version__, load_edge_list
+from judipart import (
+    __version__,
+    cli,
+    e_between,
+    from_arc_list,
+    load_edge_list,
+    save_edge_list,
+)
 from judipart.cli import main
 
 
@@ -121,6 +128,47 @@ def test_gap_subcommand_x_file_and_auto(tmp_path, capsys):
     rc2, out2, _ = run(capsys, "gap", "--input", str(path), "--x-auto", "--json")
     assert rc2 == 0
     assert json.loads(out2)["outcome"]["theta_abs"] == 15
+
+
+def hub_cycle_instance(tmp_path, hubs=25, leaves=125):
+    """Hubs 0..hubs-1 each point to the next two hubs, so e(X) > 0; every
+    leaf has arcs to and from ten consecutive hubs, which puts exactly the
+    hubs above the n^0.75 degree threshold."""
+    arcs = [(h, (h + s) % hubs) for h in range(hubs) for s in (1, 2)]
+    for j in range(leaves):
+        leaf = hubs + j
+        for i in range(10):
+            hub = (j + i) % hubs
+            arcs.append((leaf, hub) if i % 2 == 0 else (hub, leaf))
+    D = from_arc_list(hubs + leaves, arcs)
+    path = tmp_path / "hubs.txt"
+    save_edge_list(D, path)
+    return D, path
+
+
+def test_gap_and_partition_with_large_x_spanning_arcs(tmp_path, capsys):
+    D, path = hub_cycle_instance(tmp_path)
+    rc, out, err = run(capsys, "gap", "--input", str(path), "--x-auto", "--json")
+    assert rc == 0, err
+    xs = json.loads(out)["outcome"]["x"]
+    assert xs == list(range(25)) and e_between(D, xs, xs) == 50
+    rc, out, err = run(capsys, "partition", "--input", str(path), "--d", "4",
+                       "--trials", "4", "--json")
+    assert rc == 0, err
+    assert json.loads(out)["outcome"]["x"] == xs
+
+
+@pytest.mark.parametrize("exc, shown", [
+    (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_exits_three(monkeypatch, capsys, exc, shown):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_oracle", exhausted)
+    rc, _, err = run(capsys, "oracle", "--gen", "eulerian", "--q", "5")
+    assert rc == 3 and err == f"limit exceeded: {shown}\n"
 
 
 def test_gap_x_file_rejects_bad_vertex(tmp_path, capsys):

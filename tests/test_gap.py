@@ -1,4 +1,4 @@
-"""Minimum-gap solver: DP path, exhaustive path, residual quantities."""
+"""Minimum-gap solver: subset-sum DP for any e(X), residual quantities."""
 from __future__ import annotations
 
 import random
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from judipart import (
     PartitionError,
     StateLimitError,
-    XTooLargeError,
     e_between,
     exact_min_gap,
     from_arc_list,
@@ -142,8 +141,9 @@ def test_limit_errors():
     xs = list(range(26))
     ys = list(range(26, 30))
     assert e_between(D, xs, xs) > 0
-    with pytest.raises(XTooLargeError):
-        min_gap_partition(D, xs, ys, exhaustive_limit=24)
+    gr = min_gap_partition(D, xs, ys)  # large X with inner arcs still solves
+    assert abs(gap(D, gr.x1, gr.x2, ys)) == gr.theta_abs_min
+    assert gap(D, gr.x1, gr.x2, ys) == gr.theta
     E = from_arc_list(4, [(0, 2), (0, 3), (1, 2), (2, 1), (3, 1)])
     with pytest.raises(StateLimitError):
         min_gap_partition(E, [0, 1], [2, 3], state_limit=1)
@@ -160,3 +160,28 @@ def test_solver_minimality(seed, mask):
     x1 = [v for v in xs if mask >> v & 1]
     x2 = [v for v in xs if not mask >> v & 1]
     assert gr.theta_abs_min <= abs(gap(D, x1, x2, ys))
+
+
+def reversed_digraph(D):
+    return from_arc_list(D.n, [(h, t) for t, h in D.to_arc_list()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=2 ** 40 - 1))
+def test_reversal_keeps_min_gap_and_negates_gap(seed, k, mask):
+    rng = random.Random(seed)
+    n = k + rng.randint(5, 20)
+    D = gen_random_minout(n, rng.randint(1, 3), extra=rng.randint(0, 2 * n),
+                          seed=seed)
+    R = reversed_digraph(D)
+    xs = sorted(rng.sample(range(n), k))
+    ys = sorted(set(range(n)) - set(xs))
+    gd, gr = min_gap_partition(D, xs, ys), min_gap_partition(R, xs, ys)
+    assert gd.theta_abs_min == gr.theta_abs_min
+    assert gap(R, gr.x1, gr.x2, ys) == gr.theta
+    x1 = [v for i, v in enumerate(xs) if mask >> i & 1]
+    x2 = [v for i, v in enumerate(xs) if not mask >> i & 1]
+    assert gap(R, x1, x2, ys) == -gap(D, x1, x2, ys)
+    assert gd.theta_abs_min <= abs(gap(D, x1, x2, ys))
