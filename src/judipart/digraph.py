@@ -108,9 +108,6 @@ class Digraph:
             self._arc_codes = frozenset(codes.tolist())
         return self._arc_codes
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return u * self.n + v in self.arc_codes()
-
     def degree(self, v: int) -> int:
         return int(self.out_degrees[v] + self.in_degrees[v])
 

@@ -4,7 +4,15 @@ Pipeline: split vertices into a high-degree core X and the rest Y, solve the
 minimum-gap partition of X, derive the structured candidate partitions keyed
 by the huge-vertex layout, extend each candidate over Y by independent random
 assignment (side 1 with probability p) across repeated trials, polish the best
-trial with single-vertex flips, and keep the overall best by min{e12, e21}.
+trial with single-vertex flips (and, when n <= 128, two-vertex flips), and keep
+the overall best. Every step ranks cuts by (min{e12, e21}, e12 + e21).
+
+The local search keeps one state: out1[v] and in1[v], the numbers of v's out-
+and in-neighbours on side 1. A flip's effect on (e12, e21) follows from them
+(_flip_deltas), a flip updates them only at the flipped vertex's neighbours
+(Fiduccia-Mattheyses gain bookkeeping), and a two-vertex flip scores as the sum
+of its single flips plus a correction for the arcs joining the pair
+(Kernighan-Lin).
 
 Dense or degree-flat instances skip the split entirely: when m >= 8n/eps^2 or
 max degree <= eps^2 m / 4, a plain p = 1/2 random bipartition already
@@ -265,15 +273,15 @@ def candidate_x_partitions(
     if len(huge) == 1:
         x1, x2 = _place(D, (huge[0],), nonhuge)
         out.append(CandidateXPartition("SINGLE-HUGE", x1, x2, Fraction(1, 2)))
+    return _dedupe(out)
 
-    seen: set = set()
-    uniq = []
-    for c in out:
-        key = (c.x1, c.p)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(c)
-    return uniq
+
+def _dedupe(cands: list[CandidateXPartition]) -> list[CandidateXPartition]:
+    """The first candidate per (x1, p), in order."""
+    first: dict = {}
+    for c in cands:
+        first.setdefault((c.x1, c.p), c)
+    return list(first.values())
 
 
 def _trial_matrix(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndarray:
@@ -285,7 +293,34 @@ def _trial_matrix(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.nda
     return A
 
 
-_PAIR_LIMIT = 128  # two-flip escape scans vertex pairs; keep it off large graphs
+_PAIR_LIMIT = 128  # the pair scan is an n x n pass; keep it off large graphs
+
+
+def _key(e12, e21):
+    """(min cut, total cut): the order every search step ranks cuts by.
+    Plain operators only, so it is cheap on scalars and elementwise on arrays;
+    compare array keys with _beats."""
+    total = e12 + e21
+    return (total - abs(e12 - e21)) // 2, total
+
+
+def _beats(a, b):
+    """Elementwise a > b for two _key values."""
+    return (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
+
+
+def _side1_counts(D: Digraph, side1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """out1[v], in1[v]: how many out- and in-neighbours of v are on side 1."""
+    return (
+        np.bincount(D.tails[side1[D.heads]], minlength=D.n),
+        np.bincount(D.heads[side1[D.tails]], minlength=D.n),
+    )
+
+
+def _flip_deltas(s, out1, in1, outdeg, indeg):
+    """Change in (e12, e21) when a vertex flips; s = +1 on side 1, -1 on side 2.
+    Elementwise on arrays and on scalars."""
+    return s * (in1 - (outdeg - out1)), s * (out1 - (indeg - in1))
 
 
 def _refine(D: Digraph, bip: Bipartition, cfg: EngineConfig) -> Bipartition:
@@ -298,39 +333,30 @@ def _refine(D: Digraph, bip: Bipartition, cfg: EngineConfig) -> Bipartition:
 def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     """Flip two vertices at once to hop out of single-flip local optima.
 
-    Quadratic scan, so callers gate it to small n. Every accepted move
-    strictly raises (min cut, total cut), hence termination."""
+    Scores every pair u < v in one n x n pass, flips the first improving pair
+    in row-major order, polishes with local_improve, and repeats until no pair
+    improves. Every accepted move strictly raises (min cut, total cut), hence
+    termination."""
+    adj = np.zeros((D.n, D.n), dtype=np.int64)
+    adj[D.tails, D.heads] = 1
+    joined = adj + adj.T  # arcs between u and v, either direction
+    upper = np.triu(np.ones((D.n, D.n), dtype=bool), k=1)
     best = P
-    c = cut_counts(D, best)
-    key = (c.minval, c.e12 + c.e21)
-    improved = True
-    while improved:
-        improved = False
-        base = np.asarray(best.sides, dtype=np.uint8)
-        for u in range(D.n - 1):
-            for v in range(u + 1, D.n):
-                trial = base.copy()
-                trial[u] = 3 - trial[u]
-                trial[v] = 3 - trial[v]
-                q = Bipartition(trial)
-                cq = cut_counts(D, q)
-                if (cq.minval, cq.e12 + cq.e21) > key:
-                    best = local_improve(D, q, cfg)
-                    c = cut_counts(D, best)
-                    key = (c.minval, c.e12 + c.e21)
-                    improved = True
-                    break
-            if improved:
-                break
-    return best
-
-
-def _check_extension_cover(D: Digraph, cand: CandidateXPartition, ys: list) -> None:
-    xset = set(cand.x1) | set(cand.x2)
-    if len(cand.x1) + len(cand.x2) != len(xset):
-        raise PartitionError("candidate x1 and x2 overlap")
-    if xset & set(ys) or len(xset) + len(ys) != D.n:
-        raise PartitionError("x1, x2, Y must partition the vertex set")
+    while True:
+        side1 = best.sides == 1
+        s = np.where(side1, 1, -1)
+        out1, in1 = _side1_counts(D, side1)
+        d12, d21 = _flip_deltas(s, out1, in1, D.out_degrees, D.in_degrees)
+        c = cut_counts(D, best)
+        corr = np.outer(s, s) * joined
+        e12 = c.e12 + d12[:, None] + d12 - corr  # cut after flipping u and v
+        e21 = c.e21 + d21[:, None] + d21 - corr
+        improving = upper & _beats(_key(e12, e21), _key(c.e12, c.e21))
+        if not improving.any():
+            return best
+        u, v = divmod(int(np.argmax(improving)), D.n)
+        side1[[u, v]] = ~side1[[u, v]]
+        best = local_improve(D, Bipartition(np.where(side1, 1, 2)), cfg)
 
 
 def extension_trial_cuts(
@@ -342,17 +368,13 @@ def extension_trial_cuts(
     """Per-trial (e12, e21) for cfg.trials independent Y-assignments, plus the
     trial matrix itself (trials x |Y| booleans, True = side 1)."""
     ys = sorted(set(y))
-    _check_extension_cover(D, cand, ys)
+    xset = set(cand.x1) | set(cand.x2)
+    if len(cand.x1) + len(cand.x2) != len(xset):
+        raise PartitionError("candidate x1 and x2 overlap")
+    if xset & set(ys) or xset | set(ys) != set(range(D.n)):
+        raise PartitionError("x1, x2, Y must partition the vertex set")
     side1x = np.zeros(D.n, dtype=bool)
-    if cand.x1:
-        side1x[list(cand.x1)] = True
-    if not ys:
-        P = Bipartition(np.where(side1x, 1, 2).astype(np.uint8))
-        c = cut_counts(D, P)
-        e12s = np.full(cfg.trials, c.e12, dtype=np.int64)
-        e21s = np.full(cfg.trials, c.e21, dtype=np.int64)
-        return e12s, e21s, np.empty((cfg.trials, 0), dtype=bool)
-
+    side1x[list(cand.x1)] = True
     yindex = np.full(D.n, -1, dtype=np.int64)
     yindex[ys] = np.arange(len(ys))
     in_y = yindex >= 0
@@ -395,21 +417,10 @@ def extend_partition_randomized(
 ) -> Bipartition:
     """Best-of-trials random extension of (x1, x2) over Y with P(side 1) = p."""
     ys = sorted(set(y))
-    _check_extension_cover(D, cand, ys)
-    sides = np.full(D.n, 2, dtype=np.uint8)
-    if cand.x1:
-        sides[list(cand.x1)] = 1
-    if not ys:
-        bip = Bipartition(sides)
-        return _refine(D, bip, cfg) if improve else bip
-
     e12s, e21s, A = extension_trial_cuts(D, cand, ys, cfg)
-    minvals = np.minimum(e12s, e21s)
-    totals = e12s + e21s
-    best = 0
-    for tix in range(1, cfg.trials):
-        if (minvals[tix], totals[tix]) > (minvals[best], totals[best]):
-            best = tix
+    best = max(range(cfg.trials), key=lambda t: _key(e12s[t], e21s[t]))
+    sides = np.full(D.n, 2, dtype=np.uint8)
+    sides[list(cand.x1)] = 1
     sides[ys] = np.where(A[best], 1, 2)
     bip = Bipartition(sides)
     return _refine(D, bip, cfg) if improve else bip
@@ -418,52 +429,35 @@ def extend_partition_randomized(
 def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     """Single-vertex flips; accept when min cut rises, or holds with a larger
     total. Each accepted flip strictly raises (min, total), so this terminates
-    regardless of the round cap."""
+    regardless of the round cap.
+
+    A round screens every vertex against the cut at the round's start, then
+    re-checks the screened ones in index order against the current cut."""
     if P.n != D.n:
         raise PartitionError("bipartition size mismatch")
-    sides = P.sides.copy()
     if D.m == 0 or D.n == 0:
-        return Bipartition(sides)
-    t, h = D.tails, D.heads
+        return Bipartition(P.sides)
     outdeg, indeg = D.out_degrees, D.in_degrees
-    side1 = sides == 1
+    side1 = P.sides == 1
+    out1, in1 = _side1_counts(D, side1)
     cut = cut_counts(D, P)
     e12, e21 = cut.e12, cut.e21
-    n = D.n
     for _ in range(cfg.local_improve_rounds):
-        out1 = np.bincount(t[side1[h]], minlength=n)
-        in1 = np.bincount(h[side1[t]], minlength=n)
-        out2 = outdeg - out1
-        in2 = indeg - in1
-        d12 = np.where(side1, in1 - out2, out2 - in1)
-        d21 = np.where(side1, out1 - in2, in2 - out1)
-        ne12 = e12 + d12
-        ne21 = e21 + d21
-        nmin = np.minimum(ne12, ne21)
-        ntot = ne12 + ne21
-        cur_min, cur_tot = min(e12, e21), e12 + e21
-        screened = np.flatnonzero(
-            (nmin > cur_min) | ((nmin == cur_min) & (ntot > cur_tot))
-        )
+        d12, d21 = _flip_deltas(np.where(side1, 1, -1), out1, in1, outdeg, indeg)
+        screened = np.flatnonzero(_beats(_key(e12 + d12, e21 + d21), _key(e12, e21)))
         accepted = 0
         for v in screened.tolist():
-            o1 = int(side1[D.out_neighbors(v)].sum())
-            i1 = int(side1[D.in_neighbors(v)].sum())
-            o2 = int(outdeg[v]) - o1
-            i2 = int(indeg[v]) - i1
-            if side1[v]:
-                f12, f21 = e12 + i1 - o2, e21 + o1 - i2
-            else:
-                f12, f21 = e12 + o2 - i1, e21 + i2 - o1
-            cm, ct = min(e12, e21), e12 + e21
-            if min(f12, f21) > cm or (min(f12, f21) == cm and f12 + f21 > ct):
-                side1[v] = not side1[v]
-                sides[v] = 1 if side1[v] else 2
-                e12, e21 = f12, f21
+            s = 1 if side1[v] else -1
+            f12, f21 = _flip_deltas(s, out1[v], in1[v], outdeg[v], indeg[v])
+            if _key(e12 + f12, e21 + f21) > _key(e12, e21):
+                e12, e21 = e12 + f12, e21 + f21
+                side1[v] = s < 0
+                in1[D.out_neighbors(v)] -= s  # arcs are unique: no repeated index
+                out1[D.in_neighbors(v)] -= s
                 accepted += 1
         if accepted == 0:
             break
-    return Bipartition(sides)
+    return Bipartition(np.where(side1, 1, 2))
 
 
 def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
@@ -502,29 +496,17 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
             cands = [mingap_candidate(gr)]
 
     if cfg.p_sweep:
-        sweep = []
-        for c in cands:
-            for pv in cfg.p_sweep:
-                sweep.append(replace(c, p=Fraction(pv).limit_denominator(10 ** 6)))
-        seen: set = set()
-        uniq = []
-        for c in cands + sweep:
-            key = (c.x1, c.p)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(c)
-        cands = uniq
+        cands = _dedupe(cands + [
+            replace(c, p=Fraction(pv).limit_denominator(10 ** 6))
+            for c in cands for pv in cfg.p_sweep
+        ])
 
     results = []
     for c in cands:
         bip = extend_partition_randomized(D, c, ys, cfg, improve=True)
         results.append((c, bip, cut_counts(D, bip)))
 
-    best = results[0]
-    for r in results[1:]:
-        if (r[2].minval, r[2].e12 + r[2].e21) > (best[2].minval, best[2].e12 + best[2].e21):
-            best = r
-    cand, bip, cut = best
+    cand, bip, cut = max(results, key=lambda r: _key(r[2].e12, r[2].e21))
 
     tr = essential_tight_components(D, ys)
     cert = certify_mod.build_certificate(

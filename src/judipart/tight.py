@@ -33,13 +33,20 @@ class TightReport:
 
 def underlying_adjacency(D: Digraph, y) -> dict[int, list[int]]:
     """Undirected adjacency of D[Y] with anti-parallel pairs collapsed."""
+    return _underlying(D, y)[0]
+
+
+def _underlying(D: Digraph, y) -> tuple[dict[int, list[int]], np.ndarray]:
+    """Undirected adjacency of D[Y], plus a per-vertex mask of the vertices
+    that are an end of an anti-parallel pair inside Y."""
     ys = sorted(set(y))
     bad = [v for v in ys if not (0 <= v < D.n)]
     if bad:
         raise PartitionError(f"Y contains out-of-range vertex {bad[0]}")
     adj: dict[int, list[int]] = {v: [] for v in ys}
+    anti = np.zeros(D.n, dtype=bool)
     if not ys or D.m == 0:
-        return adj
+        return adj, anti
     inside = np.zeros(D.n, dtype=bool)
     inside[ys] = True
     keep = inside[D.tails] & inside[D.heads]
@@ -47,12 +54,15 @@ def underlying_adjacency(D: Digraph, y) -> dict[int, list[int]]:
     h = D.heads[keep].astype(np.int64)
     lo = np.minimum(t, h)
     hi = np.maximum(t, h)
-    codes = np.unique(lo * D.n + hi)
+    codes, counts = np.unique(lo * D.n + hi, return_counts=True)
+    pairs = codes[counts == 2]  # both directions present
+    anti[pairs // D.n] = True
+    anti[pairs % D.n] = True
     for code in codes.tolist():
         u, v = divmod(code, D.n)
         adj[u].append(v)
         adj[v].append(u)
-    return adj
+    return adj, anti
 
 
 def underlying_components(D: Digraph, y) -> list[tuple[int, ...]]:
@@ -166,24 +176,12 @@ def _is_tight_adj(adj: dict[int, list[int]], comp) -> bool:
 
 def essential_tight_components(D: Digraph, y) -> TightReport:
     """Classify the components of D[Y]; tau counts the essential tight ones."""
-    adj = underlying_adjacency(D, y)
+    adj, anti = _underlying(D, y)
     comps = _components_of(adj)
-    codes = D.arc_codes()
-    tight_flags = []
-    essential_flags = []
-    for comp in comps:
-        t = _is_tight_adj(adj, comp)
-        ess = t
-        if t:
-            for u in comp:
-                if not ess:
-                    break
-                for v in adj[u]:
-                    if u < v and u * D.n + v in codes and v * D.n + u in codes:
-                        ess = False
-                        break
-        tight_flags.append(t)
-        essential_flags.append(ess)
+    tight_flags = [_is_tight_adj(adj, comp) for comp in comps]
+    essential_flags = [
+        t and not anti[list(comp)].any() for t, comp in zip(tight_flags, comps)
+    ]
     return TightReport(
         components=tuple(comps),
         tight_flags=tuple(tight_flags),
