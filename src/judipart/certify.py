@@ -11,8 +11,8 @@ decimals taken as exact rationals (2.31 = 231/100 and so on); the fractional
 coefficients (79/8, 9/88, ...) are used as written. Inequalities that carry an
 o(n) allowance in their asymptotic form are evaluated with the allowance
 dropped and flagged in metadata; the one bound that leans on o(n) in an
-essential way also ships a slack variant with a configurable additive n
-fraction.
+essential way also ships a slack variant that allows a fixed additive
+n/1000.
 
 The checks are diagnostic, not a proof: on instances that do admit a good
 partition, the contradiction chain must break somewhere, and the certificate
@@ -24,10 +24,14 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digraph import Digraph, e_between
+import numpy as np
+
+from .digraph import Digraph, arc_census, split_masks
 from .errors import IdentityViolationError, NotApplicableError
 from .gap import GapResult, MfMb, mf_mb
 from .tight import TightReport
+
+_CHAIN_SLACK = Fraction(1, 1000)  # the n fraction chain-05-slack allows
 
 _OPS = {
     "<": operator.lt,
@@ -135,11 +139,11 @@ def verify_record(rec: CheckRecord) -> bool:
 def compute_bundle(
     D: Digraph, x, y, gr: GapResult, tr: TightReport, cfg
 ) -> QuantityBundle:
-    xs = tuple(sorted(set(x)))
-    ys = tuple(sorted(set(y)))
-    m1 = e_between(D, xs, ys) + e_between(D, ys, xs)
-    m2 = e_between(D, ys, ys)
-    e_x = e_between(D, xs, xs)
+    in_x, in_y = split_masks(D.n, [x, y], "X, Y")
+    to_y, from_y = arc_census(D, in_y)
+    m1 = int(to_y[in_x].sum() + from_y[in_x].sum())
+    m2 = int(np.count_nonzero(in_y[D.tails] & in_y[D.heads]))
+    e_x = int(np.count_nonzero(in_x[D.tails] & in_x[D.heads]))
     if m1 + m2 + e_x != D.m:
         raise IdentityViolationError(
             f"m1 + m2 + e(X) = {m1 + m2 + e_x} != m = {D.m}"
@@ -324,16 +328,12 @@ def check_huge_regimes(bundle: QuantityBundle) -> list[CheckRecord]:
     return out
 
 
-def check_d4_chain(
-    bundle: QuantityBundle,
-    slack: Fraction = Fraction(1, 1000),
-    force: bool = False,
-) -> list[CheckRecord]:
+def check_d4_chain(bundle: QuantityBundle, force: bool = False) -> list[CheckRecord]:
     """The seventeen-step d=4, |huge|=3 contradiction chain, exactly.
 
     On instances admitting a good partition at least one step must fail;
     the chain pinpoints which. o(n)-carrying steps are flagged, and the one
-    load-bearing such step also gets a slack variant allowing slack*n.
+    load-bearing such step also gets a slack variant allowing n/1000.
     """
     if len(bundle.deltas) < 3:
         raise NotApplicableError(
@@ -375,8 +375,8 @@ def check_d4_chain(
         rec("chain-05-slack",
             "79*m2/8 + 23g > 16n - 6*delta_1 + 9t - slack*n",
             F(79, 8) * m2 + 23 * g, ">",
-            16 * n - 6 * d1 + 9 * t - slack * n,
-            o_n="slack-variant", slack=slack),
+            16 * n - 6 * d1 + 9 * t - _CHAIN_SLACK * n,
+            o_n="slack-variant", slack=_CHAIN_SLACK),
         rec("chain-06", "273*m2/8 + 175g < 105*delta_1 - 49n - 196t",
             F(273, 8) * m2 + 175 * g, "<", 105 * d1 - 49 * n - 196 * t),
         rec("chain-07", "63*m2/4 + 63g < 84n - 70*delta_1 - 126t",
@@ -411,7 +411,7 @@ def build_certificate(
 ) -> Certificate:
     """Bundle plus every in-regime check plus per-candidate f/h scores."""
     ys = tuple(sorted(set(y)))
-    bundle = compute_bundle(D, x, y, gr, tr, cfg)
+    bundle = compute_bundle(D, x, ys, gr, tr, cfg)
     checks: list[CheckRecord] = []
     if bundle.e_x == 0:
         checks.extend(check_min_gap_bounds(bundle, len(ys)))

@@ -26,9 +26,11 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .certify import build_certificate, render_text
-from .digraph import Digraph, load_edge_list, save_edge_list, min_outdegree
+from .digraph import Digraph, load_edge_list, save_edge_list, min_outdegree, vertex_mask
 from .engine import (
     EngineConfig,
     partition as run_partition,
@@ -92,29 +94,31 @@ def _load_instance(args) -> tuple[Digraph, dict]:
     return func(**kwargs), {"family": args.gen, "params": kwargs}
 
 
-def _load_x(args, D: Digraph) -> tuple[int, ...]:
+def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """X from --x-auto or --x-file (empty with neither), and Y = V - X."""
     if args.x_auto:
         cfg = EngineConfig(d=max(getattr(args, "d", 1) or 1, 1),
                            threshold_exponent=args.threshold_exp)
-        return split_by_degree(D, cfg).x
-    path = args.x_file
-    if path is None:
-        return ()
+        sp = split_by_degree(D, cfg)
+        return sp.x, sp.y
     xs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                xs.append(int(line))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: not a vertex id: {line!r}")
-            if not 0 <= xs[-1] < D.n:
-                raise InputError(
-                    f"{path}:{lineno}: vertex {xs[-1]} out of range, n={D.n}"
-                )
-    return tuple(sorted(set(xs)))
+    path = args.x_file
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                try:
+                    xs.append(int(line))
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: not a vertex id: {line!r}")
+                if not 0 <= xs[-1] < D.n:
+                    raise InputError(
+                        f"{path}:{lineno}: vertex {xs[-1]} out of range, n={D.n}"
+                    )
+    in_x = vertex_mask(D.n, xs, "X")
+    return tuple(np.flatnonzero(in_x).tolist()), tuple(np.flatnonzero(~in_x).tolist())
 
 
 def _emit(args, record: dict, human: str, record_path: str | None = None) -> None:
@@ -208,8 +212,7 @@ def cmd_oracle(args) -> int:
 def cmd_gap(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    xs = _load_x(args, D)
-    ys = tuple(v for v in range(D.n) if v not in set(xs))
+    xs, ys = _load_x(args, D)
     gr = min_gap_partition(D, xs, ys)
     outcome = {
         "x": list(gr.x), "x1": list(gr.x1), "x2": list(gr.x2),
@@ -230,8 +233,7 @@ def cmd_gap(args) -> int:
 def cmd_tight(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    xs = _load_x(args, D)
-    ys = tuple(v for v in range(D.n) if v not in set(xs))
+    _, ys = _load_x(args, D)
     tr = essential_tight_components(D, ys)
     outcome = {
         "tau": tr.tau,
@@ -254,8 +256,7 @@ def cmd_tight(args) -> int:
 def cmd_certify(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    xs = _load_x(args, D)
-    ys = tuple(v for v in range(D.n) if v not in set(xs))
+    xs, ys = _load_x(args, D)
     cfg = EngineConfig(d=args.d, epsilon=args.eps,
                        threshold_exponent=args.threshold_exp)
     gr = min_gap_partition(D, xs, ys, state_limit=cfg.state_limit)

@@ -7,7 +7,13 @@ Conventions used across the package:
   arcs are rejected at construction; anti-parallel pairs (u, v) and (v, u) are
   allowed and count as two arcs.
 - e(A, B) counts arcs with tail in A and head in B; A and B need not be
-  disjoint from the rest of the graph, only valid vertex sets.
+  disjoint from the rest of the graph, only valid vertex sets. Vertex sets
+  become boolean masks through vertex_mask, which rejects a vertex outside
+  0..n-1 with VertexOutOfRangeError.
+- A split of V into parts (X, Y, or x1, x2, Y) is checked in one place,
+  split_masks: a vertex outside 0..n-1, an overlap or a missed vertex raises
+  PartitionError. Every quantity the analysis counts across a split reads
+  from arc_census: the per-vertex counts e(v, S) and e(S, v) of a set S.
 - A bipartition assigns every vertex side 1 or side 2; the two directed cut
   counts are e12 (side 1 -> side 2) and e21 (side 2 -> side 1).
 
@@ -167,22 +173,49 @@ def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, tails, heads)
 
 
-def _as_mask(D: Digraph, vs: Iterable[int], what: str) -> np.ndarray:
-    mask = np.zeros(D.n, dtype=bool)
-    for v in vs:
-        if not 0 <= v < D.n:
-            raise VertexOutOfRangeError(f"{what} contains vertex {v}, n={D.n}")
-        mask[v] = True
+def vertex_mask(n: int, vs: Iterable[int], what: str) -> np.ndarray:
+    """Membership mask over 0..n-1 of the vertex set vs (repeats allowed)."""
+    idx = np.fromiter(vs, dtype=np.int64)
+    bad = (idx < 0) | (idx >= n)
+    if bad.any():
+        v = int(idx[np.argmax(bad)])
+        raise VertexOutOfRangeError(f"{what} contains vertex {v}, n={n}")
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
     return mask
+
+
+def split_masks(
+    n: int, parts: Sequence[Iterable[int]], names: str, cover: bool = True
+) -> list[np.ndarray]:
+    """Masks of disjoint vertex sets that, with cover, partition 0..n-1.
+
+    A vertex outside 0..n-1, a vertex in two parts, or (with cover) a vertex
+    in none raises PartitionError."""
+    try:
+        masks = [vertex_mask(n, p, names) for p in parts]
+    except VertexOutOfRangeError as exc:
+        raise PartitionError(str(exc)) from None
+    count = np.sum(masks, axis=0, dtype=np.int64)
+    if (count > 1).any():
+        raise PartitionError(f"{names} overlap")
+    if cover and not count.all():
+        raise PartitionError(f"{names} must cover all {n} vertices")
+    return masks
+
+
+def arc_census(D: Digraph, in_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex (e(v, S), e(S, v)) for the vertex set S marked by in_s."""
+    return (
+        np.bincount(D.tails[in_s[D.heads]], minlength=D.n),
+        np.bincount(D.heads[in_s[D.tails]], minlength=D.n),
+    )
 
 
 def e_between(D: Digraph, a: Iterable[int], b: Iterable[int]) -> int:
     """Number of arcs with tail in a and head in b."""
-    if D.m == 0:
-        _as_mask(D, a, "A"), _as_mask(D, b, "B")
-        return 0
-    ma = _as_mask(D, a, "A")
-    mb = _as_mask(D, b, "B")
+    ma = vertex_mask(D.n, a, "A")
+    mb = vertex_mask(D.n, b, "B")
     return int(np.count_nonzero(ma[D.tails] & mb[D.heads]))
 
 
@@ -229,12 +262,7 @@ class Bipartition:
 
     @classmethod
     def from_side1(cls, n: int, side1: Iterable[int]) -> "Bipartition":
-        sides = np.full(n, 2, dtype=np.uint8)
-        for v in side1:
-            if not 0 <= v < n:
-                raise VertexOutOfRangeError(f"side-1 vertex {v} out of range, n={n}")
-            sides[v] = 1
-        return cls(sides)
+        return cls(np.where(vertex_mask(n, side1, "side 1"), 1, 2))
 
     @property
     def n(self) -> int:

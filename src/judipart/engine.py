@@ -56,9 +56,12 @@ from .digraph import (
     Bipartition,
     CutValue,
     Digraph,
+    arc_census,
     cut_counts,
     max_degree,
     min_outdegree,
+    split_masks,
+    vertex_mask,
 )
 from .errors import (
     EmptyGraphError,
@@ -260,11 +263,8 @@ def candidate_x_partitions(
         out.append(
             CandidateXPartition("X4", *_place(D, (huge[0],) + nonhuge, huge[1:]), p4)
         )
-        from .digraph import e_between
-
-        balanced = [
-            min(e_between(D, [v], y), e_between(D, list(y), [v])) for v in huge
-        ]
+        to_y, from_y = arc_census(D, vertex_mask(D.n, y, "Y"))
+        balanced = np.minimum(to_y, from_y)[list(huge)].tolist()
         vi = huge[max(range(len(huge)), key=lambda i: (balanced[i], -i))]
         restv = tuple(v for v in huge if v != vi)
         x1, x2 = _place(D, (), restv, literal_x1=(vi,) + nonhuge)
@@ -309,14 +309,6 @@ def _beats(a, b):
     return (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
 
 
-def _side1_counts(D: Digraph, side1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """out1[v], in1[v]: how many out- and in-neighbours of v are on side 1."""
-    return (
-        np.bincount(D.tails[side1[D.heads]], minlength=D.n),
-        np.bincount(D.heads[side1[D.tails]], minlength=D.n),
-    )
-
-
 def _flip_deltas(s, out1, in1, outdeg, indeg):
     """Change in (e12, e21) when a vertex flips; s = +1 on side 1, -1 on side 2.
     Elementwise on arrays and on scalars."""
@@ -345,7 +337,7 @@ def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     while True:
         side1 = best.sides == 1
         s = np.where(side1, 1, -1)
-        out1, in1 = _side1_counts(D, side1)
+        out1, in1 = arc_census(D, side1)
         d12, d21 = _flip_deltas(s, out1, in1, D.out_degrees, D.in_degrees)
         c = cut_counts(D, best)
         corr = np.outer(s, s) * joined
@@ -367,17 +359,10 @@ def extension_trial_cuts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (e12, e21) for cfg.trials independent Y-assignments, plus the
     trial matrix itself (trials x |Y| booleans, True = side 1)."""
-    ys = sorted(set(y))
-    xset = set(cand.x1) | set(cand.x2)
-    if len(cand.x1) + len(cand.x2) != len(xset):
-        raise PartitionError("candidate x1 and x2 overlap")
-    if xset & set(ys) or xset | set(ys) != set(range(D.n)):
-        raise PartitionError("x1, x2, Y must partition the vertex set")
-    side1x = np.zeros(D.n, dtype=bool)
-    side1x[list(cand.x1)] = True
+    side1x, _, in_y = split_masks(D.n, [cand.x1, cand.x2, y], "x1, x2, Y")
+    ys = np.flatnonzero(in_y)  # trial-matrix columns, ascending
     yindex = np.full(D.n, -1, dtype=np.int64)
     yindex[ys] = np.arange(len(ys))
-    in_y = yindex >= 0
     t, h = D.tails, D.heads
     ty, hy = in_y[t], in_y[h]
     t1 = side1x[t]
@@ -439,7 +424,7 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         return Bipartition(P.sides)
     outdeg, indeg = D.out_degrees, D.in_degrees
     side1 = P.sides == 1
-    out1, in1 = _side1_counts(D, side1)
+    out1, in1 = arc_census(D, side1)
     cut = cut_counts(D, P)
     e12, e21 = cut.e12, cut.e21
     for _ in range(cfg.local_improve_rounds):
@@ -480,10 +465,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     if shortcut:
         xs: tuple[int, ...] = ()
         ys: tuple[int, ...] = tuple(range(D.n))
-        gr = GapResult(
-            x=(), x1=(), x2=(), theta=0, theta_abs_min=0,
-            huge=(), k=None, g=0, b=0, forward=(), backward=(),
-        )
+        gr = min_gap_partition(D, xs, ys)
         cands = [mingap_candidate(gr)]
     else:
         sp = split_by_degree(D, cfg)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .digraph import Digraph, e_between
+from .digraph import Digraph, arc_census, e_between, split_masks
 from .errors import PartitionError, StateLimitError
 
 
@@ -62,30 +62,22 @@ class GapResult:
     backward: tuple[int, ...]
 
 
-def _check_cover(D: Digraph, parts: list, names: str) -> list[tuple[int, ...]]:
-    canon = [tuple(sorted(set(p))) for p in parts]
-    total = sum(len(p) for p in canon)
-    union = set().union(*[set(p) for p in canon]) if canon else set()
-    if total != len(union):
-        raise PartitionError(f"{names} overlap")
-    if union != set(range(D.n)):
-        raise PartitionError(f"{names} must cover all {D.n} vertices")
-    return canon
-
-
 def gap(D: Digraph, x1, x2, y) -> int:
     """Gap of (x1, x2) against Y, straight from the definition."""
-    c1, c2, cy = _check_cover(D, [x1, x2, y], "x1, x2, Y")
+    c1, c2, cy = (
+        np.flatnonzero(m) for m in split_masks(D.n, [x1, x2, y], "x1, x2, Y")
+    )
     return (e_between(D, c1, cy) + e_between(D, cy, c2)) - (
         e_between(D, c2, cy) + e_between(D, cy, c1)
     )
 
 
 def mf_mb(D: Digraph, x1, x2, y) -> MfMb:
-    c1, c2, cy = _check_cover(D, [x1, x2, y], "x1, x2, Y")
-    z = e_between(D, c1, cy)
-    zp = e_between(D, cy, c2)
-    mb = e_between(D, c2, cy) + e_between(D, cy, c1)
+    in_x1, in_x2, in_y = split_masks(D.n, [x1, x2, y], "x1, x2, Y")
+    to_y, from_y = arc_census(D, in_y)
+    z = int(to_y[in_x1].sum())
+    zp = int(from_y[in_x2].sum())
+    mb = int(to_y[in_x2].sum() + from_y[in_x1].sum())
     return MfMb(mf=z + zp, mb=mb, z=z, zprime=zp)
 
 
@@ -150,15 +142,10 @@ def min_gap_partition(
     state_limit: int = 10 ** 8,
 ) -> GapResult:
     """Partition X minimizing |gap| against Y = V without X; fully completed result."""
-    xs, _ = _check_cover(D, [x, y], "X, Y")
-    in_x = np.zeros(D.n, dtype=bool)
-    in_x[list(xs)] = True
-    t, h = D.tails, D.heads
-    x_to_y = in_x[t] & ~in_x[h]
-    y_to_x = ~in_x[t] & in_x[h]
-    w = (np.bincount(t[x_to_y], minlength=D.n)
-         - np.bincount(h[y_to_x], minlength=D.n))
-    chosen, theta = _dp_min_gap(xs, w[list(xs)].tolist(), state_limit)
+    in_x, in_y = split_masks(D.n, [x, y], "X, Y")
+    xs = tuple(np.flatnonzero(in_x).tolist())
+    to_y, from_y = arc_census(D, in_y)
+    chosen, theta = _dp_min_gap(xs, (to_y - from_y)[in_x].tolist(), state_limit)
     x1 = tuple(sorted(chosen))
     x2 = tuple(sorted(set(xs) - set(chosen)))
     gr = GapResult(

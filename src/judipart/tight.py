@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph
-from .errors import PartitionError
+from .digraph import Digraph, split_masks
 
 
 @dataclass(frozen=True)
@@ -39,16 +38,11 @@ def underlying_adjacency(D: Digraph, y) -> dict[int, list[int]]:
 def _underlying(D: Digraph, y) -> tuple[dict[int, list[int]], np.ndarray]:
     """Undirected adjacency of D[Y], plus a per-vertex mask of the vertices
     that are an end of an anti-parallel pair inside Y."""
-    ys = sorted(set(y))
-    bad = [v for v in ys if not (0 <= v < D.n)]
-    if bad:
-        raise PartitionError(f"Y contains out-of-range vertex {bad[0]}")
-    adj: dict[int, list[int]] = {v: [] for v in ys}
+    (inside,) = split_masks(D.n, [y], "Y", cover=False)
+    adj: dict[int, list[int]] = {v: [] for v in np.flatnonzero(inside).tolist()}
     anti = np.zeros(D.n, dtype=bool)
-    if not ys or D.m == 0:
+    if not adj or D.m == 0:
         return adj, anti
-    inside = np.zeros(D.n, dtype=bool)
-    inside[ys] = True
     keep = inside[D.tails] & inside[D.heads]
     t = D.tails[keep].astype(np.int64)
     h = D.heads[keep].astype(np.int64)

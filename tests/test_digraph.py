@@ -1,5 +1,8 @@
-"""Digraph container, counting helpers, and edge-list round trips."""
+"""Digraph container, counting helpers, the vertex-split check, and
+edge-list round trips."""
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,19 +11,30 @@ from hypothesis import strategies as st
 
 from judipart import (
     Bipartition,
+    CandidateXPartition,
     Digraph,
     DuplicateArcError,
     EdgeListParseError,
     LoopArcError,
     PartitionError,
+    EngineConfig,
     VertexOutOfRangeError,
+    build_certificate,
+    compute_bundle,
     cut_counts,
     e_between,
+    essential_tight_components,
+    exact_min_gap,
+    extend_partition_randomized,
+    extension_trial_cuts,
     format_edge_list,
     from_arc_list,
     gen_random_minout,
+    gap,
     load_edge_list,
     max_degree,
+    mf_mb,
+    min_gap_partition,
     min_outdegree,
     parse_edge_list,
     save_edge_list,
@@ -154,3 +168,60 @@ def test_immutability(data):
         D.out_degrees[0] = 99
     with pytest.raises(ValueError):
         D.tails[0] = 0
+
+
+# (X, Y) on a 5-vertex graph, each broken in one way
+BAD_SPLITS = {
+    "overlap": ((3, 4), (0, 1, 2, 3)),
+    "missing": ((3,), (0, 1, 2)),  # vertex 4 in neither
+    "out_of_range": ((3, 4), (0, 1, 2, 5)),
+    "negative": ((3, 4), (-1, 0, 1, 2)),
+}
+SPLIT_D = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 3), (3, 0)])
+SPLIT_GR = min_gap_partition(SPLIT_D, (3, 4), (0, 1, 2))
+SPLIT_TR = essential_tight_components(SPLIT_D, (0, 1, 2))
+SPLIT_CFG = EngineConfig(d=1, trials=4)
+
+
+def _cand(x):
+    return CandidateXPartition("MINGAP", x[:1], x[1:], Fraction(1, 2))
+
+
+# entry point -> (call on (D, x, y), error, whether it takes a whole split);
+# one that takes a single vertex set can only see the range broken
+SPLIT_ENTRY_POINTS = {
+    "gap": (lambda D, x, y: gap(D, x[:1], x[1:], y), PartitionError, True),
+    "mf_mb": (lambda D, x, y: mf_mb(D, x[:1], x[1:], y), PartitionError, True),
+    "min_gap_partition": (min_gap_partition, PartitionError, True),
+    "exact_min_gap": (exact_min_gap, PartitionError, True),
+    "extension_trial_cuts": (
+        lambda D, x, y: extension_trial_cuts(D, _cand(x), y, SPLIT_CFG),
+        PartitionError, True),
+    "extend_partition_randomized": (
+        lambda D, x, y: extend_partition_randomized(D, _cand(x), y, SPLIT_CFG),
+        PartitionError, True),
+    "compute_bundle": (
+        lambda D, x, y: compute_bundle(D, x, y, SPLIT_GR, SPLIT_TR, SPLIT_CFG),
+        PartitionError, True),
+    "build_certificate": (
+        lambda D, x, y: build_certificate(D, x, y, SPLIT_GR, SPLIT_TR, SPLIT_CFG),
+        PartitionError, True),
+    "essential_tight_components": (
+        lambda D, x, y: essential_tight_components(D, y), PartitionError, False),
+    "e_between": (e_between, VertexOutOfRangeError, False),
+    "from_side1": (
+        lambda D, x, y: Bipartition.from_side1(D.n, y), VertexOutOfRangeError, False),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case)
+    for entry, (_, _, whole) in SPLIT_ENTRY_POINTS.items()
+    for case in BAD_SPLITS
+    if whole or case in ("out_of_range", "negative")
+])
+def test_bad_split_raises_at_every_entry_point(entry, case):
+    call, error, _ = SPLIT_ENTRY_POINTS[entry]
+    x, y = BAD_SPLITS[case]
+    with pytest.raises(error):
+        call(SPLIT_D, x, y)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 import warnings as _warnings
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +47,24 @@ def cfg4(**kw):
 GOLDEN_OUTCOMES = Path(__file__).parent / "golden" / "partition_outcomes.json"
 
 
+def hub_digraph(n: int, hubs: int, seed: int):
+    """Outdegree-4 digraph whose first `hubs` vertices are fed by most of the
+    rest: each non-hub sends one arc to a random hub with probability 0.9, and
+    every vertex sends its remaining arcs to random non-hubs."""
+    rng = random.Random(seed)
+    arcs = []
+    for v in range(n):
+        outs = []
+        if v >= hubs and rng.random() < 0.9:
+            outs.append(rng.randrange(hubs))
+        while len(outs) < 4:
+            u = rng.randrange(hubs, n)
+            if u != v and u not in outs:
+                outs.append(u)
+        arcs.extend((v, u) for u in outs)
+    return from_arc_list(n, arcs)
+
+
 def golden_outcomes() -> dict:
     """Outcome records of fixed partition runs, as pinned in GOLDEN_OUTCOMES.
     Rewrite that file (json.dumps(..., indent=1, sort_keys=True)) only when an
@@ -68,6 +87,10 @@ def golden_outcomes() -> dict:
             gen_random_minout(20, 10, seed=0),
             EngineConfig(d=4, epsilon=0.9, trials=16, seed=1),
         ),
+        # |huge| = 3 at d = 4: the X4 and X5 candidates and the d = 4 chain
+        "hub_d4_n73_x4_x5": (hub_digraph(73, 3, seed=44), cfg4(trials=16, seed=44)),
+        # two hubs in X, one of them huge
+        "hub_n66_single_huge": (hub_digraph(66, 2, seed=177), cfg4(trials=16, seed=177)),
     }
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")

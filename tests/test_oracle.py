@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import judipart.oracle
 from judipart import (
     Bipartition,
+    CutValue,
     EmptyGraphError,
+    IdentityViolationError,
     TooLargeError,
     cut_counts,
     exact_max_min_cut,
@@ -115,3 +118,17 @@ def test_optimum_bounds_and_dominance(seed):
     P = Bipartition.from_side1(D.n, [v for v in range(D.n) if seed >> v & 1])
     c = cut_counts(D, P)
     assert min(c.e12, c.e21) <= res.optimum
+
+
+def test_self_check_cadence(monkeypatch):
+    for seed in range(6):
+        D = gen_random_minout(6 + seed, 2, extra=seed, seed=seed)
+        assert exact_max_min_cut(D, check_every=1) == exact_max_min_cut(D)
+
+    def drifted(D, P):
+        c = cut_counts(D, P)
+        return CutValue(c.e12 + 1, c.e21, min(c.e12 + 1, c.e21))
+
+    monkeypatch.setattr(judipart.oracle, "cut_counts", drifted)
+    with pytest.raises(IdentityViolationError):
+        exact_max_min_cut(D, check_every=1)
