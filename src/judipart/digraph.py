@@ -8,8 +8,9 @@ Conventions used across the package:
   allowed and count as two arcs.
 - e(A, B) counts arcs with tail in A and head in B; A and B need not be
   disjoint from the rest of the graph, only valid vertex sets. Vertex sets
-  become boolean masks through vertex_mask, which rejects a vertex outside
-  0..n-1 with VertexOutOfRangeError.
+  become boolean masks through vertex_mask, which rejects a vertex id that is
+  not an integer in 0..n-1 (a float such as 2.5 included) with
+  VertexOutOfRangeError.
 - A split of V into parts (X, Y, or x1, x2, Y) is checked in one place,
   split_masks: a vertex outside 0..n-1, an overlap or a missed vertex raises
   PartitionError. Every quantity the analysis counts across a split reads
@@ -174,8 +175,16 @@ def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
 
 
 def vertex_mask(n: int, vs: Iterable[int], what: str) -> np.ndarray:
-    """Membership mask over 0..n-1 of the vertex set vs (repeats allowed)."""
-    idx = np.fromiter(vs, dtype=np.int64)
+    """Membership mask over 0..n-1 of the vertex set vs (repeats allowed).
+
+    The ids keep their own type, so a float id is refused, not truncated."""
+    idx = np.asarray(vs if isinstance(vs, (list, tuple, np.ndarray)) else list(vs))
+    if idx.dtype.kind not in "iu":
+        if idx.size:
+            raise VertexOutOfRangeError(
+                f"{what} contains non-integer vertex ids ({idx.dtype}), n={n}"
+            )
+        idx = idx.astype(np.int64)
     bad = (idx < 0) | (idx >= n)
     if bad.any():
         v = int(idx[np.argmax(bad)])

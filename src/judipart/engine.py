@@ -227,9 +227,10 @@ def _place(D: Digraph, forward, backward, literal_x1=()) -> tuple[tuple, tuple]:
 
 
 def candidate_x_partitions(
-    D: Digraph, x, y, gr: GapResult, cfg: EngineConfig
+    D: Digraph, y, gr: GapResult, cfg: EngineConfig
 ) -> list[CandidateXPartition]:
-    """Structured candidates for the given gap result; huge count must be odd."""
+    """Structured candidates for the given gap result (X is gr.x); the huge
+    count must be odd."""
     huge = gr.huge
     if len(huge) % 2 == 0:
         raise HugeSetEvenError(
@@ -472,7 +473,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
         xs, ys, threshold = sp.x, sp.y, sp.threshold
         gr = min_gap_partition(D, xs, ys, state_limit=cfg.state_limit)
         try:
-            cands = candidate_x_partitions(D, xs, ys, gr, cfg)
+            cands = candidate_x_partitions(D, ys, gr, cfg)
         except HugeSetEvenError:
             huge_even = True
             cands = [mingap_candidate(gr)]

@@ -10,8 +10,26 @@ from an anti-parallel pair, i.e. the component's arcs inside Y are one-way.
 tau(Y) is the number of essential tight components; it is the quantity the
 lower-bound certificates consume.
 
-Blocks are computed with the standard edge-stack DFS, kept iterative so that
-hundred-thousand-vertex inputs do not hit the recursion limit.
+essential_tight_components classifies every component in one numpy pass:
+
+- The arcs inside Y collapse to sorted undirected codes lo * n + hi with
+  np.unique; a code seen twice is an anti-parallel pair.
+- Components are labelled by their smallest vertex: across every edge whose
+  ends have different roots the larger root hooks under the smaller one
+  (np.minimum.at), then pointer jumping takes every label to its root, until
+  no edge joins two roots (Shiloach and Vishkin 1982).
+- bincounts per component give its size, edge count, odd-degree vertices and
+  anti-parallel pairs.
+
+Two lemmas settle most components without a DFS. In a tight component every
+block is an odd clique K_q, so every degree is a sum of even terms q - 1, and
+the vertex count 1 + sum(q - 1) over the blocks is odd. So a component with an
+odd-degree vertex or an even vertex count is not tight (parity filter). And a
+component on an odd number q of vertices with q(q - 1)/2 edges is one odd
+clique, so it is tight (odd-clique shortcut). Only the components that neither
+rule settles reach the block DFS, the edge-stack DFS of Hopcroft and Tarjan
+(1973), on an adjacency built for their vertices only. The DFS is iterative so
+that hundred-thousand-vertex components do not hit the recursion limit.
 """
 from __future__ import annotations
 
@@ -30,59 +48,68 @@ class TightReport:
     tau: int
 
 
-def underlying_adjacency(D: Digraph, y) -> dict[int, list[int]]:
-    """Undirected adjacency of D[Y] with anti-parallel pairs collapsed."""
-    return _underlying(D, y)[0]
-
-
-def _underlying(D: Digraph, y) -> tuple[dict[int, list[int]], np.ndarray]:
-    """Undirected adjacency of D[Y], plus a per-vertex mask of the vertices
-    that are an end of an anti-parallel pair inside Y."""
+def _undirected(D: Digraph, y) -> tuple[np.ndarray, ...]:
+    """The vertices of Y, the undirected edges (lo, hi), lo < hi, of D[Y] in
+    sorted order, and a flag per edge that is set for an anti-parallel pair."""
     (inside,) = split_masks(D.n, [y], "Y", cover=False)
-    adj: dict[int, list[int]] = {v: [] for v in np.flatnonzero(inside).tolist()}
-    anti = np.zeros(D.n, dtype=bool)
-    if not adj or D.m == 0:
-        return adj, anti
     keep = inside[D.tails] & inside[D.heads]
-    t = D.tails[keep].astype(np.int64)
-    h = D.heads[keep].astype(np.int64)
-    lo = np.minimum(t, h)
-    hi = np.maximum(t, h)
-    codes, counts = np.unique(lo * D.n + hi, return_counts=True)
-    pairs = codes[counts == 2]  # both directions present
-    anti[pairs // D.n] = True
-    anti[pairs % D.n] = True
-    for code in codes.tolist():
-        u, v = divmod(code, D.n)
+    t = D.tails[keep].astype(np.int64, copy=False)
+    h = D.heads[keep].astype(np.int64, copy=False)
+    codes, counts = np.unique(
+        np.minimum(t, h) * D.n + np.maximum(t, h), return_counts=True
+    )
+    lo, hi = np.divmod(codes, D.n)
+    return np.flatnonzero(inside), lo, hi, counts == 2
+
+
+def _adjacency(verts, lo: np.ndarray, hi: np.ndarray) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in verts}
+    for u, v in zip(lo.tolist(), hi.tolist()):
         adj[u].append(v)
         adj[v].append(u)
-    return adj, anti
+    return adj
+
+
+def underlying_adjacency(D: Digraph, y) -> dict[int, list[int]]:
+    """Undirected adjacency of D[Y] with anti-parallel pairs collapsed."""
+    verts, lo, hi, _ = _undirected(D, y)
+    return _adjacency(verts.tolist(), lo, hi)
+
+
+def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Components of the graph on verts with edges (lo, hi).
+
+    Returns the component index of every vertex (indexed by vertex; only the
+    entries of verts mean anything), the component sizes, and the components
+    as sorted vertex tuples, numbered in order of their smallest vertex."""
+    label = np.arange(n)
+    while True:
+        a, b = label[lo], label[hi]
+        if np.array_equal(a, b):
+            break
+        # both ends are roots: hook the larger under the smaller
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+    # a label never exceeds its vertex and roots hook only under smaller
+    # roots, so each root is the smallest vertex of its component
+    roots = verts[label[verts] == verts]
+    rank = np.zeros(n, dtype=np.int64)
+    rank[roots] = np.arange(roots.size)
+    comp = rank[label]
+    of_vert = comp[verts]
+    sizes = np.bincount(of_vert, minlength=roots.size)
+    members = verts[np.argsort(of_vert, kind="stable")].tolist()
+    ends = np.cumsum(sizes).tolist()
+    comps = tuple(tuple(members[s:e]) for s, e in zip([0] + ends[:-1], ends))
+    return comp, sizes, comps
 
 
 def underlying_components(D: Digraph, y) -> list[tuple[int, ...]]:
     """Connected components of the underlying undirected graph of D[Y]."""
-    adj = underlying_adjacency(D, y)
-    return _components_of(adj)
-
-
-def _components_of(adj: dict[int, list[int]]) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    verts, lo, hi, _ = _undirected(D, y)
+    return list(_components(D.n, verts, lo, hi)[2])
 
 
 def _blocks_with_edges(
@@ -170,15 +197,26 @@ def _is_tight_adj(adj: dict[int, list[int]], comp) -> bool:
 
 def essential_tight_components(D: Digraph, y) -> TightReport:
     """Classify the components of D[Y]; tau counts the essential tight ones."""
-    adj, anti = _underlying(D, y)
-    comps = _components_of(adj)
-    tight_flags = [_is_tight_adj(adj, comp) for comp in comps]
-    essential_flags = [
-        t and not anti[list(comp)].any() for t, comp in zip(tight_flags, comps)
-    ]
+    verts, lo, hi, anti = _undirected(D, y)
+    comp, sizes, comps = _components(D.n, verts, lo, hi)
+    k = len(comps)
+    of_edge = comp[lo]
+    edges = np.bincount(of_edge, minlength=k)
+    degree = np.bincount(lo, minlength=D.n) + np.bincount(hi, minlength=D.n)
+    odd = np.bincount(comp[np.flatnonzero(degree & 1)], minlength=k)
+    maybe = (odd == 0) & (sizes % 2 == 1)  # the parity filter
+    clique = edges == sizes * (sizes - 1) // 2
+    tight = maybe & clique  # the odd-clique shortcut
+    left = maybe & ~clique  # only the block DFS decides these
+    if left.any():
+        sel = left[of_edge]
+        adj = _adjacency(verts[left[comp[verts]]].tolist(), lo[sel], hi[sel])
+        for c in np.flatnonzero(left).tolist():
+            tight[c] = _is_tight_adj(adj, comps[c])
+    essential = tight & (np.bincount(of_edge[anti], minlength=k) == 0)
     return TightReport(
-        components=tuple(comps),
-        tight_flags=tuple(tight_flags),
-        essential_flags=tuple(essential_flags),
-        tau=sum(essential_flags),
+        components=comps,
+        tight_flags=tuple(tight.tolist()),
+        essential_flags=tuple(essential.tolist()),
+        tau=int(np.count_nonzero(essential)),
     )

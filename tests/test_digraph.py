@@ -92,6 +92,21 @@ def test_e_between_matches_double_loop():
         1 for u in a for v in a if u * D.n + v in codes)
 
 
+def test_float_vertex_ids_are_rejected():
+    D = from_arc_list(5, [(2, 3), (1, 2)])
+    with pytest.raises(VertexOutOfRangeError):
+        e_between(D, [2.5], [3])  # truncated to vertex 2, it counted 1
+    with pytest.raises(VertexOutOfRangeError):
+        Bipartition.from_side1(5, [1.7])  # truncated, it put vertex 1 on side 1
+    with pytest.raises(VertexOutOfRangeError):
+        e_between(D, [2.0], [3])
+    # integer ids in any container still work
+    assert e_between(D, np.array([2], dtype=np.int32), {3}) == 1
+    assert e_between(D, (v for v in [1, 2]), range(2, 4)) == 2
+    assert e_between(D, [], np.array([], dtype=np.int64)) == 0
+    assert Bipartition.from_side1(5, np.array([1], dtype=np.uint8)).side1() == (1,)
+
+
 def test_bipartition_and_cut_counts():
     D = from_arc_list(4, [(0, 1), (1, 0), (2, 3), (0, 3)])
     P = Bipartition.from_side1(4, [0, 2])
@@ -176,6 +191,7 @@ BAD_SPLITS = {
     "missing": ((3,), (0, 1, 2)),  # vertex 4 in neither
     "out_of_range": ((3, 4), (0, 1, 2, 5)),
     "negative": ((3, 4), (-1, 0, 1, 2)),
+    "non_integer": ((3, 4), (0, 1, 2.5)),  # 2.5 must not pass as vertex 2
 }
 SPLIT_D = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 3), (3, 0)])
 SPLIT_GR = min_gap_partition(SPLIT_D, (3, 4), (0, 1, 2))
@@ -218,7 +234,7 @@ SPLIT_ENTRY_POINTS = {
     (entry, case)
     for entry, (_, _, whole) in SPLIT_ENTRY_POINTS.items()
     for case in BAD_SPLITS
-    if whole or case in ("out_of_range", "negative")
+    if whole or case in ("out_of_range", "negative", "non_integer")
 ])
 def test_bad_split_raises_at_every_entry_point(entry, case):
     call, error, _ = SPLIT_ENTRY_POINTS[entry]

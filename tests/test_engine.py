@@ -157,7 +157,7 @@ def test_candidate_shapes_k1_with_small_clique_probes():
     gr = min_gap_partition(D, xs, ys)
     assert gr.theta_abs_min == 1 and gr.k == 1
     assert gr.huge == (0, 2, 1)  # ordered by imbalance descending
-    cands = {c.label: c for c in candidate_x_partitions(D, xs, ys, gr, cfg4())}
+    cands = {c.label: c for c in candidate_x_partitions(D, ys, gr, cfg4())}
     assert cands["MINGAP"].x1 == (1, 2)
     assert cands["X1FWD"].x1 == (0,) and cands["X1FWD"].p == Fraction(1, 2)
     assert cands["X2SIGN"].x1 == (0,) and cands["X2SIGN"].p == Fraction(3, 8)
@@ -174,7 +174,7 @@ def test_candidate_shapes_single_huge():
     xs, ys = [0, 1], list(range(2, 8))
     gr = min_gap_partition(D, xs, ys)
     assert gr.huge == (0,) and gr.k == 0
-    cands = {c.label: c for c in candidate_x_partitions(D, xs, ys, gr, cfg4())}
+    cands = {c.label: c for c in candidate_x_partitions(D, ys, gr, cfg4())}
     assert "SINGLE-HUGE" in cands
     assert cands["SINGLE-HUGE"].x1 == (0,)
     assert cands["SINGLE-HUGE"].p == Fraction(1, 2)
@@ -186,7 +186,7 @@ def test_even_huge_raises_and_engine_falls_back():
                           (1, 2), (1, 3), (1, 4), (1, 5)])
     gr = min_gap_partition(D, [0, 1], [2, 3, 4, 5])
     with pytest.raises(HugeSetEvenError):
-        candidate_x_partitions(D, [0, 1], [2, 3, 4, 5], gr, cfg4())
+        candidate_x_partitions(D, [2, 3, 4, 5], gr, cfg4())
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         out = partition(D, EngineConfig(d=1, trials=16, seed=0))

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import judipart.tight as tight_mod
 from helpers import naive_tight_report, naive_underlying, naive_blocks
 from judipart import (
+    TightReport,
     blocks,
     essential_tight_components,
     from_arc_list,
@@ -127,3 +130,122 @@ def test_blocks_partition_the_edges(seed):
         naive_sets = sorted(tuple(v) for v, _ in naive_blocks(adj, comp))
         assert sorted(tuple(sorted(b)) for b in bl) == naive_sets
     assert got == total_edges
+
+
+@st.composite
+def glued_pieces(draw):
+    """(D, Y): cliques K_q and cycles C_k glued at cut vertices into trees of
+    blocks, randomly oriented, with anti-parallel pairs, relabelled, and a Y
+    that is everything, a subset, nothing, or only isolated vertices."""
+    edges: set[tuple[int, int]] = set()
+    n = 0
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["odd", "odd", "even", "cycle"]))
+        if kind == "odd":
+            q = draw(st.sampled_from([1, 3, 3, 5]))
+        elif kind == "even":
+            q = draw(st.sampled_from([2, 4, 6]))
+        else:
+            q = draw(st.integers(4, 7))
+        # attach at an existing vertex (a cut vertex) or start a new component
+        if n and draw(st.booleans()):
+            piece = [draw(st.integers(0, n - 1))] + list(range(n, n + q - 1))
+        else:
+            piece = list(range(n, n + q))
+        n = max(n, piece[-1] + 1)
+        if kind == "cycle":
+            pairs = [(piece[i], piece[(i + 1) % q]) for i in range(q)]
+        else:
+            pairs = [(u, v) for i, u in enumerate(piece) for v in piece[i + 1:]]
+        edges.update((min(u, v), max(u, v)) for u, v in pairs)
+    n += draw(st.integers(0, 3))  # isolated vertices
+    arcs = []
+    for u, v in sorted(edges):
+        way = draw(st.sampled_from(["fwd", "back", "both"]))
+        if way != "back":
+            arcs.append((u, v))
+        if way != "fwd":
+            arcs.append((v, u))
+    perm = draw(st.permutations(range(n)))
+    D = from_arc_list(n, [(perm[u], perm[v]) for u, v in arcs])
+    ymode = draw(st.sampled_from(["all", "all", "subset", "empty", "isolated"]))
+    if ymode == "all":
+        ys = list(range(n))
+    elif ymode == "subset":
+        ys = draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True)) if n else []
+    elif ymode == "empty":
+        ys = []
+    else:
+        ys = [v for v in range(n) if D.degree(v) == 0]
+    return D, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(glued_pieces())
+def test_agrees_with_naive_checker_on_glued_cliques_and_cycles(case):
+    D, ys = case
+    rep = essential_tight_components(D, ys)
+    comps, tight, essential, tau = naive_tight_report(D, ys)
+    assert rep == TightReport(tuple(comps), tight, essential, tau)
+    assert tuple(underlying_components(D, ys)) == rep.components
+
+
+def test_block_dfs_runs_only_where_no_lemma_decides(monkeypatch):
+    pieces = {
+        "K5": [(a, b) for a in range(5) for b in range(a + 1, 5)],
+        "P3": [(5, 6), (6, 7)],  # odd-degree ends
+        "K4": [(a, b) for a in range(8, 12) for b in range(a + 1, 12)],  # odd degrees
+        "C4": [(12, 13), (13, 14), (14, 15), (15, 12)],  # even vertex count
+        "C5": [(16, 17), (17, 18), (18, 19), (19, 20), (20, 16)],
+        "bowtie": [(21, 22), (22, 23), (23, 21), (23, 24), (24, 25), (25, 23)],
+    }
+    D = from_arc_list(26, [arc for arcs in pieces.values() for arc in arcs])
+    seen = []
+    real = tight_mod._blocks_with_edges
+
+    def counting(adj, comp):
+        seen.append(tuple(comp))
+        return real(adj, comp)
+
+    monkeypatch.setattr(tight_mod, "_blocks_with_edges", counting)
+    rep = essential_tight_components(D, range(D.n))
+    assert rep.tight_flags == (True, False, False, False, False, True)
+    assert rep.tau == 2
+    assert seen == [tuple(range(16, 21)), tuple(range(21, 26))]
+    seen.clear()
+    union = gen_tight_union(4, copies=20)
+    assert essential_tight_components(union, range(union.n)).tau == 21
+    assert seen == []
+
+
+def _report_under(perm, n, arcs, ys):
+    D = from_arc_list(n, [(perm[u], perm[v]) for u, v in arcs])
+    return essential_tight_components(D, [perm[v] for v in ys])
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+def test_large_path_and_cycle_reports_are_exact_under_relabelling(shape):
+    # a path is the long-diameter case for the component labels; the cycle
+    # has odd length, so neither parity rule settles it and the block DFS
+    # walks all of it
+    n = 10 ** 5 if shape == "path" else 10 ** 5 + 1
+    arcs = [(i, i + 1) for i in range(n - 1)]
+    if shape == "cycle":
+        arcs.append((n - 1, 0))
+    identity = list(range(n))
+    shuffled = random.Random(11).sample(identity, n)
+    whole = TightReport((tuple(identity),), (False,), (False,), 0)
+    for perm in (identity, shuffled):
+        assert _report_under(perm, n, arcs, identity) == whole
+    if shape == "cycle":
+        return
+    # drop path positions 0 and 2 (mod 1000): 100 isolated vertices and 100
+    # segments of 997 vertices
+    ys = [v for v in identity if v % 1000 not in (0, 2)]
+    segments = [[1]] + [list(range(s, s + 997)) for s in range(3, n, 1000)]
+    segments += [[s] for s in range(1001, n, 1000)]
+    for perm in (identity, shuffled):
+        comps = sorted(tuple(sorted(perm[v] for v in seg)) for seg in segments)
+        flags = tuple(len(c) == 1 for c in comps)
+        assert _report_under(perm, n, arcs, ys) == TightReport(
+            tuple(comps), flags, flags, 100)
