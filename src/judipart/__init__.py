@@ -12,7 +12,6 @@ from .digraph import (
     Bipartition,
     CutValue,
     Digraph,
-    VertexStats,
     cut_counts,
     e_between,
     format_edge_list,
@@ -22,7 +21,6 @@ from .digraph import (
     min_outdegree,
     parse_edge_list,
     save_edge_list,
-    vertex_stats,
 )
 from .errors import (
     DuplicateArcError,

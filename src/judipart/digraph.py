@@ -2,7 +2,9 @@
 
 Conventions used across the package:
 
-- Vertices are integers 0..n-1.
+- Vertices are integers 0..n-1, held as int64. from_arc_list takes an (m, 2)
+  integer array as it is, or any iterable of (tail, head) pairs; an id that
+  is not an integer (float, bool, beyond int64) is a VertexOutOfRangeError.
 - An arc is an ordered pair (tail, head). Loops and duplicate same-direction
   arcs are rejected at construction; anti-parallel pairs (u, v) and (v, u) are
   allowed and count as two arcs.
@@ -18,11 +20,19 @@ Conventions used across the package:
 - A bipartition assigns every vertex side 1 or side 2; the two directed cut
   counts are e12 (side 1 -> side 2) and e21 (side 2 -> side 1).
 
+An edge list is a header line 'n m', then one 'tail head' line per arc: two
+int64 integers per line; '#' starts a comment anywhere on a line. numpy's
+tokenizer reads it in one pass; only a malformed text gets a line scan, which
+names the first bad line.
+
 The arc arrays keep construction order, so serializing and re-parsing a graph
 is an identity on both the vertex count and the arc sequence.
 """
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,22 +46,6 @@ from .errors import (
     PartitionError,
     VertexOutOfRangeError,
 )
-
-
-@dataclass(frozen=True)
-class VertexStats:
-    """Per-vertex degree bookkeeping.
-
-    splus = outdegree - indegree (signed); sminus = -splus; s = |splus|.
-    degree - s is always even: it is twice min(outdegree, indegree).
-    """
-
-    dplus: int
-    dminus: int
-    degree: int
-    splus: int
-    sminus: int
-    s: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,6 @@ class Digraph:
         "_out_targets",
         "_in_indptr",
         "_in_sources",
-        "_arc_codes",
     )
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray):
@@ -97,7 +90,6 @@ class Digraph:
         self._in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.in_degrees, out=self._in_indptr[1:])
         self._in_sources = tails[order]
-        self._arc_codes = None
         for arr in (self.tails, self.heads, self.out_degrees, self.in_degrees,
                     self._out_targets, self._in_sources):
             arr.setflags(write=False)
@@ -108,21 +100,11 @@ class Digraph:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self._in_sources[self._in_indptr[v]:self._in_indptr[v + 1]]
 
-    def arc_codes(self) -> frozenset:
-        """Set of tail * n + head codes; built lazily, cached."""
-        if self._arc_codes is None:
-            codes = self.tails.astype(np.int64) * self.n + self.heads
-            self._arc_codes = frozenset(codes.tolist())
-        return self._arc_codes
-
     def degree(self, v: int) -> int:
         return int(self.out_degrees[v] + self.in_degrees[v])
 
     def degrees(self) -> np.ndarray:
         return self.out_degrees + self.in_degrees
-
-    def to_arc_list(self) -> list[tuple[int, int]]:
-        return list(zip(self.tails.tolist(), self.heads.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
@@ -141,25 +123,26 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Validate and build a digraph from (tail, head) pairs."""
+def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digraph:
+    """Validate and build a digraph from an (m, 2) integer array of
+    (tail, head) rows, or from any iterable of such pairs."""
     if n < 0:
         raise VertexOutOfRangeError(f"vertex count must be nonnegative, got {n}")
-    pairs = list(arcs)
-    if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise EdgeListParseError("arcs must be (tail, head) pairs")
-        tails, heads = arr[:, 0].copy(), arr[:, 1].copy()
-    else:
-        tails = np.zeros(0, dtype=np.int64)
-        heads = np.zeros(0, dtype=np.int64)
-    bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
-    if bad.any():
-        i = int(np.argmax(bad))
+    arr = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs))
+    if arr.size == 0:
+        arr = np.zeros((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise EdgeListParseError("arcs must be (tail, head) pairs")
+    if arr.dtype.kind not in "iu":
         raise VertexOutOfRangeError(
-            f"arc ({int(tails[i])}, {int(heads[i])}) out of range for n={n}"
+            f"arcs must hold integer vertex ids that fit in int64, got {arr.dtype}"
         )
+    bad = ((arr < 0) | (arr >= n)).any(axis=1)
+    if bad.any():
+        u, v = arr[np.argmax(bad)].tolist()
+        raise VertexOutOfRangeError(f"arc ({u}, {v}) out of range for n={n}")
+    tails = arr[:, 0].astype(np.int64)
+    heads = arr[:, 1].astype(np.int64)
     loops = tails == heads
     if loops.any():
         i = int(np.argmax(loops))
@@ -228,18 +211,6 @@ def e_between(D: Digraph, a: Iterable[int], b: Iterable[int]) -> int:
     return int(np.count_nonzero(ma[D.tails] & mb[D.heads]))
 
 
-def vertex_stats(D: Digraph) -> dict[int, VertexStats]:
-    out = {}
-    for v in range(D.n):
-        dp = int(D.out_degrees[v])
-        dm = int(D.in_degrees[v])
-        sp = dp - dm
-        out[v] = VertexStats(
-            dplus=dp, dminus=dm, degree=dp + dm, splus=sp, sminus=-sp, s=abs(sp)
-        )
-    return out
-
-
 def max_degree(D: Digraph) -> int:
     if D.n == 0:
         raise EmptyGraphError("max degree of an empty graph is undefined")
@@ -277,9 +248,6 @@ class Bipartition:
     def n(self) -> int:
         return int(self.sides.size)
 
-    def side(self, v: int) -> int:
-        return int(self.sides[v])
-
     def side1(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.sides == 1).tolist())
 
@@ -314,38 +282,62 @@ def cut_counts(D: Digraph, P: Bipartition) -> CutValue:
     return CutValue(e12, e21, min(e12, e21))
 
 
+# a sign, then leading zeros apart, so int() never sees more than 19 digits
+_INT_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
+
+
+def _data_lines(text: str):
+    """(line number, line, tokens) of every line that holds data once its
+    comment is cut off; a line ends at LF, CRLF or a lone CR."""
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw.rstrip("\n"), tokens
+
+
+def _is_int64(token: str) -> bool:
+    match = _INT_TOKEN.fullmatch(token)
+    return match is not None and -(2**63) <= int(match[1] + match[2]) < 2**63
+
+
+def _bad_line_error(text: str) -> EdgeListParseError:
+    """The error for the first data line that is not two int64 integers.
+
+    Runs only on text numpy's tokenizer refused, with the same rules."""
+    for lineno, line, tokens in _data_lines(text):
+        if len(tokens) != 2 or not all(map(_is_int64, tokens)):
+            return EdgeListParseError(
+                f"line {lineno}: expected two integers, got {line!r}"
+            )
+    return EdgeListParseError("edge list unreadable")
+
+
 def parse_edge_list(text: str) -> Digraph:
     """Parse the package edge-list format.
 
-    Lines starting with '#' and blank lines are ignored. The first data line
-    is 'n m'; exactly m data lines 'u v' follow (0-based vertex ids).
+    Blank lines are ignored and '#' starts a comment, on a line of its own or
+    after data. The first data line is 'n m'; exactly m data lines 'u v'
+    follow (0-based vertex ids). Every value is a decimal int64.
     """
-    header = None
-    arcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        if header is None:
-            header = (a, b, lineno)
-        else:
-            arcs.append((a, b))
-    if header is None:
-        raise EdgeListParseError("no header line 'n m' found")
-    n, m, lineno = header
-    if n < 0 or m < 0:
-        raise EdgeListParseError(f"line {lineno}: header values must be nonnegative")
-    if len(arcs) != m:
-        raise EdgeListParseError(f"header declares m={m} arcs but {len(arcs)} follow")
     try:
-        return from_arc_list(n, arcs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64,
+                              comments="#", ndmin=2)
+    except ValueError as exc:
+        raise _bad_line_error(text) from exc
+    if rows.shape[0] == 0:
+        raise EdgeListParseError("no header line 'n m' found")
+    if rows.shape[1] != 2:
+        raise _bad_line_error(text)
+    n, m = rows[0].tolist()
+    if n < 0 or m < 0:
+        lineno = next(_data_lines(text))[0]
+        raise EdgeListParseError(f"line {lineno}: header values must be nonnegative")
+    if len(rows) - 1 != m:
+        raise EdgeListParseError(f"header declares m={m} arcs but {len(rows) - 1} follow")
+    try:
+        return from_arc_list(n, rows[1:])
     except (LoopArcError, DuplicateArcError, VertexOutOfRangeError) as exc:
         raise type(exc)(f"edge list invalid: {exc}") from exc
 
@@ -357,7 +349,9 @@ def format_edge_list(D: Digraph) -> str:
 
 
 def load_edge_list(path) -> Digraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes U+FFFD, which the parser refuses with
+    # its line number (or ignores inside a comment)
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_edge_list(fh.read())
 
 

@@ -35,15 +35,19 @@ from .errors import (
 )
 
 
+def _circulant(q: int) -> np.ndarray:
+    """Arcs u -> u+1, ..., u+(q-1)/2 mod q of the circulant on 0..q-1, q odd."""
+    u = np.repeat(np.arange(q), (q - 1) // 2)
+    return np.column_stack((u, (u + np.tile(np.arange(1, (q + 1) // 2), q)) % q))
+
+
 def gen_eulerian_complete(q: int) -> Digraph:
     """Circulant orientation of K_q, q odd: u -> u+1, ..., u+(q-1)/2 mod q."""
     if q < 3:
         raise TooSmallError(f"eulerian family needs q >= 3, got {q}")
     if q % 2 == 0:
         raise EvenOrderError(f"eulerian family needs odd q, got {q}")
-    half = (q - 1) // 2
-    arcs = [(u, (u + i) % q) for u in range(q) for i in range(1, half + 1)]
-    return from_arc_list(q, arcs)
+    return from_arc_list(q, _circulant(q))
 
 
 def gen_tight_union(d: int, copies: int, augment: bool = False) -> Digraph:
@@ -58,22 +62,13 @@ def gen_tight_union(d: int, copies: int, augment: bool = False) -> Digraph:
         raise InfeasibleParamsError(f"copies must be >= 0, got {copies}")
     small = 2 * d - 1
     big = 2 * d + 1
-    n = copies * small + big
-    arcs: list[tuple[int, int]] = []
-    for c in range(copies):
-        base = c * small
-        half = (small - 1) // 2
-        for u in range(small):
-            for i in range(1, half + 1):
-                arcs.append((base + u, base + (u + i) % small))
     big_base = copies * small
-    for u in range(big):
-        for i in range(1, d + 1):
-            arcs.append((big_base + u, big_base + (u + i) % big))
+    bases = np.arange(copies)[:, None, None] * small
+    parts = [(_circulant(small) + bases).reshape(-1, 2), _circulant(big) + big_base]
     if augment:
-        for j in range(copies * small):
-            arcs.append((j, big_base + (j % big)))
-    return from_arc_list(n, arcs)
+        j = np.arange(copies * small)
+        parts.append(np.column_stack((j, big_base + j % big)))
+    return from_arc_list(big_base + big, np.concatenate(parts))
 
 
 def gen_star_triangle(n: int) -> Digraph:
@@ -152,8 +147,8 @@ def gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -> Digraph:
         if v >= u:
             v += 1
         codes.add(u * n + v)
-    arcs = [divmod(c, n) for c in sorted(codes)]
-    return from_arc_list(n, arcs)
+    codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
+    return from_arc_list(n, np.column_stack(np.divmod(codes, n)))
 
 
 FAMILIES = {

@@ -175,24 +175,30 @@ def _blocks_with_edges(
     return out
 
 
-def blocks(D: Digraph, component) -> list[tuple[int, ...]]:
-    """Vertex sets of the biconnected blocks of one underlying component."""
-    adj = underlying_adjacency(D, component)
-    return [verts for verts, _ in _blocks_with_edges(adj, component)]
+def _blocks_of(D: Digraph, vs) -> list[tuple[tuple[int, ...], int]]:
+    """Blocks with edge counts of every underlying component of D[vs]."""
+    verts, lo, hi, _ = _undirected(D, vs)
+    adj = _adjacency(verts.tolist(), lo, hi)
+    return [b for comp in _components(D.n, verts, lo, hi)[2]
+            for b in _blocks_with_edges(adj, comp)]
 
 
-def is_tight(D: Digraph, component) -> bool:
-    """True when every block is a complete graph on an odd vertex count."""
-    adj = underlying_adjacency(D, component)
-    return _is_tight_adj(adj, component)
+def _odd_cliques(blocks_with_edges) -> bool:
+    """True when every (vertices, edge count) block is an odd complete graph."""
+    return all(len(vs) % 2 == 1 and e == len(vs) * (len(vs) - 1) // 2
+               for vs, e in blocks_with_edges)
 
 
-def _is_tight_adj(adj: dict[int, list[int]], comp) -> bool:
-    for verts, ecount in _blocks_with_edges(adj, comp):
-        q = len(verts)
-        if q % 2 == 0 or ecount != q * (q - 1) // 2:
-            return False
-    return True
+def blocks(D: Digraph, vs) -> list[tuple[int, ...]]:
+    """Vertex sets of the biconnected blocks of D[vs]'s underlying graph,
+    component by component in order of their smallest vertex."""
+    return [verts for verts, _ in _blocks_of(D, vs)]
+
+
+def is_tight(D: Digraph, vs) -> bool:
+    """True when every block of every underlying component of D[vs] is a
+    complete graph on an odd vertex count."""
+    return _odd_cliques(_blocks_of(D, vs))
 
 
 def essential_tight_components(D: Digraph, y) -> TightReport:
@@ -212,7 +218,7 @@ def essential_tight_components(D: Digraph, y) -> TightReport:
         sel = left[of_edge]
         adj = _adjacency(verts[left[comp[verts]]].tolist(), lo[sel], hi[sel])
         for c in np.flatnonzero(left).tolist():
-            tight[c] = _is_tight_adj(adj, comps[c])
+            tight[c] = _odd_cliques(_blocks_with_edges(adj, comps[c]))
     essential = tight & (np.bincount(of_edge[anti], minlength=k) == 0)
     return TightReport(
         components=comps,

@@ -7,6 +7,7 @@ Digraph container itself.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from judipart import (
     Digraph,
@@ -20,11 +21,48 @@ from judipart import (
 )
 
 
+def arc_codes(D: Digraph) -> frozenset:
+    """Set of tail * n + head codes of D's arcs."""
+    return frozenset((D.tails * D.n + D.heads).tolist())
+
+
+def arc_list(D: Digraph) -> list[tuple[int, int]]:
+    """D's arcs as (tail, head) pairs in construction order."""
+    return list(zip(D.tails.tolist(), D.heads.tolist()))
+
+
+@dataclass(frozen=True)
+class VertexStats:
+    """Per-vertex degree bookkeeping.
+
+    splus = outdegree - indegree (signed); sminus = -splus; s = |splus|.
+    degree - s is always even: it is twice min(outdegree, indegree).
+    """
+
+    dplus: int
+    dminus: int
+    degree: int
+    splus: int
+    sminus: int
+    s: int
+
+
+def vertex_stats(D: Digraph) -> dict[int, VertexStats]:
+    out = {}
+    for v in range(D.n):
+        dp, dm = int(D.out_degrees[v]), int(D.in_degrees[v])
+        sp = dp - dm
+        out[v] = VertexStats(
+            dplus=dp, dminus=dm, degree=dp + dm, splus=sp, sminus=-sp, s=abs(sp)
+        )
+    return out
+
+
 def independent_x(D: Digraph, rng: random.Random, cap: int = 12) -> list[int]:
     """Greedy arc-free subset of vertices, at most cap of them."""
     order = list(range(D.n))
     rng.shuffle(order)
-    codes = D.arc_codes()
+    codes = arc_codes(D)
     xs: list[int] = []
     for v in order:
         if len(xs) >= cap:
@@ -165,7 +203,7 @@ def naive_tight_report(D: Digraph, ys):
     """(components, tight flags, essential flags, tau) by brute force."""
     adj = naive_underlying(D, ys)
     comps = naive_components(adj)
-    codes = D.arc_codes()
+    codes = arc_codes(D)
     tight = []
     essential = []
     for comp in comps:

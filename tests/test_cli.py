@@ -216,6 +216,25 @@ def test_bad_edge_list_exit_code(tmp_path, capsys):
     assert rc == 2 and "loop" in err
 
 
+@pytest.mark.parametrize("text, lineno", [
+    pytest.param(b"3 1\n0 99999999999999999999\n", 2, id="id-over-int64"),
+    pytest.param(b"3 1\n0 9223372036854775808\n", 2, id="id-2^63"),
+    pytest.param(b"99999999999999999999 1\n0 1\n", 1, id="header-over-int64"),
+    pytest.param(b"# c\n3 1\n0 1 2\n", 3, id="three-tokens"),
+    pytest.param(b"3 1\n\n0 x\n", 3, id="non-integer"),
+    pytest.param(b"3 1\n0 1.0\n", 2, id="float"),
+    pytest.param(b"3 1\n1_000 1\n", 2, id="python-literal"),
+    pytest.param(b"3 1\r\n0 \xff\r\n", 2, id="not-utf8"),
+])
+def test_malformed_edge_list_names_its_line(tmp_path, capsys, text, lineno):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text)
+    for cmd in (["partition", "--d", "1"], ["oracle"]):
+        rc, out, err = run(capsys, *cmd, "--input", str(bad))
+        assert rc == 2 and not out
+        assert err.startswith(f"error: line {lineno}: ")
+
+
 def test_partition_bad_p_sweep(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys)
     rc, _, err = run(capsys, "partition", "--input", str(path), "--d", "4",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import arc_codes, vertex_stats
 from judipart import (
     Bipartition,
     CandidateXPartition,
@@ -38,7 +39,6 @@ from judipart import (
     min_outdegree,
     parse_edge_list,
     save_edge_list,
-    vertex_stats,
 )
 
 
@@ -57,7 +57,7 @@ def test_basic_construction():
     assert sorted(D.out_neighbors(0)) == [1]
     assert sorted(D.in_neighbors(0)) == [2, 3]
     assert D.degree(0) == 3
-    assert D.arc_codes() == {0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 3 * 4 + 0}
+    assert arc_codes(D) == {0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 3 * 4 + 0}
 
 
 def test_construction_rejects_bad_input():
@@ -69,6 +69,33 @@ def test_construction_rejects_bad_input():
         from_arc_list(2, [(0, 2)])
     with pytest.raises(VertexOutOfRangeError):
         from_arc_list(-1, [])
+
+
+def test_construction_refuses_non_integer_and_oversize_ids():
+    with pytest.raises(VertexOutOfRangeError):
+        from_arc_list(3, [(0.7, 1.9), (2, 0)])  # built the arc (0, 1)
+    with pytest.raises(VertexOutOfRangeError):
+        from_arc_list(3, [(0, 10**20)])  # raised OverflowError
+    with pytest.raises(VertexOutOfRangeError):
+        from_arc_list(3, [(0, 2**63)])
+    with pytest.raises(VertexOutOfRangeError):
+        from_arc_list(3, np.array([[0.0, 1.0]]))
+    with pytest.raises(VertexOutOfRangeError):
+        from_arc_list(3, np.array([[0, 3]], dtype=np.uint64))
+
+
+def test_construction_takes_arrays_and_iterables_alike():
+    pairs = [(0, 1), (2, 0), (1, 2)]
+    D = from_arc_list(3, pairs)
+    for arcs in (np.array(pairs), np.array(pairs, dtype=np.int32),
+                 np.array(pairs, dtype=np.uint8), zip([0, 2, 1], [1, 0, 2]),
+                 (p for p in pairs)):
+        E = from_arc_list(3, arcs)
+        assert E == D and E.tails.dtype == np.int64
+    empty = from_arc_list(3, np.zeros((0, 2), dtype=np.int64))
+    assert empty == from_arc_list(3, []) and empty.m == 0
+    with pytest.raises(EdgeListParseError):
+        from_arc_list(3, np.array([[0, 1, 2]]))
 
 
 def test_vertex_stats_and_degree_extremes():
@@ -83,7 +110,7 @@ def test_vertex_stats_and_degree_extremes():
 
 def test_e_between_matches_double_loop():
     D = gen_random_minout(9, 2, extra=5, seed=3)
-    codes = D.arc_codes()
+    codes = arc_codes(D)
     a, b = [0, 2, 4, 6], [1, 3, 5, 7, 8]
     want = sum(1 for u in a for v in b if u * D.n + v in codes)
     assert e_between(D, a, b) == want
@@ -127,11 +154,11 @@ def test_edge_list_round_trip(tmp_path):
     D = gen_random_minout(12, 2, extra=4, seed=8)
     text = format_edge_list(D)
     E = parse_edge_list(text)
-    assert E.n == D.n and E.arc_codes() == D.arc_codes()
+    assert E.n == D.n and arc_codes(E) == arc_codes(D)
     path = tmp_path / "g.txt"
     save_edge_list(D, path)
     F = load_edge_list(path)
-    assert F.arc_codes() == D.arc_codes()
+    assert arc_codes(F) == arc_codes(D)
 
 
 def test_parse_edge_list_accepts_comments_and_rejects_garbage():
@@ -147,6 +174,60 @@ def test_parse_edge_list_accepts_comments_and_rejects_garbage():
         parse_edge_list("3 1\n0 x\n")
     with pytest.raises(LoopArcError):
         parse_edge_list("2 1\n0 0\n")  # loop kept as its own category
+
+
+def test_parse_edge_list_reads_inline_comments_and_int64_only():
+    D = parse_edge_list("3 2 # n m\r\n\t0\t1#first\n 1  2 \n# end")
+    assert D == from_arc_list(3, [(0, 1), (1, 2)])
+    assert parse_edge_list("3 1\r0 1\r") == from_arc_list(3, [(0, 1)])
+    assert parse_edge_list("+3 1\n00 +1\n") == from_arc_list(3, [(0, 1)])
+    for text, lineno in [("3 1\n1_000 1\n", 2), ("3 1\n0 9223372036854775808\n", 2),
+                         ("-9223372036854775809 0\n", 1), ("3 1\n0 1 2\n", 2),
+                         ("# c\n3\n", 2), ("3 1\n0 \u0661\n", 2)]:
+        with pytest.raises(EdgeListParseError, match=f"^line {lineno}: "):
+            parse_edge_list(text)
+    with pytest.raises(EdgeListParseError, match="no header"):
+        parse_edge_list("# only a comment\n\n")
+    with pytest.raises(EdgeListParseError, match="^line 2: header"):
+        parse_edge_list("\n-3 0\n")
+
+
+# a line broken in one way, each a parse error wherever it stands
+CORRUPT_LINES = ["7", "0 1 2", "1 2 3 4", "0 x", "1.5 2", "1_000 2", "0x1 1",
+                 "9223372036854775808 1", "0 -9223372036854775809"]
+
+
+@st.composite
+def decorated_edge_lists(draw):
+    """(D, lines, line ends, data line numbers): format_edge_list(D) with
+    blank and comment lines, inline comments, tabs and mixed \n / \r\n."""
+    n, arcs = draw(arcs_strategy())
+    D = from_arc_list(n, arcs)
+    lines, data = [], []
+    for line in format_edge_list(D).splitlines():
+        lines += draw(st.lists(st.sampled_from(["", " \t", "# note", "\t# 1 2 3"]),
+                               max_size=2))
+        u, v = line.split()
+        space = st.sampled_from(["", " ", "\t", " \t "])
+        comment = st.sampled_from(["", "# c", " # 4 5", "\t#"])
+        data.append(len(lines) + 1)
+        lines.append(draw(space) + u + draw(space.filter(bool)) + v
+                     + draw(space) + draw(comment))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return D, lines, ends, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_edge_lists(), st.data())
+def test_parse_survives_decoration_and_names_a_corrupted_line(case, data):
+    D, lines, ends, data_lines = case
+    assert parse_edge_list("".join(map(str.__add__, lines, ends))) == D
+    lineno = data.draw(st.sampled_from(data_lines))
+    broken = lines.copy()
+    broken[lineno - 1] = data.draw(st.sampled_from(CORRUPT_LINES))
+    with pytest.raises(EdgeListParseError, match=f"^line {lineno}: "):
+        parse_edge_list("".join(map(str.__add__, broken, ends)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import arc_list, vertex_stats
 from judipart import (
     PartitionError,
     StateLimitError,
@@ -19,7 +20,6 @@ from judipart import (
     huge_and_residuals,
     mf_mb,
     min_gap_partition,
-    vertex_stats,
 )
 
 
@@ -163,7 +163,7 @@ def test_solver_minimality(seed, mask):
 
 
 def reversed_digraph(D):
-    return from_arc_list(D.n, [(h, t) for t, h in D.to_arc_list()])
+    return from_arc_list(D.n, [(h, t) for t, h in arc_list(D)])
 
 
 @settings(max_examples=40, deadline=None)

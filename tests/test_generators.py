@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import arc_codes, arc_list, vertex_stats
 from judipart import (
     EvenOrderError,
     InfeasibleParamsError,
@@ -16,7 +17,6 @@ from judipart import (
     gen_star_triangle,
     gen_tight_union,
     min_outdegree,
-    vertex_stats,
 )
 
 
@@ -27,7 +27,7 @@ def test_eulerian_complete():
         assert all(s.dplus == s.dminus == (q - 1) // 2
                    for s in vertex_stats(D).values())
         # exactly one arc per unordered pair
-        codes = D.arc_codes()
+        codes = arc_codes(D)
         assert all((u * q + v in codes) != (v * q + u in codes)
                    for u in range(q) for v in range(u + 1, q))
     with pytest.raises(TooSmallError):
@@ -50,6 +50,25 @@ def test_tight_union_counts_and_augment():
         gen_tight_union(0, 1)
     with pytest.raises(InfeasibleParamsError):
         gen_tight_union(3, -1)
+
+
+def test_circulant_families_match_loop_reference():
+    def circulant(q, base=0):
+        return [(base + u, base + (u + i) % q)
+                for u in range(q) for i in range(1, (q - 1) // 2 + 1)]
+
+    def tight_union(d, copies, augment):
+        small, big = 2 * d - 1, 2 * d + 1
+        arcs = [a for c in range(copies) for a in circulant(small, c * small)]
+        arcs += circulant(big, copies * small)
+        if augment:
+            arcs += [(j, copies * small + j % big) for j in range(copies * small)]
+        return arcs
+
+    for q in (3, 5, 9, 15):
+        assert arc_list(gen_eulerian_complete(q)) == circulant(q)
+    for d, copies, augment in [(1, 3, True), (2, 0, False), (3, 4, False), (4, 5, True)]:
+        assert arc_list(gen_tight_union(d, copies, augment)) == tight_union(d, copies, augment)
 
 
 def test_star_triangle():
@@ -83,9 +102,9 @@ def test_skew_d6():
     assert min_outdegree(D) == 6
     assert e_between(D, range(3), range(3)) == 0
     E = gen_skew_d6(60, seed=4)
-    assert E.arc_codes() == D.arc_codes()
+    assert arc_codes(E) == arc_codes(D)
     F = gen_skew_d6(60, seed=5)
-    assert F.arc_codes() != D.arc_codes()
+    assert arc_codes(F) != arc_codes(D)
     with pytest.raises(TooSmallError):
         gen_skew_d6(20)
 
@@ -94,8 +113,8 @@ def test_random_minout():
     D = gen_random_minout(50, 3, extra=20, seed=1)
     assert D.n == 50 and D.m == 50 * 3 + 20
     assert min_outdegree(D) >= 3
-    assert gen_random_minout(50, 3, extra=20, seed=1).arc_codes() == D.arc_codes()
-    assert gen_random_minout(50, 3, extra=20, seed=2).arc_codes() != D.arc_codes()
+    assert arc_codes(gen_random_minout(50, 3, extra=20, seed=1)) == arc_codes(D)
+    assert arc_codes(gen_random_minout(50, 3, extra=20, seed=2)) != arc_codes(D)
     with pytest.raises(InfeasibleParamsError):
         gen_random_minout(4, 4)
     with pytest.raises(InfeasibleParamsError):

@@ -63,6 +63,17 @@ def test_two_triangles_sharing_a_vertex():
     assert is_tight(D, (0, 1, 2, 3, 4))
 
 
+def test_disconnected_sets_judge_every_component():
+    D = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    assert not is_tight(D, (0, 1, 2, 3, 4))  # the edge 3-4 is an even clique
+    assert blocks(D, (0, 1, 2, 3, 4)) == [(0, 1, 2), (3, 4)]
+    assert is_tight(D, (0, 1, 2, 3))  # triangle plus an isolated vertex
+    assert blocks(D, (0, 1, 2, 3)) == [(0, 1, 2), (3,)]
+    E = from_arc_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert is_tight(E, range(6))
+    assert blocks(E, range(6)) == [(0, 1, 2), (3, 4, 5)]
+
+
 def test_odd_cliques_are_tight():
     for q in (5, 7):
         D = gen_eulerian_complete(q)
