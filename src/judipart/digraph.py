@@ -44,6 +44,7 @@ from .errors import (
     EmptyGraphError,
     LoopArcError,
     PartitionError,
+    TooLargeError,
     VertexOutOfRangeError,
 )
 
@@ -73,6 +74,7 @@ class Digraph:
         "_out_targets",
         "_in_indptr",
         "_in_sources",
+        "_incidence",
     )
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray):
@@ -90,6 +92,7 @@ class Digraph:
         self._in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.in_degrees, out=self._in_indptr[1:])
         self._in_sources = tails[order]
+        self._incidence = None
         for arr in (self.tails, self.heads, self.out_degrees, self.in_degrees,
                     self._out_targets, self._in_sources):
             arr.setflags(write=False)
@@ -99,6 +102,21 @@ class Digraph:
 
     def in_neighbors(self, v: int) -> np.ndarray:
         return self._in_sources[self._in_indptr[v]:self._in_indptr[v + 1]]
+
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, ends): ends[indptr[v]:indptr[v + 1]] holds the other end of
+        every arc at v, out-arcs first, so an anti-parallel pair shows twice.
+        Interleaves the two adjacency arrays (no sort) on the first call."""
+        if self._incidence is None:
+            indptr = self._out_indptr + self._in_indptr
+            ends = np.empty(2 * self.m, dtype=np.int64)
+            arcs = np.arange(self.m)
+            ends[arcs + np.repeat(self._in_indptr[:-1], self.out_degrees)] = self._out_targets
+            ends[arcs + np.repeat(self._out_indptr[1:], self.in_degrees)] = self._in_sources
+            for arr in (indptr, ends):
+                arr.setflags(write=False)
+            self._incidence = indptr, ends
+        return self._incidence
 
     def degree(self, v: int) -> int:
         return int(self.out_degrees[v] + self.in_degrees[v])
@@ -128,6 +146,8 @@ def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digra
     (tail, head) rows, or from any iterable of such pairs."""
     if n < 0:
         raise VertexOutOfRangeError(f"vertex count must be nonnegative, got {n}")
+    if n >= np.iinfo(np.intp).max // 8:  # n + 1 int64 entries must be addressable
+        raise TooLargeError(f"vertex count n={n} is too large for per-vertex arrays")
     arr = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs))
     if arr.size == 0:
         arr = np.zeros((0, 2), dtype=np.int64)
@@ -234,7 +254,7 @@ class Bipartition:
         arr = np.asarray(sides, dtype=np.uint8)
         if arr.ndim != 1:
             raise PartitionError("side assignment must be one-dimensional")
-        if arr.size and not np.isin(arr, (1, 2)).all():
+        if not ((arr == 1) | (arr == 2)).all():  # np.isin costs ~10x on small n
             raise PartitionError("sides must be 1 or 2")
         arr = arr.copy()
         arr.setflags(write=False)

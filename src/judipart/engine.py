@@ -7,12 +7,20 @@ assignment (side 1 with probability p) across repeated trials, polish the best
 trial with single-vertex flips (and, when n <= 128, two-vertex flips), and keep
 the overall best. Every step ranks cuts by (min{e12, e21}, e12 + e21).
 
-The local search keeps one state: out1[v] and in1[v], the numbers of v's out-
-and in-neighbours on side 1. A flip's effect on (e12, e21) follows from them
-(_flip_deltas), a flip updates them only at the flipped vertex's neighbours
-(Fiduccia-Mattheyses gain bookkeeping), and a two-vertex flip scores as the sum
-of its single flips plus a correction for the arcs joining the pair
-(Kernighan-Lin).
+A trial's cut is linear in its Y-assignment apart from the Y-Y arcs with both
+ends on side 1, so the trials are packed 8 to a byte, one row of bytes per Y
+vertex, and every trial's (e12, e21) comes from bit counts over those rows
+(extension_trial_cuts); nothing of size trials x arcs is built.
+
+The local search keeps one state: c[v], the number of arcs, either way,
+between v and side 1. A flip's effect on (e12, e21) follows from c and v's
+degrees (_flip_deltas), and a flip moves c only at the other ends of the
+flipped vertex's arcs (Fiduccia-Mattheyses gain bookkeeping). A round screens
+every vertex in one vectorized pass, then decides the screened ones in index
+order over plain ints: an accepted flip shifts the deltas of the later
+screened vertices it shares an arc with, and c catches up in one scatter at
+the round's end. A two-vertex flip scores as the sum of its single flips plus
+a correction for the arcs joining the pair (Kernighan-Lin).
 
 Dense or degree-flat instances skip the split entirely: when m >= 8n/eps^2 or
 max degree <= eps^2 m / 4, a plain p = 1/2 random bipartition already
@@ -310,10 +318,11 @@ def _beats(a, b):
     return (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
 
 
-def _flip_deltas(s, out1, in1, outdeg, indeg):
-    """Change in (e12, e21) when a vertex flips; s = +1 on side 1, -1 on side 2.
+def _flip_deltas(s, c, outdeg, indeg):
+    """Change in (e12, e21) when a vertex flips; s = +1 on side 1, -1 on side 2,
+    c = the number of arcs, either way, between the vertex and side 1.
     Elementwise on arrays and on scalars."""
-    return s * (in1 - (outdeg - out1)), s * (out1 - (indeg - in1))
+    return s * (c - outdeg), s * (c - indeg)
 
 
 def _refine(D: Digraph, bip: Bipartition, cfg: EngineConfig) -> Bipartition:
@@ -339,7 +348,7 @@ def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         side1 = best.sides == 1
         s = np.where(side1, 1, -1)
         out1, in1 = arc_census(D, side1)
-        d12, d21 = _flip_deltas(s, out1, in1, D.out_degrees, D.in_degrees)
+        d12, d21 = _flip_deltas(s, out1 + in1, D.out_degrees, D.in_degrees)
         c = cut_counts(D, best)
         corr = np.outer(s, s) * joined
         e12 = c.e12 + d12[:, None] + d12 - corr  # cut after flipping u and v
@@ -352,6 +361,24 @@ def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         best = local_improve(D, Bipartition(np.where(side1, 1, 2)), cfg)
 
 
+# _BITS[v, j] is bit j of the byte value v, little-endian as np.packbits packs
+_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
+def _bit_sums(rows: np.ndarray, weights=None) -> np.ndarray:
+    """Column sums of the bit matrix that rows (r x 8k bytes) packs, one
+    column per bit, optionally weighted per row. Each 64-bit word of columns
+    takes one bincount over (byte position, byte value) codes, then the bit
+    table; going a word at a time keeps the codes at r x 8 for any trials."""
+    w = None if weights is None else np.repeat(weights, 8)
+    sums = []
+    for word in range(0, rows.shape[1], 8):
+        codes = (rows[:, word:word + 8] + np.arange(0, 256 * 8, 256)).ravel()
+        counts = np.bincount(codes, weights=w, minlength=256 * 8)
+        sums.append(counts.reshape(8, 256) @ _BITS)
+    return np.concatenate(sums).ravel()
+
+
 def extension_trial_cuts(
     D: Digraph,
     cand: CandidateXPartition,
@@ -359,39 +386,39 @@ def extension_trial_cuts(
     cfg: EngineConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (e12, e21) for cfg.trials independent Y-assignments, plus the
-    trial matrix itself (trials x |Y| booleans, True = side 1)."""
+    trial matrix itself (trials x |Y| booleans, True = side 1).
+
+    With a_t(y) = 1 when y sits on side 1 in trial t, each trial's cut is
+    linear in a_t apart from the Y-Y arcs with both ends on side 1:
+    e12_t = e(X1, V - X1) + sum_y a_t(y) w12(y) - both_t with
+    w12(y) = outdeg(y) - e(y, X1) - e(X1, y), and e21_t likewise with
+    e(V - X1, X1) and indeg(y). The trials are packed 8 to a byte, one row
+    of bytes per Y vertex, so both_t is an AND of two rows per Y-Y arc and
+    every per-trial sum is a bit count (_bit_sums); nothing of size
+    trials x arcs is built."""
     side1x, _, in_y = split_masks(D.n, [cand.x1, cand.x2, y], "x1, x2, Y")
     ys = np.flatnonzero(in_y)  # trial-matrix columns, ascending
+    to_x1, from_x1 = arc_census(D, side1x)
+    deg_x1 = (to_x1 + from_x1)[ys]
     yindex = np.full(D.n, -1, dtype=np.int64)
     yindex[ys] = np.arange(len(ys))
-    t, h = D.tails, D.heads
-    ty, hy = in_y[t], in_y[h]
-    t1 = side1x[t]
-    h1 = side1x[h]
-    cat_xx = ~ty & ~hy
-    const12 = int(np.count_nonzero(cat_xx & t1 & ~h1))
-    const21 = int(np.count_nonzero(cat_xx & ~t1 & h1))
-    cols12_xy = yindex[h[~ty & hy & t1]]    # x1 -> y, cut when y on side 2
-    cols21_xy = yindex[h[~ty & hy & ~t1]]   # x2 -> y, cut when y on side 1
-    cols12_yx = yindex[t[ty & ~hy & ~h1]]   # y -> x2, cut when y on side 1
-    cols21_yx = yindex[t[ty & ~hy & h1]]    # y -> x1, cut when y on side 2
-    yy = ty & hy
-    yy_t, yy_h = yindex[t[yy]], yindex[h[yy]]
+    yy = in_y[D.tails] & in_y[D.heads]
 
     A = _trial_matrix(cand.label, float(cand.p), len(ys), cfg)
-    e12s = (
-        const12
-        + (~A[:, cols12_xy]).sum(axis=1)
-        + A[:, cols12_yx].sum(axis=1)
-        + (A[:, yy_t] & ~A[:, yy_h]).sum(axis=1)
-    )
-    e21s = (
-        const21
-        + A[:, cols21_xy].sum(axis=1)
-        + (~A[:, cols21_yx]).sum(axis=1)
-        + (~A[:, yy_t] & A[:, yy_h]).sum(axis=1)
-    )
-    return e12s.astype(np.int64), e21s.astype(np.int64), A
+    # row i holds vertex ys[i]'s trial bits, zero-padded to whole 64-bit words
+    packed = np.zeros((len(ys), -(-cfg.trials // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cfg.trials // 8)] = np.packbits(
+        np.ascontiguousarray(A.T), axis=1, bitorder="little")
+    words = packed.view(np.uint64)
+    both = words[yindex[D.tails[yy]]] & words[yindex[D.heads[yy]]]
+    both_t = _bit_sums(both.view(np.uint8))
+    # the weighted counts are float64 sums of integers far below 2**53: exact
+    s12 = _bit_sums(packed, D.out_degrees[ys] - deg_x1).astype(np.int64)
+    s21 = _bit_sums(packed, D.in_degrees[ys] - deg_x1).astype(np.int64)
+    outside = ~side1x
+    e12s = int(from_x1[outside].sum()) + s12 - both_t
+    e21s = int(to_x1[outside].sum()) + s21 - both_t
+    return e12s[: cfg.trials], e21s[: cfg.trials], A
 
 
 def extend_partition_randomized(
@@ -404,12 +431,24 @@ def extend_partition_randomized(
     """Best-of-trials random extension of (x1, x2) over Y with P(side 1) = p."""
     ys = sorted(set(y))
     e12s, e21s, A = extension_trial_cuts(D, cand, ys, cfg)
-    best = max(range(cfg.trials), key=lambda t: _key(e12s[t], e21s[t]))
+    mins, totals = _key(e12s, e21s)
+    # the first trial with the largest (min, total)
+    best = int(np.argmax(np.where(mins == mins.max(), totals, -1)))
     sides = np.full(D.n, 2, dtype=np.uint8)
     sides[list(cand.x1)] = 1
     sides[ys] = np.where(A[best], 1, 2)
     bip = Bipartition(sides)
     return _refine(D, bip, cfg) if improve else bip
+
+
+def _arc_slices(indptr: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions indptr[v]:indptr[v + 1] of every v in vs, concatenated,
+    and for each the index in vs of the v that owns it."""
+    starts = indptr[vs]
+    lens = indptr[vs + 1] - starts
+    stops = np.cumsum(lens)
+    at = np.arange(stops[-1]) + np.repeat(starts - stops + lens, lens)
+    return at, np.repeat(np.arange(len(vs)), lens)
 
 
 def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
@@ -418,31 +457,55 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     regardless of the round cap.
 
     A round screens every vertex against the cut at the round's start, then
-    re-checks the screened ones in index order against the current cut."""
+    re-checks the screened ones in index order against the current cut. The
+    re-check runs over plain ints: a flip moves c only at its arcs' other
+    ends, so an accepted flip shifts the deltas of the later screened
+    vertices it shares an arc with (shift), and c itself is brought up to
+    date in one scatter at the round's end. The decisions are those of
+    flipping one vertex at a time with c updated after every flip."""
     if P.n != D.n:
         raise PartitionError("bipartition size mismatch")
     if D.m == 0 or D.n == 0:
         return Bipartition(P.sides)
     outdeg, indeg = D.out_degrees, D.in_degrees
+    indptr, ends = D.incidence()
     side1 = P.sides == 1
     out1, in1 = arc_census(D, side1)
+    c = out1 + in1
     cut = cut_counts(D, P)
     e12, e21 = cut.e12, cut.e21
     for _ in range(cfg.local_improve_rounds):
-        d12, d21 = _flip_deltas(np.where(side1, 1, -1), out1, in1, outdeg, indeg)
+        sgn = np.where(side1, 1, -1)
+        d12, d21 = _flip_deltas(sgn, c, outdeg, indeg)
         screened = np.flatnonzero(_beats(_key(e12 + d12, e21 + d21), _key(e12, e21)))
-        accepted = 0
-        for v in screened.tolist():
-            s = 1 if side1[v] else -1
-            f12, f21 = _flip_deltas(s, out1[v], in1[v], outdeg[v], indeg[v])
-            if _key(e12 + f12, e21 + f21) > _key(e12, e21):
-                e12, e21 = e12 + f12, e21 + f21
-                side1[v] = s < 0
-                in1[D.out_neighbors(v)] -= s  # arcs are unique: no repeated index
-                out1[D.in_neighbors(v)] -= s
-                accepted += 1
-        if accepted == 0:
+        if not screened.size:  # else the first screened vertex flips
             break
+        k = len(screened)
+        pos = np.full(D.n, -1, dtype=np.int64)
+        pos[screened] = np.arange(k)
+        arcs, owner = _arc_slices(indptr, screened)
+        other = pos[ends[arcs]]
+        ahead = other > owner  # arc to a screened vertex checked later
+        later = other[ahead].tolist()
+        first = np.searchsorted(owner[ahead], np.arange(k + 1)).tolist()
+        signs = sgn[screened]
+        shift = [0] * k  # change in c since the round's start
+        flips = []
+        low = min(e12, e21)
+        for i, s, a, b in zip(range(k), signs.tolist(),
+                              d12[screened].tolist(), d21[screened].tolist()):
+            moved = s * shift[i]
+            x, y = e12 + a + moved, e21 + b + moved
+            if min(x, y) > low or (min(x, y) == low and x + y > e12 + e21):
+                e12, e21, low = x, y, min(x, y)
+                flips.append(i)
+                for j in later[first[i]:first[i + 1]]:
+                    shift[j] -= s
+        flipped = np.zeros(k, dtype=bool)
+        flipped[flips] = True
+        side1[screened[flipped]] ^= True
+        done = flipped[owner]
+        np.subtract.at(c, ends[arcs[done]], signs[owner[done]])
     return Bipartition(np.where(side1, 1, 2))
 
 

@@ -51,10 +51,10 @@ class StateLimitError(LimitError):
     """Subset-sum table would exceed the configured state budget."""
 
 
-# oracle
+# digraph construction, oracle
 
 class TooLargeError(LimitError):
-    pass
+    """An instance is too large for the requested computation."""
 
 
 # engine

@@ -2,15 +2,21 @@
 
 The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
-Digraph container itself.
+Digraph container itself. The engine references below are the earlier,
+plainer versions of the two search kernels; the fast kernels must reproduce
+them number for number.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from judipart import (
+    Bipartition,
     Digraph,
+    cut_counts,
     e_between,
     gen_eulerian_complete,
     gen_random_minout,
@@ -19,6 +25,7 @@ from judipart import (
     gen_star_triangle,
     gen_tight_union,
 )
+from judipart.engine import _trial_matrix
 
 
 def arc_codes(D: Digraph) -> frozenset:
@@ -216,3 +223,98 @@ def naive_tight_report(D: Digraph, ys):
         tight.append(t)
         essential.append(t and not anti)
     return comps, tuple(tight), tuple(essential), sum(essential)
+
+
+# --- engine kernel references -----------------------------------------------
+
+def reference_extension_trial_cuts(D: Digraph, cand, y, cfg):
+    """Per-trial (e12, e21) and the trial matrix, by gathering every arc's
+    columns out of the trials x |Y| matrix."""
+    side1x = np.zeros(D.n, dtype=bool)
+    side1x[list(cand.x1)] = True
+    in_y = np.zeros(D.n, dtype=bool)
+    in_y[list(y)] = True
+    ys = np.flatnonzero(in_y)
+    yindex = np.full(D.n, -1, dtype=np.int64)
+    yindex[ys] = np.arange(len(ys))
+    t, h = D.tails, D.heads
+    ty, hy = in_y[t], in_y[h]
+    t1, h1 = side1x[t], side1x[h]
+    cat_xx = ~ty & ~hy
+    const12 = int(np.count_nonzero(cat_xx & t1 & ~h1))
+    const21 = int(np.count_nonzero(cat_xx & ~t1 & h1))
+    cols12_xy = yindex[h[~ty & hy & t1]]    # x1 -> y, cut when y on side 2
+    cols21_xy = yindex[h[~ty & hy & ~t1]]   # x2 -> y, cut when y on side 1
+    cols12_yx = yindex[t[ty & ~hy & ~h1]]   # y -> x2, cut when y on side 1
+    cols21_yx = yindex[t[ty & ~hy & h1]]    # y -> x1, cut when y on side 2
+    yy = ty & hy
+    yy_t, yy_h = yindex[t[yy]], yindex[h[yy]]
+    A = _trial_matrix(cand.label, float(cand.p), len(ys), cfg)
+    e12s = (
+        const12
+        + (~A[:, cols12_xy]).sum(axis=1)
+        + A[:, cols12_yx].sum(axis=1)
+        + (A[:, yy_t] & ~A[:, yy_h]).sum(axis=1)
+    )
+    e21s = (
+        const21
+        + A[:, cols21_xy].sum(axis=1)
+        + (~A[:, cols21_yx]).sum(axis=1)
+        + (~A[:, yy_t] & A[:, yy_h]).sum(axis=1)
+    )
+    return e12s.astype(np.int64), e21s.astype(np.int64), A
+
+
+def reference_local_improve(D: Digraph, P: Bipartition, rounds: int) -> Bipartition:
+    """Single-vertex flips, one vertex at a time: each round screens every
+    vertex against the round's starting cut, then re-checks the screened
+    ones in index order against the current cut, accepting a flip when it
+    raises (min, total)."""
+    def key(e12, e21):
+        return min(e12, e21), e12 + e21
+
+    if D.m == 0 or D.n == 0:
+        return Bipartition(P.sides)
+    outdeg, indeg = D.out_degrees, D.in_degrees
+    side1 = P.sides == 1
+    out1 = np.bincount(D.tails[side1[D.heads]], minlength=D.n)
+    in1 = np.bincount(D.heads[side1[D.tails]], minlength=D.n)
+    cut = cut_counts(D, P)
+    e12, e21 = cut.e12, cut.e21
+    for _ in range(rounds):
+        s = np.where(side1, 1, -1)
+        d12 = s * (in1 - (outdeg - out1))
+        d21 = s * (out1 - (indeg - in1))
+        here = key(e12, e21)
+        screened = [v for v in range(D.n)
+                    if key(e12 + int(d12[v]), e21 + int(d21[v])) > here]
+        accepted = 0
+        for v in screened:
+            sv = 1 if side1[v] else -1
+            f12 = sv * int(in1[v] - (outdeg[v] - out1[v]))
+            f21 = sv * int(out1[v] - (indeg[v] - in1[v]))
+            if key(e12 + f12, e21 + f21) > key(e12, e21):
+                e12, e21 = e12 + f12, e21 + f21
+                side1[v] = sv < 0
+                in1[D.out_neighbors(v)] -= sv
+                out1[D.in_neighbors(v)] -= sv
+                accepted += 1
+        if accepted == 0:
+            break
+    return Bipartition(np.where(side1, 1, 2))
+
+
+def single_flip_cuts(D: Digraph, P: Bipartition):
+    """(e12, e21) after flipping each vertex alone, as two arrays, counted
+    arc by arc: an arc's cut status changes only when one of its ends flips."""
+    t1, h1 = P.sides[D.tails] == 1, P.sides[D.heads] == 1
+    now12, now21 = t1 & ~h1, ~t1 & h1
+    both1, both2 = t1 & h1, ~t1 & ~h1
+    # flipping the tail: cut 1->2 iff both ends were on side 2, 2->1 iff on 1
+    # flipping the head: cut 1->2 iff both ends were on side 1, 2->1 iff on 2
+    d12 = (np.bincount(D.tails, weights=both2.astype(int) - now12, minlength=D.n)
+           + np.bincount(D.heads, weights=both1.astype(int) - now12, minlength=D.n))
+    d21 = (np.bincount(D.tails, weights=both1.astype(int) - now21, minlength=D.n)
+           + np.bincount(D.heads, weights=both2.astype(int) - now21, minlength=D.n))
+    return (int(now12.sum()) + d12).astype(np.int64), (int(now21.sum()) + d21).astype(np.int64)
+

@@ -171,6 +171,16 @@ def test_memory_error_exits_three(monkeypatch, capsys, exc, shown):
     assert rc == 3 and err == f"limit exceeded: {shown}\n"
 
 
+@pytest.mark.parametrize("command", ["partition", "oracle"])
+def test_unaddressable_vertex_count_exits_three(tmp_path, capsys, command):
+    path = tmp_path / "huge.txt"
+    path.write_text("4611686018427387904 0\n")  # 2**62 vertices, no arcs
+    extra = ("--d", "4") if command == "partition" else ()
+    rc, out, err = run(capsys, command, "--input", str(path), *extra)
+    assert rc == 3 and out == ""
+    assert err.startswith("limit exceeded: vertex count n=4611686018427387904")
+
+
 def test_gap_x_file_rejects_bad_vertex(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys)
     xfile = tmp_path / "x.txt"

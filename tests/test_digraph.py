@@ -19,6 +19,7 @@ from judipart import (
     LoopArcError,
     PartitionError,
     EngineConfig,
+    TooLargeError,
     VertexOutOfRangeError,
     build_certificate,
     compute_bundle,
@@ -60,6 +61,19 @@ def test_basic_construction():
     assert arc_codes(D) == {0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 3 * 4 + 0}
 
 
+@settings(max_examples=80, deadline=None)
+@given(arcs_strategy())
+def test_incidence_lists_out_then_in_neighbours(case):
+    n, arcs = case
+    D = from_arc_list(n, arcs)
+    indptr, ends = D.incidence()
+    assert D.incidence() is D.incidence()
+    assert len(ends) == 2 * D.m and indptr[-1] == 2 * D.m
+    for v in range(n):
+        both = np.concatenate((D.out_neighbors(v), D.in_neighbors(v)))
+        assert ends[indptr[v]:indptr[v + 1]].tolist() == both.tolist()
+
+
 def test_construction_rejects_bad_input():
     with pytest.raises(LoopArcError):
         from_arc_list(2, [(0, 0)])
@@ -82,6 +96,17 @@ def test_construction_refuses_non_integer_and_oversize_ids():
         from_arc_list(3, np.array([[0.0, 1.0]]))
     with pytest.raises(VertexOutOfRangeError):
         from_arc_list(3, np.array([[0, 3]], dtype=np.uint64))
+
+
+def test_construction_refuses_unaddressable_vertex_counts():
+    # n + 1 int64 entries per array must stay addressable, checked before
+    # any allocation (2**62 used to end in numpy's "array is too big")
+    limit = np.iinfo(np.intp).max // 8
+    for n in (2**62, limit, np.int64(limit)):
+        with pytest.raises(TooLargeError):
+            from_arc_list(n, [])
+        with pytest.raises(TooLargeError):
+            parse_edge_list(f"{n} 1\n0 1\n")
 
 
 def test_construction_takes_arrays_and_iterables_alike():
@@ -146,6 +171,9 @@ def test_bipartition_and_cut_counts():
     assert (cf.e12, cf.e21) == (1, 3)
     with pytest.raises(PartitionError):
         Bipartition([1, 3])
+    with pytest.raises(PartitionError):
+        Bipartition([0, 1])
+    assert Bipartition([]).n == 0
     with pytest.raises(PartitionError):
         cut_counts(D, Bipartition([1, 2]))
 

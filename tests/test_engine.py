@@ -1,6 +1,7 @@
 """Engine pipeline: degree split, candidates, extension, improvement."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import warnings as _warnings
@@ -37,6 +38,14 @@ from judipart import (
     split_by_degree,
     uniform_split_applicable,
     uniform_split_bound,
+    verify_record,
+)
+from judipart.engine import CANDIDATE_ORDER
+
+from helpers import (
+    reference_extension_trial_cuts,
+    reference_local_improve,
+    single_flip_cuts,
 )
 
 
@@ -383,3 +392,145 @@ def test_small_instances_track_oracle():
             assert out.cut.minval <= opt
             hits += out.cut.minval == opt
     assert hits >= 18
+
+
+@st.composite
+def digraphs(draw, max_n=30):
+    """Small digraphs; some arcs get their reverse too (anti-parallel pairs)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if n == 1:
+        return from_arc_list(1, [])
+    arcs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda a: a[0] != a[1]),
+        max_size=4 * n,
+    ))
+    reverse = draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+    arcs |= {(v, u) for (u, v), r in zip(sorted(arcs), reverse) if r}
+    return from_arc_list(n, sorted(arcs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extension_trial_cuts_match_each_materialised_trial(data):
+    D = data.draw(digraphs())
+    # per vertex: 0 = in Y, 1 = fixed in x1, 2 = fixed in x2
+    layout = data.draw(st.sampled_from(("mixed", "x empty", "y empty")))
+    roles = {"mixed": st.integers(0, 2), "x empty": st.just(0),
+             "y empty": st.integers(1, 2)}[layout]
+    role = data.draw(st.lists(roles, min_size=D.n, max_size=D.n))
+    cand = CandidateXPartition(
+        data.draw(st.sampled_from(CANDIDATE_ORDER)),
+        tuple(v for v in range(D.n) if role[v] == 1),
+        tuple(v for v in range(D.n) if role[v] == 2),
+        data.draw(st.sampled_from(
+            (Fraction(0), Fraction(1, 2), Fraction(3, 8), Fraction(5, 14)))),
+    )
+    ys = [v for v in range(D.n) if role[v] == 0]
+    cfg = EngineConfig(d=1, trials=data.draw(st.sampled_from((1, 7, 8, 9, 65))),
+                       seed=data.draw(st.integers(0, 100)))
+    e12s, e21s, A = extension_trial_cuts(D, cand, ys, cfg)
+    assert e12s.dtype == e21s.dtype == np.int64
+    assert A.shape == (cfg.trials, len(ys)) and A.dtype == bool
+    ref = reference_extension_trial_cuts(D, cand, ys, cfg)
+    assert np.array_equal(A, ref[2])
+    assert e12s.tolist() == ref[0].tolist() and e21s.tolist() == ref[1].tolist()
+    trial_sides = []
+    for t in range(cfg.trials):
+        sides = np.full(D.n, 2, dtype=np.uint8)
+        sides[list(cand.x1)] = 1
+        sides[ys] = np.where(A[t], 1, 2)
+        trial_sides.append(Bipartition(sides))
+        c = cut_counts(D, trial_sides[t])
+        assert (c.e12, c.e21) == (e12s[t], e21s[t])
+    # the kept trial is the first with the largest (min, total); small graphs
+    # tie often
+    best = max(range(cfg.trials),
+               key=lambda t: (min(e12s[t], e21s[t]), e12s[t] + e21s[t]))
+    kept = extend_partition_randomized(D, cand, ys, cfg, improve=False)
+    assert kept == trial_sides[best]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_local_improve_matches_the_one_vertex_loop(data):
+    D = data.draw(digraphs(max_n=40))
+    sides = data.draw(st.lists(st.integers(1, 2), min_size=D.n, max_size=D.n))
+    P = Bipartition(sides)
+    rounds = data.draw(st.sampled_from((1, 3, 10 ** 6)))
+    got = local_improve(D, P, EngineConfig(d=1, local_improve_rounds=rounds))
+    assert got == reference_local_improve(D, P, rounds)
+
+
+def _relabelled(D, seed):
+    perm = np.random.default_rng(seed).permutation(D.n)
+    return from_arc_list(D.n, np.stack([perm[D.tails], perm[D.heads]], axis=1))
+
+
+@pytest.mark.parametrize("name", ["random", "tight-union", "tight-union relabelled"])
+def test_local_improve_matches_the_one_vertex_loop_at_scale(name):
+    D = {
+        "random": lambda: gen_random_minout(3000, 3, extra=3000, seed=21),
+        "tight-union": lambda: gen_tight_union(4, 200, augment=True),
+        "tight-union relabelled": lambda: _relabelled(
+            gen_tight_union(4, 200, augment=True), 22),
+    }[name]()
+    rng = np.random.default_rng(23)
+    for rounds in (1, 3, 10 ** 6):
+        P = Bipartition(rng.integers(1, 3, size=D.n).astype(np.uint8))
+        got = local_improve(D, P, EngineConfig(d=1, local_improve_rounds=rounds))
+        assert got == reference_local_improve(D, P, rounds), rounds
+
+
+# sha256 of json.dumps(partition(D, EngineConfig(d=4, trials=t)).to_jsonable(),
+# sort_keys=True): larger than the golden instances, so the local search runs
+# many flips per round
+SCALE_DIGESTS = {
+    ("random", 64): "b89bdf4a881d605cb56d852a0933a818e6ed06c086da4f33648242a66c60b9ef",
+    ("random", 20): "8d7e6198d6f247296ebe249f823132d83308a4eec78101efe3faa1ddce5575d3",
+    ("tight-union", 64): "5b1dda809bc7667931348ec118672b1c64a55d4fc6a857df8ed36d315fbe0c31",
+    ("tight-union", 20): "7bb385317037391a1e8087d2013f8cec7703bfbdddee27ee252a77fd8dec76a2",
+}
+
+
+def test_outcomes_at_scale_are_pinned():
+    graphs = {
+        "random": gen_random_minout(5000, 4, extra=5000, seed=3),
+        "tight-union": gen_tight_union(4, 300, augment=True),
+    }
+    for (name, trials), digest in SCALE_DIGESTS.items():
+        out = partition(graphs[name], cfg4(trials=trials))
+        text = json.dumps(out.to_jsonable(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, trials)
+
+
+def test_single_flip_cuts_helper_counts_each_flip():
+    D = gen_random_minout(12, 2, extra=10, seed=5)
+    P = Bipartition(np.random.default_rng(6).integers(1, 3, size=12).astype(np.uint8))
+    e12, e21 = single_flip_cuts(D, P)
+    for v in range(D.n):
+        sides = P.sides.copy()
+        sides[v] = 3 - sides[v]
+        c = cut_counts(D, Bipartition(sides))
+        assert (c.e12, c.e21) == (e12[v], e21[v])
+
+
+def test_large_outcomes_are_single_flip_optimal_and_self_consistent():
+    """Checks that need no oracle, at n >= 2000: with no round cap the result
+    is a single-flip local optimum, the reported cut is the recomputed one,
+    and every certificate record verifies from its stored strings."""
+    cases = [
+        (gen_random_minout(10_000, 4, extra=10_000, seed=8),
+         cfg4(trials=16, seed=8, local_improve_rounds=10 ** 6)),
+        (gen_tight_union(4, 300, augment=True), cfg4(trials=16, seed=9)),
+    ]
+    for D, cfg in cases:
+        out = partition(D, cfg)
+        assert out.cut == cut_counts(D, out.bipartition)
+        assert out.certificate.checks
+        assert all(verify_record(rec) for rec in out.certificate.checks)
+        if cfg.local_improve_rounds == 10 ** 6:
+            e12, e21 = single_flip_cuts(D, out.bipartition)
+            low, total = np.minimum(e12, e21), e12 + e21
+            here = (out.cut.minval, out.cut.e12 + out.cut.e21)
+            assert not ((low > here[0]) | ((low == here[0]) & (total > here[1]))).any()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,3 +133,21 @@ def test_self_check_cadence(monkeypatch):
     monkeypatch.setattr(judipart.oracle, "cut_counts", drifted)
     with pytest.raises(IdentityViolationError):
         exact_max_min_cut(D, check_every=1)
+
+
+def test_optimum_survives_relabelling_and_arc_reversal():
+    """Relabelling the vertices keeps the optimum. Reversing every arc swaps
+    e12 and e21 of every bipartition, so the Gray-code scan reaches the same
+    witness with its two counts swapped."""
+    for i in range(12):
+        n = 6 + i % 9  # up to 14
+        D = gen_random_minout(n, 2, extra=i, seed=500 + i)
+        res = exact_max_min_cut(D)
+        perm = np.random.default_rng(i).permutation(n)
+        relabelled = from_arc_list(n, np.stack([perm[D.tails], perm[D.heads]], axis=1))
+        assert exact_max_min_cut(relabelled).optimum == res.optimum
+        reversed_ = from_arc_list(n, np.stack([D.heads, D.tails], axis=1))
+        rev = exact_max_min_cut(reversed_)
+        assert rev.optimum == res.optimum and rev.witness == res.witness
+        c, r = cut_counts(D, res.witness), cut_counts(reversed_, rev.witness)
+        assert (r.e12, r.e21) == (c.e21, c.e12)
