@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import Digraph, arc_census, split_masks
+from .digraph import Digraph, arc_census, split_masks, vertex_mask
 from .errors import IdentityViolationError, NotApplicableError
 from .gap import GapResult, MfMb, mf_mb
 from .tight import TightReport
@@ -410,11 +410,11 @@ def build_certificate(
     candidates=(), flags=None,
 ) -> Certificate:
     """Bundle plus every in-regime check plus per-candidate f/h scores."""
-    ys = tuple(sorted(set(y)))
-    bundle = compute_bundle(D, x, ys, gr, tr, cfg)
+    bundle = compute_bundle(D, x, y, gr, tr, cfg)
     checks: list[CheckRecord] = []
-    if bundle.e_x == 0:
-        checks.extend(check_min_gap_bounds(bundle, len(ys)))
+    if bundle.e_x == 0:  # |Y| counts distinct ids: a vertex set may repeat one
+        ysize = int(np.count_nonzero(vertex_mask(D.n, y, "Y")))
+        checks.extend(check_min_gap_bounds(bundle, ysize))
     checks.extend(check_gap_dichotomy(bundle))
     if len(bundle.deltas) % 2 == 1:
         checks.extend(check_candidate_forms(bundle))
@@ -424,7 +424,7 @@ def build_certificate(
     scores = []
     two = 2 * (2 * bundle.d - 1)
     for cand in candidates:
-        mm = mf_mb(D, cand.x1, cand.x2, ys)
+        mm = mf_mb(D, cand.x1, cand.x2, y)
         f, h = eval_f_h(bundle, cand, mm)
         scores.append(CandidateScore(
             label=cand.label, p=Fraction(cand.p), f=f, h=h,

@@ -94,7 +94,7 @@ def _load_instance(args) -> tuple[Digraph, dict]:
     return func(**kwargs), {"family": args.gen, "params": kwargs}
 
 
-def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], np.ndarray]:
     """X from --x-auto or --x-file (empty with neither), and Y = V - X."""
     if args.x_auto:
         cfg = EngineConfig(d=max(getattr(args, "d", 1) or 1, 1),
@@ -104,7 +104,7 @@ def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     xs = []
     path = args.x_file
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -118,7 +118,7 @@ def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                         f"{path}:{lineno}: vertex {xs[-1]} out of range, n={D.n}"
                     )
     in_x = vertex_mask(D.n, xs, "X")
-    return tuple(np.flatnonzero(in_x).tolist()), tuple(np.flatnonzero(~in_x).tolist())
+    return tuple(np.flatnonzero(in_x).tolist()), np.flatnonzero(~in_x)
 
 
 def _emit(args, record: dict, human: str, record_path: str | None = None) -> None:
@@ -148,7 +148,10 @@ def _record(command: str, inp: dict, config: dict, outcome, started: float) -> d
 def cmd_partition(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    sweep = tuple(float(s) for s in args.p_sweep.split(",") if s) if args.p_sweep else ()
+    try:
+        sweep = tuple(float(s) for s in args.p_sweep.split(",") if s)
+    except ValueError as exc:  # the message quotes the token
+        raise InputError(f"--p-sweep: {exc}") from None
     cfg = EngineConfig(
         d=args.d, epsilon=args.eps, trials=args.trials, seed=args.seed,
         local_improve_rounds=args.rounds, p_sweep=sweep,
@@ -259,7 +262,7 @@ def cmd_certify(args) -> int:
     xs, ys = _load_x(args, D)
     cfg = EngineConfig(d=args.d, epsilon=args.eps,
                        threshold_exponent=args.threshold_exp)
-    gr = min_gap_partition(D, xs, ys, state_limit=cfg.state_limit)
+    gr = min_gap_partition(D, xs, ys)
     tr = essential_tight_components(D, ys)
     cert = build_certificate(D, xs, ys, gr, tr, cfg)
     record = _record("certify", inp,
@@ -361,7 +364,7 @@ def main(argv=None) -> int:
     except (LimitError, MemoryError) as exc:
         print(f"limit exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

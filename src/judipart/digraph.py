@@ -1,4 +1,4 @@
-"""Digraph core: immutable arc-list digraphs with array adjacency.
+"""Digraph core: immutable arc-list digraphs with one adjacency array.
 
 Conventions used across the package:
 
@@ -26,7 +26,9 @@ tokenizer reads it in one pass; only a malformed text gets a line scan, which
 names the first bad line.
 
 The arc arrays keep construction order, so serializing and re-parsing a graph
-is an identity on both the vertex count and the arc sequence.
+is an identity on both the vertex count and the arc sequence. Adjacency is one
+array over both directions (incidence()), built on first use, so a graph that
+is only parsed, counted or cut never pays for it.
 """
 from __future__ import annotations
 
@@ -63,19 +65,7 @@ class Digraph:
     constructor trusts its inputs.
     """
 
-    __slots__ = (
-        "n",
-        "m",
-        "tails",
-        "heads",
-        "out_degrees",
-        "in_degrees",
-        "_out_indptr",
-        "_out_targets",
-        "_in_indptr",
-        "_in_sources",
-        "_incidence",
-    )
+    __slots__ = ("n", "m", "tails", "heads", "out_degrees", "in_degrees", "_incidence")
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray):
         self.n = int(n)
@@ -84,35 +74,28 @@ class Digraph:
         self.heads = heads
         self.out_degrees = np.bincount(tails, minlength=n).astype(np.int64)
         self.in_degrees = np.bincount(heads, minlength=n).astype(np.int64)
-        order = np.argsort(tails, kind="stable")
-        self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.out_degrees, out=self._out_indptr[1:])
-        self._out_targets = heads[order]
-        order = np.argsort(heads, kind="stable")
-        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.in_degrees, out=self._in_indptr[1:])
-        self._in_sources = tails[order]
         self._incidence = None
-        for arr in (self.tails, self.heads, self.out_degrees, self.in_degrees,
-                    self._out_targets, self._in_sources):
+        for arr in (self.tails, self.heads, self.out_degrees, self.in_degrees):
             arr.setflags(write=False)
 
     def out_neighbors(self, v: int) -> np.ndarray:
-        return self._out_targets[self._out_indptr[v]:self._out_indptr[v + 1]]
+        indptr, ends = self.incidence()
+        return ends[indptr[v]:indptr[v] + self.out_degrees[v]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
-        return self._in_sources[self._in_indptr[v]:self._in_indptr[v + 1]]
+        indptr, ends = self.incidence()
+        return ends[indptr[v] + self.out_degrees[v]:indptr[v + 1]]
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, ends): ends[indptr[v]:indptr[v + 1]] holds the other end of
-        every arc at v, out-arcs first, so an anti-parallel pair shows twice.
-        Interleaves the two adjacency arrays (no sort) on the first call."""
+        every arc at v, out-arcs first, then in-arcs, each in arc order, so an
+        anti-parallel pair shows twice. This is the graph's one adjacency
+        array; it is built by one stable sort on the first call and kept."""
         if self._incidence is None:
-            indptr = self._out_indptr + self._in_indptr
-            ends = np.empty(2 * self.m, dtype=np.int64)
-            arcs = np.arange(self.m)
-            ends[arcs + np.repeat(self._in_indptr[:-1], self.out_degrees)] = self._out_targets
-            ends[arcs + np.repeat(self._out_indptr[1:], self.in_degrees)] = self._in_sources
+            order = np.argsort(np.concatenate((self.tails, self.heads)), kind="stable")
+            ends = np.concatenate((self.heads, self.tails))[order]
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self.out_degrees + self.in_degrees, out=indptr[1:])
             for arr in (indptr, ends):
                 arr.setflags(write=False)
             self._incidence = indptr, ends

@@ -28,6 +28,10 @@ concentrates, so the engine runs the empty-X candidate alone. The same
 shortcut triggers unconditionally once m >= 6272 n (the eps = 1/28 instance of
 the first branch).
 
+Y, most of V, is a sorted int64 index array from the degree split to the
+certificate; X, which records hold, is a tuple. Every public function takes
+any integer sequence for either and validates it (digraph.split_masks).
+
 Randomness contract: trial t of candidate labeled L draws its stream from
 (seed, crc32(L), t), so results are reproducible and independent of execution
 order.
@@ -91,7 +95,6 @@ class EngineConfig:
     threshold_exponent: float = 0.75
     trials: int = 64
     seed: int = 0
-    state_limit: int = 10 ** 8
     local_improve_rounds: int = 10
     p_sweep: tuple[float, ...] = ()
 
@@ -108,8 +111,6 @@ class EngineConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.state_limit < 0:
-            raise InputError(f"state_limit must be >= 0, got {self.state_limit}")
         if self.local_improve_rounds < 0:
             raise InputError("local_improve_rounds must be >= 0")
         for p in self.p_sweep:
@@ -120,7 +121,7 @@ class EngineConfig:
 @dataclass(frozen=True)
 class DegreeSplit:
     x: tuple[int, ...]
-    y: tuple[int, ...]
+    y: np.ndarray  # sorted int64 ids
     threshold: float
 
 
@@ -211,10 +212,9 @@ def split_by_degree(D: Digraph, cfg: EngineConfig) -> DegreeSplit:
             hi = mid
         else:
             lo = mid + 1
-    degs = D.degrees()
-    xs = tuple(int(v) for v in np.flatnonzero(degs >= lo))
-    ys = tuple(int(v) for v in np.flatnonzero(degs < lo))
-    return DegreeSplit(x=xs, y=ys, threshold=float(D.n) ** cfg.threshold_exponent)
+    in_x = D.degrees() >= lo
+    return DegreeSplit(x=tuple(np.flatnonzero(in_x).tolist()), y=np.flatnonzero(~in_x),
+                       threshold=float(D.n) ** cfg.threshold_exponent)
 
 
 def mingap_candidate(gr: GapResult) -> CandidateXPartition:
@@ -429,14 +429,13 @@ def extend_partition_randomized(
     improve: bool = True,
 ) -> Bipartition:
     """Best-of-trials random extension of (x1, x2) over Y with P(side 1) = p."""
-    ys = sorted(set(y))
-    e12s, e21s, A = extension_trial_cuts(D, cand, ys, cfg)
+    e12s, e21s, A = extension_trial_cuts(D, cand, y, cfg)
     mins, totals = _key(e12s, e21s)
     # the first trial with the largest (min, total)
     best = int(np.argmax(np.where(mins == mins.max(), totals, -1)))
     sides = np.full(D.n, 2, dtype=np.uint8)
     sides[list(cand.x1)] = 1
-    sides[ys] = np.where(A[best], 1, 2)
+    sides[vertex_mask(D.n, y, "Y")] = np.where(A[best], 1, 2)
     bip = Bipartition(sides)
     return _refine(D, bip, cfg) if improve else bip
 
@@ -528,13 +527,13 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     threshold: float | None = None
     if shortcut:
         xs: tuple[int, ...] = ()
-        ys: tuple[int, ...] = tuple(range(D.n))
+        ys = np.arange(D.n)
         gr = min_gap_partition(D, xs, ys)
         cands = [mingap_candidate(gr)]
     else:
         sp = split_by_degree(D, cfg)
         xs, ys, threshold = sp.x, sp.y, sp.threshold
-        gr = min_gap_partition(D, xs, ys, state_limit=cfg.state_limit)
+        gr = min_gap_partition(D, xs, ys)
         try:
             cands = candidate_x_partitions(D, ys, gr, cfg)
         except HugeSetEvenError:

@@ -29,6 +29,7 @@ import numpy as np
 from .digraph import Digraph, from_arc_list, min_outdegree
 from .errors import (
     EvenOrderError,
+    GenParamError,
     InfeasibleParamsError,
     RegularityFailureError,
     TooSmallError,
@@ -100,6 +101,8 @@ def gen_skew_d6(n: int, seed: int = 0) -> Digraph:
     """
     if n < 30:
         raise TooSmallError(f"skew-d6 needs n >= 30, got {n}")
+    if seed < 0:
+        raise GenParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ys = np.arange(3, n)
     arcs = [(y, x) for y in range(3, n) for x in range(3)]
@@ -124,6 +127,8 @@ def gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -> Digraph:
         )
     if extra < 0:
         raise InfeasibleParamsError(f"extra must be >= 0, got {extra}")
+    if seed < 0:
+        raise GenParamError(f"seed must be >= 0, got {seed}")
     if n * d + extra > n * (n - 1):
         raise InfeasibleParamsError(
             f"cannot fit {n * d + extra} distinct arcs on {n} vertices"

@@ -250,6 +250,10 @@ def test_partition_bad_p_sweep(tmp_path, capsys):
     rc, _, err = run(capsys, "partition", "--input", str(path), "--d", "4",
                      "--p-sweep", "0.9")
     assert rc == 2
+    rc, out, err = run(capsys, "partition", "--input", str(path), "--d", "4",
+                       "--p-sweep", "0.3,abc")
+    assert rc == 2 and out == "" and err.startswith("error: --p-sweep: ")
+    assert err.rstrip().endswith("'abc'")
 
     rc2, out, _ = run(capsys, "partition", "--input", str(path), "--d", "4",
                       "--trials", "4", "--seed", "0", "--p-sweep", "0.3,0.45",
@@ -266,3 +270,32 @@ def test_argparse_level_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc2:
         main([])
     assert exc2.value.code == 2
+
+
+@pytest.mark.parametrize("where", ["input", "x-file", "output"])
+def test_directory_in_place_of_a_file_exits_two(tmp_path, capsys, where):
+    path = gen_instance(tmp_path, capsys)
+    paths = {"input": path, "x-file": tmp_path / "x.txt", "output": tmp_path / "rec.json"}
+    paths["x-file"].write_text("0\n")
+    paths[where] = tmp_path
+    rc, out, err = run(capsys, "certify", "--input", str(paths["input"]), "--d", "4",
+                       "--x-file", str(paths["x-file"]), "-o", str(paths["output"]))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+def test_x_file_not_utf8_names_its_line(tmp_path, capsys):
+    path = gen_instance(tmp_path, capsys)
+    xfile = tmp_path / "x.txt"
+    xfile.write_bytes(b"0\n# caf\xe9 is skipped\n\xff1\n")
+    rc, _, err = run(capsys, "gap", "--input", str(path), "--x-file", str(xfile))
+    assert rc == 2 and err.startswith(f"error: {xfile}:3: not a vertex id")
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("random", ["--n", "15", "--gen-d", "2"]),
+    ("skew-d6", ["--n", "30"]),
+])
+def test_negative_generator_seed_exits_two(capsys, family, flags):
+    rc, out, err = run(capsys, "partition", "--gen", family, *flags,
+                       "--seed", "-1", "--d", "2")
+    assert rc == 2 and out == "" and err == "error: seed must be >= 0, got -1\n"

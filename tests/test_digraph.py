@@ -61,17 +61,41 @@ def test_basic_construction():
     assert arc_codes(D) == {0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 3 * 4 + 0}
 
 
-@settings(max_examples=80, deadline=None)
-@given(arcs_strategy())
-def test_incidence_lists_out_then_in_neighbours(case):
-    n, arcs = case
-    D = from_arc_list(n, arcs)
+def assert_adjacency_matches_arc_scan(D):
+    """incidence(), out_neighbors and in_neighbors against per-vertex lists
+    built by scanning the arcs in order."""
+    outs = [[] for _ in range(D.n)]
+    ins = [[] for _ in range(D.n)]
+    for u, v in zip(D.tails.tolist(), D.heads.tolist()):
+        outs[u].append(v)
+        ins[v].append(u)
     indptr, ends = D.incidence()
     assert D.incidence() is D.incidence()
-    assert len(ends) == 2 * D.m and indptr[-1] == 2 * D.m
-    for v in range(n):
-        both = np.concatenate((D.out_neighbors(v), D.in_neighbors(v)))
-        assert ends[indptr[v]:indptr[v + 1]].tolist() == both.tolist()
+    sizes = [len(o) + len(i) for o, i in zip(outs, ins)]
+    assert indptr.tolist() == np.cumsum([0] + sizes).tolist()
+    assert ends.tolist() == [w for o, i in zip(outs, ins) for w in o + i]
+    for v in range(D.n):
+        assert D.out_neighbors(v).tolist() == outs[v]
+        assert D.in_neighbors(v).tolist() == ins[v]
+
+
+@settings(max_examples=80, deadline=None)
+@given(arcs_strategy(), st.randoms(use_true_random=False))
+def test_incidence_lists_out_then_in_neighbours(case, rnd):
+    n, arcs = case
+    anti = [(v, u) for u, v in arcs[::2] if (v, u) not in arcs]
+    arcs = arcs + anti  # anti-parallel pairs
+    rnd.shuffle(arcs)
+    assert_adjacency_matches_arc_scan(from_arc_list(n, arcs))
+
+
+@pytest.mark.parametrize("n, arcs", [
+    pytest.param(4, [(0, 1), (1, 0), (2, 1)], id="isolated-vertex"),
+    pytest.param(3, [], id="no-arcs"),
+    pytest.param(0, [], id="no-vertices"),
+])
+def test_incidence_on_sparse_graphs(n, arcs):
+    assert_adjacency_matches_arc_scan(from_arc_list(n, arcs))
 
 
 def test_construction_rejects_bad_input():

@@ -21,9 +21,11 @@ from judipart import (
     InputError,
     MinOutdegreeWarning,
     PartitionError,
+    build_certificate,
     candidate_x_partitions,
     cut_counts,
     e_between,
+    essential_tight_components,
     exact_max_min_cut,
     extend_partition_randomized,
     extension_trial_cuts,
@@ -534,3 +536,45 @@ def test_large_outcomes_are_single_flip_optimal_and_self_consistent():
             low, total = np.minimum(e12, e21), e12 + e21
             here = (out.cut.minval, out.cut.e12 + out.cut.e21)
             assert not ((low > here[0]) | ((low == here[0]) & (total > here[1]))).any()
+
+
+def vertex_set_forms(vs):
+    """One vertex set as a tuple, a list, an unsorted list with repeats and
+    an int64 array."""
+    vs = sorted(vs)
+    return [tuple(vs), list(vs), vs[::-1] + vs[: len(vs) // 2 + 1],
+            np.array(vs, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("D, e_x", [
+    pytest.param(hub_digraph(73, 3, seed=44), 0, id="hub"),
+    pytest.param(gen_skew_d4(60), 20, id="skew-d4"),
+])
+def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
+    cfg = cfg4(trials=16, seed=44)
+    sp = split_by_degree(D, cfg)
+    assert sp.x and sp.y.dtype == np.int64
+    assert sp.y.tolist() == sorted(set(range(D.n)) - set(sp.x))
+    gr = min_gap_partition(D, sp.x, sp.y)
+    tr = essential_tight_components(D, sp.y)
+    cand = CandidateXPartition("MINGAP", gr.x1, gr.x2, Fraction(5, 14))
+
+    def results(x, y):
+        e12s, e21s, A = extension_trial_cuts(D, cand, y, cfg)
+        cert = build_certificate(D, x, y, gr, tr, cfg, candidates=[cand])
+        return (
+            min_gap_partition(D, x, y),
+            e12s.tolist(), e21s.tolist(), A.tolist(),
+            extend_partition_randomized(D, cand, y, cfg),
+            essential_tight_components(D, y),
+            json.dumps(cert.to_jsonable(), sort_keys=True),
+        )
+
+    expected = results(sp.x, sp.y)
+    assert e_between(D, sp.x, sp.x) == e_x
+    # with e(X) = 0 the certificate counts |Y|, which a repeated id must not move
+    assert ('"gap-le-ysize"' in expected[-1]) == (e_x == 0)
+    for x, y in zip(vertex_set_forms(sp.x), vertex_set_forms(sp.y.tolist())):
+        assert results(x, y) == expected
+    json.dumps(partition(D, cfg).to_jsonable())  # a numpy scalar would raise
+

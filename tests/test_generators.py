@@ -6,6 +6,7 @@ import pytest
 from helpers import arc_codes, arc_list, vertex_stats
 from judipart import (
     EvenOrderError,
+    GenParamError,
     InfeasibleParamsError,
     TooSmallError,
     FAMILIES,
@@ -107,6 +108,8 @@ def test_skew_d6():
     assert arc_codes(F) != arc_codes(D)
     with pytest.raises(TooSmallError):
         gen_skew_d6(20)
+    with pytest.raises(GenParamError, match="seed must be >= 0"):
+        gen_skew_d6(60, seed=-1)
 
 
 def test_random_minout():
@@ -121,6 +124,8 @@ def test_random_minout():
         gen_random_minout(3, 1, extra=10)
     with pytest.raises(InfeasibleParamsError):
         gen_random_minout(3, 1, extra=-1)
+    with pytest.raises(GenParamError, match="seed must be >= 0"):
+        gen_random_minout(50, 3, seed=-1)
 
 
 def test_family_registry():
