@@ -34,7 +34,10 @@ any integer sequence for either and validates it (digraph.split_masks).
 
 Randomness contract: trial t of candidate labeled L draws its stream from
 (seed, crc32(L), t), so results are reproducible and independent of execution
-order.
+order. The stream is exactly that of
+np.random.default_rng(np.random.SeedSequence((seed, crc32(L), t))); the
+PCG64 states of all trials are derived in one vectorized pass over t
+(_pcg_states), and one generator draws each trial from its own state.
 
 Candidate labels and their p:
 
@@ -109,6 +112,8 @@ class EngineConfig:
             )
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > 2 ** 32:  # trial t is one 32-bit word of its stream's seed
+            raise InputError(f"trials must be <= 2**32, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.local_improve_rounds < 0:
@@ -293,11 +298,96 @@ def _dedupe(cands: list[CandidateXPartition]) -> list[CandidateXPartition]:
     return list(first.values())
 
 
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count, as a (count + 1, 1) column."""
+    steps = np.full(count + 1, mult, dtype=np.uint32)
+    steps[0] = init
+    return np.cumprod(steps, dtype=np.uint32)[:, None]
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix for hash calls k..k+count-1 at once: row i of
+    the result hashes words (row i of words, if it has several rows) with the
+    constants of call k + i."""
+    h = (words ^ consts[k:k + count]) * consts[k + 1:k + count + 1]
+    return h ^ (h >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _pcg_states(seed: int, tag: int, trials: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence((seed, tag, t))) for every
+    t < trials, derived for all t in one pass; tag < 2**32, trials <= 2**32.
+
+    The entropy words are seed's words, then tag, then t. Only t differs
+    between trials, so each pool word is one uint32 row over the trials,
+    and a constant word is a one-element array that broadcasts over them.
+    Every product wraps mod 2**32 on arrays (numpy scalars would warn)."""
+    # seed's 32-bit little-endian words (0 is the one word 0), then tag
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], dtype=np.uint32) for w in words + [tag]]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    extra = entropy[4:]  # words past the pool, mixed into every pool word
+    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * len(extra))
+    pool = np.zeros((4, trials), dtype=np.uint32)
+    for i, w in enumerate(entropy[:4]):
+        pool[i] = w
+    pool = _hashmix(pool, consts, 0, 4)  # unfilled pool words hash 0
+    k = 4
+    for src in range(4):  # pool[src] is fixed while it mixes into the others
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, 3))
+        k += 3
+    for w in extra:
+        pool = _mix(pool, _hashmix(w, consts, k, 4))
+        k += 4
+    # generate_state(4, uint64): 8 words cycling the pool, paired little-endian
+    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
+    v = (out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << np.uint64(32))).tolist()
+    states = []
+    for v0, v1, v2, v3 in zip(*v):
+        inc = (((v2 << 64 | v3) << 1) | 1) & _MASK128
+        states.append((((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _trial_matrix(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndarray:
+    """Row t: ysize draws of np.random.default_rng(SeedSequence((cfg.seed,
+    crc32(label), t))).random(), compared with p.
+
+    _pcg_states seeds every row at once, as SeedSequence and PCG64 do:
+    - hashmix(w) = h ^ (h >> 16), h = (w ^ a_k) * a_(k+1) mod 2**32 with
+      a_k = INIT_A * MULT_A**k, k counting the hash calls; mix(x, y) =
+      r ^ (r >> 16), r = L * x - R * y mod 2**32;
+    - the 4-word pool is hashmix of the first 4 entropy words (0 past the
+      end), then every pool word mixes the hashmix of every other one, in
+      order, then each entropy word past the 4th mixes into every pool word;
+    - generate_state(4, uint64) hashes the pool twice round with
+      b_k = INIT_B * MULT_B**k in place of a_k and pairs the 8 words
+      little-endian into v0..v3;
+    - PCG64 takes inc = ((v2 << 64 | v3) << 1 | 1) mod 2**128 and
+      state = ((inc + (v0 << 64 | v1)) * M + inc) mod 2**128, M its 128-bit
+      multiplier.
+    One generator then draws every row from its assigned state, so each row
+    is bit-identical to building the row's generator on its own."""
     A = np.empty((cfg.trials, ysize), dtype=bool)
-    tag = crc32(label.encode("utf-8"))
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, t)))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for t, (state, inc) in enumerate(_pcg_states(cfg.seed, crc32(label.encode("utf-8")),
+                                                 cfg.trials)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         A[t] = rng.random(ysize) < p
     return A
 

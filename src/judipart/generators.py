@@ -137,22 +137,34 @@ def gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -> Digraph:
     picks = rng.integers(0, n - 1, size=(n, d), dtype=np.int64)
     rows = np.arange(n)[:, None]
     picks = np.where(picks >= rows, picks + 1, picks)  # skip the loop target
-    # rows with repeated targets get redrawn one by one; rare for d << n
-    def row_ok(r: np.ndarray) -> bool:
-        return len(set(r.tolist())) == d
-    for v in range(n):
-        while not row_ok(picks[v]):
+    # rows with repeated targets are redrawn whole, in ascending order, until
+    # their targets are distinct; rare for d << n
+    ordered = np.sort(picks, axis=1)
+    for v in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)).tolist():
+        while len(set(picks[v].tolist())) != d:
             redraw = rng.integers(0, n - 1, size=d, dtype=np.int64)
             picks[v] = np.where(redraw >= v, redraw + 1, redraw)
-    codes = {int(v) * n + int(t) for v in range(n) for t in picks[v]}
-    want = n * d + extra
-    while len(codes) < want:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n - 1))
-        if v >= u:
-            v += 1
-        codes.add(u * n + v)
-    codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
+    codes = np.sort((rows * n + picks).ravel())
+    # extra arcs: draw (u, v != u) pairs and keep the first `need` codes not
+    # taken yet, in draw order. A batch of tiled bounds yields the numbers
+    # that alternating scalar draws of u and v would, and its size follows
+    # the share of codes still free; the rng is not used afterwards, so
+    # drawing past the last kept code changes nothing.
+    need, pairs = extra, n * (n - 1)
+    while need:
+        batch = -(-need * pairs // (pairs - len(codes)))
+        u, v = rng.integers(0, np.tile([n, n - 1], batch)).reshape(batch, 2).T
+        drawn = u * n + v + (v >= u)
+        order = np.argsort(drawn, kind="stable")
+        ranked = drawn[order]
+        first = np.ones(batch, dtype=bool)  # first draw of its code
+        first[1:] = ranked[1:] != ranked[:-1]
+        at = np.minimum(np.searchsorted(codes, ranked), len(codes) - 1)
+        fresh = np.zeros(batch, dtype=bool)
+        fresh[order[first & (codes[at] != ranked)]] = True
+        kept = drawn[np.flatnonzero(fresh)[:need]]
+        codes = np.sort(np.concatenate((codes, kept)))
+        need -= len(kept)
     return from_arc_list(n, np.column_stack(np.divmod(codes, n)))
 
 

@@ -2,14 +2,15 @@
 
 The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
-Digraph container itself. The engine references below are the earlier,
-plainer versions of the two search kernels; the fast kernels must reproduce
-them number for number.
+Digraph container itself. The references below are the earlier, plainer
+versions of the random-graph generator, the per-trial random streams and the
+two search kernels; the fast versions must reproduce them number for number.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from zlib import crc32
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from judipart import (
     Digraph,
     cut_counts,
     e_between,
+    from_arc_list,
     gen_eulerian_complete,
     gen_random_minout,
     gen_skew_d4,
@@ -25,7 +27,6 @@ from judipart import (
     gen_star_triangle,
     gen_tight_union,
 )
-from judipart.engine import _trial_matrix
 
 
 def arc_codes(D: Digraph) -> frozenset:
@@ -225,7 +226,42 @@ def naive_tight_report(D: Digraph, ys):
     return comps, tuple(tight), tuple(essential), sum(essential)
 
 
-# --- engine kernel references -----------------------------------------------
+# --- generator and engine kernel references ---------------------------------
+
+def reference_gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -> Digraph:
+    """gen_random_minout one draw at a time: each row redrawn until its d
+    targets are distinct, then one (u, v) pair per step until extra arcs
+    not taken yet have been added. Parameters are assumed valid."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, n - 1, size=(n, d), dtype=np.int64)
+    rows = np.arange(n)[:, None]
+    picks = np.where(picks >= rows, picks + 1, picks)
+    for v in range(n):
+        while len(set(picks[v].tolist())) != d:
+            redraw = rng.integers(0, n - 1, size=d, dtype=np.int64)
+            picks[v] = np.where(redraw >= v, redraw + 1, redraw)
+    codes = {int(v) * n + int(t) for v in range(n) for t in picks[v]}
+    want = n * d + extra
+    while len(codes) < want:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n - 1))
+        if v >= u:
+            v += 1
+        codes.add(u * n + v)
+    codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
+    return from_arc_list(n, np.column_stack(np.divmod(codes, n)))
+
+
+def reference_trial_matrix(label: str, p: float, ysize: int, cfg) -> np.ndarray:
+    """The trials x ysize assignment matrix, one SeedSequence and one
+    generator per trial: row t draws from (cfg.seed, crc32(label), t)."""
+    A = np.empty((cfg.trials, ysize), dtype=bool)
+    tag = crc32(label.encode("utf-8"))
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, t)))
+        A[t] = rng.random(ysize) < p
+    return A
+
 
 def reference_extension_trial_cuts(D: Digraph, cand, y, cfg):
     """Per-trial (e12, e21) and the trial matrix, by gathering every arc's
@@ -249,7 +285,7 @@ def reference_extension_trial_cuts(D: Digraph, cand, y, cfg):
     cols21_yx = yindex[t[ty & ~hy & h1]]    # y -> x1, cut when y on side 2
     yy = ty & hy
     yy_t, yy_h = yindex[t[yy]], yindex[h[yy]]
-    A = _trial_matrix(cand.label, float(cand.p), len(ys), cfg)
+    A = reference_trial_matrix(cand.label, float(cand.p), len(ys), cfg)
     e12s = (
         const12
         + (~A[:, cols12_xy]).sum(axis=1)

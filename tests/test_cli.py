@@ -299,3 +299,11 @@ def test_negative_generator_seed_exits_two(capsys, family, flags):
     rc, out, err = run(capsys, "partition", "--gen", family, *flags,
                        "--seed", "-1", "--d", "2")
     assert rc == 2 and out == "" and err == "error: seed must be >= 0, got -1\n"
+
+
+def test_trials_beyond_one_seed_word_exit_two(tmp_path, capsys):
+    path = gen_instance(tmp_path, capsys)
+    rc, out, err = run(capsys, "partition", "--input", str(path), "--d", "4",
+                       "--trials", str(2 ** 32 + 1))
+    assert rc == 2 and out == ""
+    assert err == f"error: trials must be <= 2**32, got {2 ** 32 + 1}\n"

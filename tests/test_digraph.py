@@ -103,6 +103,9 @@ def test_construction_rejects_bad_input():
         from_arc_list(2, [(0, 0)])
     with pytest.raises(DuplicateArcError):
         from_arc_list(2, [(0, 1), (0, 1)])
+    # the first repeat in arc order is named, not the smallest repeated arc
+    with pytest.raises(DuplicateArcError, match=r"^duplicate arc \(2, 1\)$"):
+        from_arc_list(3, [(0, 2), (2, 1), (2, 1), (0, 2)])
     with pytest.raises(VertexOutOfRangeError):
         from_arc_list(2, [(0, 2)])
     with pytest.raises(VertexOutOfRangeError):

@@ -7,6 +7,7 @@ import random
 import warnings as _warnings
 from fractions import Fraction
 from pathlib import Path
+from zlib import crc32
 
 import numpy as np
 import pytest
@@ -42,11 +43,12 @@ from judipart import (
     uniform_split_bound,
     verify_record,
 )
-from judipart.engine import CANDIDATE_ORDER
+from judipart.engine import CANDIDATE_ORDER, _pcg_states, _trial_matrix
 
 from helpers import (
     reference_extension_trial_cuts,
     reference_local_improve,
+    reference_trial_matrix,
     single_flip_cuts,
 )
 
@@ -120,6 +122,9 @@ def test_config_validation():
         EngineConfig(d=1, epsilon=1.5)
     with pytest.raises(InputError):
         EngineConfig(d=1, trials=0)
+    with pytest.raises(InputError, match=r"trials must be <= 2\*\*32"):
+        EngineConfig(d=1, trials=2 ** 32 + 1)
+    assert EngineConfig(d=1, trials=2 ** 32).trials == 2 ** 32
     with pytest.raises(InputError):
         EngineConfig(d=1, p_sweep=(0.7,))
     assert EngineConfig(d=4).trials == 64
@@ -259,6 +264,36 @@ def test_trial_streams_reproducible_and_label_dependent():
     other = CandidateXPartition("X1FWD", (4,), (0, 1, 2, 3), Fraction(1, 2))
     b = extension_trial_cuts(D, other, range(5, 20), cfg)
     assert not np.array_equal(a1[2], b[2])  # stream keyed by label too
+
+
+# one to five 32-bit seed words: 1 and 2 fill SeedSequence's 4-word pool with
+# the label word and t; 3 and up leave t, then the label word too, to be mixed
+# in past the pool
+STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100, 2 ** 130)
+YSIZE_P = [(y, p) for y in (0, 1, 13, 1000) for p in (0.0, 5 / 14, 0.5)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_matrix_matches_per_trial_streams(seed):
+    i = 0
+    for label in CANDIDATE_ORDER:
+        for trials in (1, 7, 64, 65, 300):
+            ysize, p = YSIZE_P[i % len(YSIZE_P)]
+            i += 1
+            cfg = EngineConfig(d=1, trials=trials, seed=seed)
+            A = _trial_matrix(label, p, ysize, cfg)
+            assert A.shape == (trials, ysize) and A.dtype == bool
+            assert np.array_equal(A, reference_trial_matrix(label, p, ysize, cfg))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS + (2 ** 64 - 1, 2 ** 96))
+def test_pcg_states_equal_seeded_pcg64(seed):
+    tags = [crc32(label.encode("utf-8")) for label in CANDIDATE_ORDER]
+    for tag in tags + [0, 2 ** 32 - 1]:
+        states = _pcg_states(seed, tag, 70)
+        for t in (0, 1, 2, 63, 64, 69):
+            want = np.random.PCG64(np.random.SeedSequence((seed, tag, t))).state
+            assert states[t] == (want["state"]["state"], want["state"]["inc"])
 
 
 def test_local_improve_examples():

@@ -1,9 +1,12 @@
 """Instance generators: arc counts, degree contracts, determinism."""
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
-from helpers import arc_codes, arc_list, vertex_stats
+from helpers import arc_codes, arc_list, reference_gen_random_minout, vertex_stats
 from judipart import (
     EvenOrderError,
     GenParamError,
@@ -126,6 +129,35 @@ def test_random_minout():
         gen_random_minout(3, 1, extra=-1)
     with pytest.raises(GenParamError, match="seed must be >= 0"):
         gen_random_minout(50, 3, seed=-1)
+
+
+def _random_minout_params():
+    """(n, d, extra, seed) sets: mixed sizes; n = d + 1, where a row is
+    redrawn until it holds all n - 1 other vertices; and extra from 0 to
+    every remaining arc."""
+    rng = random.Random(11)
+    out = []
+    for i in range(130):
+        n = rng.randint(2, 40)
+        d = rng.randint(1, min(n - 1, 6))
+        free = n * (n - 1) - n * d
+        extra = (0, min(n, free), rng.randint(0, free), max(free - 1, 0), free)[i % 5]
+        out.append((n, d, extra, rng.randint(0, 10 ** 6)))
+    for n in range(2, 8):  # n = d + 1
+        out += [(n, n - 1, 0, n), (n, n - 1, 0, 100 + n)]
+    out += [(20, 6, 50, s) for s in range(10)]  # rows with repeats
+    out += [(120, 1, 120 * 119 - 120, 0), (1000, 3, 5000, 2), (2000, 4, 2000, 5)]
+    return out
+
+
+def test_random_minout_matches_one_draw_at_a_time():
+    params = _random_minout_params()
+    assert len(params) >= 150
+    for n, d, extra, seed in params:
+        D = gen_random_minout(n, d, extra=extra, seed=seed)
+        ref = reference_gen_random_minout(n, d, extra=extra, seed=seed)
+        assert np.array_equal(D.tails, ref.tails), (n, d, extra, seed)
+        assert np.array_equal(D.heads, ref.heads), (n, d, extra, seed)
 
 
 def test_family_registry():
