@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import Digraph, arc_census, split_masks, vertex_mask
-from .errors import IdentityViolationError, NotApplicableError
+from .digraph import Digraph, arc_census, split_masks
+from .errors import IdentityViolationError, NotApplicableError, PartitionError
 from .gap import GapResult, MfMb, mf_mb
 from .tight import TightReport
 
@@ -136,10 +136,10 @@ def verify_record(rec: CheckRecord) -> bool:
     return _OPS[rec.comparison](Fraction(rec.lhs), Fraction(rec.rhs)) == rec.holds
 
 
-def compute_bundle(
-    D: Digraph, x, y, gr: GapResult, tr: TightReport, cfg
-) -> QuantityBundle:
-    in_x, in_y = split_masks(D.n, [x, y], "X, Y")
+def compute_bundle(D: Digraph, gr: GapResult, tr: TightReport, cfg) -> QuantityBundle:
+    """The measured quantities for X = gr.x and Y = V - X."""
+    (in_x,) = split_masks(D.n, [gr.x], "X")
+    in_y = ~in_x
     to_y, from_y = arc_census(D, in_y)
     m1 = int(to_y[in_x].sum() + from_y[in_x].sum())
     m2 = int(np.count_nonzero(in_y[D.tails] & in_y[D.heads]))
@@ -328,21 +328,19 @@ def check_huge_regimes(bundle: QuantityBundle) -> list[CheckRecord]:
     return out
 
 
-def check_d4_chain(bundle: QuantityBundle, force: bool = False) -> list[CheckRecord]:
+def check_d4_chain(bundle: QuantityBundle) -> list[CheckRecord]:
     """The seventeen-step d=4, |huge|=3 contradiction chain, exactly.
 
     On instances admitting a good partition at least one step must fail;
     the chain pinpoints which. o(n)-carrying steps are flagged, and the one
     load-bearing such step also gets a slack variant allowing n/1000.
+    It evaluates on any three or more huge vertices (the first three); outside
+    d = 4, |huge| = 3 every record is tagged regime_mismatch, and
+    build_certificate runs it only inside that regime.
     """
     if len(bundle.deltas) < 3:
         raise NotApplicableError(
             f"chain needs three huge vertices, got {len(bundle.deltas)}"
-        )
-    if not force and (bundle.d != 4 or len(bundle.deltas) != 3):
-        raise NotApplicableError(
-            f"chain regime is d = 4 with |huge| = 3, got d = {bundle.d}, "
-            f"|huge| = {len(bundle.deltas)} (use force to evaluate anyway)"
         )
     F = Fraction
     d1, d2, d3 = (F(x) for x in bundle.deltas[:3])
@@ -406,15 +404,15 @@ def check_d4_chain(bundle: QuantityBundle, force: bool = False) -> list[CheckRec
 
 
 def build_certificate(
-    D: Digraph, x, y, gr: GapResult, tr: TightReport, cfg,
+    D: Digraph, gr: GapResult, tr: TightReport, cfg,
     candidates=(), flags=None,
 ) -> Certificate:
-    """Bundle plus every in-regime check plus per-candidate f/h scores."""
-    bundle = compute_bundle(D, x, y, gr, tr, cfg)
+    """Bundle plus every in-regime check plus per-candidate f/h scores, for
+    X = gr.x and Y = V - X; every candidate must split gr.x."""
+    bundle = compute_bundle(D, gr, tr, cfg)
     checks: list[CheckRecord] = []
-    if bundle.e_x == 0:  # |Y| counts distinct ids: a vertex set may repeat one
-        ysize = int(np.count_nonzero(vertex_mask(D.n, y, "Y")))
-        checks.extend(check_min_gap_bounds(bundle, ysize))
+    if bundle.e_x == 0:
+        checks.extend(check_min_gap_bounds(bundle, D.n - len(gr.x)))
     checks.extend(check_gap_dichotomy(bundle))
     if len(bundle.deltas) % 2 == 1:
         checks.extend(check_candidate_forms(bundle))
@@ -423,8 +421,11 @@ def build_certificate(
         checks.extend(check_d4_chain(bundle))
     scores = []
     two = 2 * (2 * bundle.d - 1)
+    x = set(gr.x)
     for cand in candidates:
-        mm = mf_mb(D, cand.x1, cand.x2, y)
+        if set(cand.x1) | set(cand.x2) != x:
+            raise PartitionError(f"candidate {cand.label} does not split X")
+        mm = mf_mb(D, cand.x1, cand.x2)
         f, h = eval_f_h(bundle, cand, mm)
         scores.append(CandidateScore(
             label=cand.label, p=Fraction(cand.p), f=f, h=h,

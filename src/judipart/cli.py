@@ -94,13 +94,12 @@ def _load_instance(args) -> tuple[Digraph, dict]:
     return func(**kwargs), {"family": args.gen, "params": kwargs}
 
 
-def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], np.ndarray]:
-    """X from --x-auto or --x-file (empty with neither), and Y = V - X."""
+def _load_x(args, D: Digraph) -> tuple[int, ...]:
+    """X from --x-auto or --x-file (empty with neither), sorted."""
     if args.x_auto:
         cfg = EngineConfig(d=max(getattr(args, "d", 1) or 1, 1),
                            threshold_exponent=args.threshold_exp)
-        sp = split_by_degree(D, cfg)
-        return sp.x, sp.y
+        return split_by_degree(D, cfg).x
     xs = []
     path = args.x_file
     if path is not None:
@@ -117,8 +116,12 @@ def _load_x(args, D: Digraph) -> tuple[tuple[int, ...], np.ndarray]:
                     raise InputError(
                         f"{path}:{lineno}: vertex {xs[-1]} out of range, n={D.n}"
                     )
-    in_x = vertex_mask(D.n, xs, "X")
-    return tuple(np.flatnonzero(in_x).tolist()), np.flatnonzero(~in_x)
+    return tuple(sorted(set(xs)))
+
+
+def _complement(D: Digraph, xs) -> np.ndarray:
+    """Y = V - X as a sorted index array."""
+    return np.flatnonzero(~vertex_mask(D.n, xs, "X"))
 
 
 def _emit(args, record: dict, human: str, record_path: str | None = None) -> None:
@@ -215,8 +218,7 @@ def cmd_oracle(args) -> int:
 def cmd_gap(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    xs, ys = _load_x(args, D)
-    gr = min_gap_partition(D, xs, ys)
+    gr = min_gap_partition(D, _load_x(args, D))
     outcome = {
         "x": list(gr.x), "x1": list(gr.x1), "x2": list(gr.x2),
         "theta": gr.theta, "theta_abs": gr.theta_abs_min,
@@ -236,7 +238,7 @@ def cmd_gap(args) -> int:
 def cmd_tight(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    _, ys = _load_x(args, D)
+    ys = _complement(D, _load_x(args, D))
     tr = essential_tight_components(D, ys)
     outcome = {
         "tau": tr.tau,
@@ -259,12 +261,11 @@ def cmd_tight(args) -> int:
 def cmd_certify(args) -> int:
     started = time.monotonic()
     D, inp = _load_instance(args)
-    xs, ys = _load_x(args, D)
     cfg = EngineConfig(d=args.d, epsilon=args.eps,
                        threshold_exponent=args.threshold_exp)
-    gr = min_gap_partition(D, xs, ys)
-    tr = essential_tight_components(D, ys)
-    cert = build_certificate(D, xs, ys, gr, tr, cfg)
+    gr = min_gap_partition(D, _load_x(args, D))
+    tr = essential_tight_components(D, _complement(D, gr.x))
+    cert = build_certificate(D, gr, tr, cfg)
     record = _record("certify", inp,
                      {"d": args.d, "eps": args.eps, "x_auto": args.x_auto},
                      cert.to_jsonable(), started)

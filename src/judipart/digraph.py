@@ -13,10 +13,12 @@ Conventions used across the package:
   become boolean masks through vertex_mask, which rejects a vertex id that is
   not an integer in 0..n-1 (a float such as 2.5 included) with
   VertexOutOfRangeError.
-- A split of V into parts (X, Y, or x1, x2, Y) is checked in one place,
-  split_masks: a vertex outside 0..n-1, an overlap or a missed vertex raises
-  PartitionError. Every quantity the analysis counts across a split reads
-  from arc_census: the per-vertex counts e(v, S) and e(S, v) of a set S.
+- The analysis splits V into X and Y = V - X. A function takes X (or its
+  parts x1, x2), never Y: it derives Y as the complement, so the two sets
+  cannot disagree. Parts are checked in one place, split_masks: a vertex
+  outside 0..n-1 or in two parts raises PartitionError. Every quantity the
+  analysis counts across a split reads from arc_census: the per-vertex
+  counts e(v, S) and e(S, v) of a set S.
 - A bipartition assigns every vertex side 1 or side 2; the two directed cut
   counts are e12 (side 1 -> side 2) and e21 (side 2 -> side 1).
 
@@ -182,22 +184,16 @@ def vertex_mask(n: int, vs: Iterable[int], what: str) -> np.ndarray:
     return mask
 
 
-def split_masks(
-    n: int, parts: Sequence[Iterable[int]], names: str, cover: bool = True
-) -> list[np.ndarray]:
-    """Masks of disjoint vertex sets that, with cover, partition 0..n-1.
+def split_masks(n: int, parts: Sequence[Iterable[int]], names: str) -> list[np.ndarray]:
+    """Masks over 0..n-1 of disjoint vertex sets.
 
-    A vertex outside 0..n-1, a vertex in two parts, or (with cover) a vertex
-    in none raises PartitionError."""
+    A vertex outside 0..n-1 or a vertex in two parts raises PartitionError."""
     try:
         masks = [vertex_mask(n, p, names) for p in parts]
     except VertexOutOfRangeError as exc:
         raise PartitionError(str(exc)) from None
-    count = np.sum(masks, axis=0, dtype=np.int64)
-    if (count > 1).any():
+    if (np.sum(masks, axis=0, dtype=np.int64) > 1).any():
         raise PartitionError(f"{names} overlap")
-    if cover and not count.all():
-        raise PartitionError(f"{names} must cover all {n} vertices")
     return masks
 
 

@@ -28,9 +28,11 @@ concentrates, so the engine runs the empty-X candidate alone. The same
 shortcut triggers unconditionally once m >= 6272 n (the eps = 1/28 instance of
 the first branch).
 
-Y, most of V, is a sorted int64 index array from the degree split to the
-certificate; X, which records hold, is a tuple. Every public function takes
-any integer sequence for either and validates it (digraph.split_masks).
+Every function takes X, or a candidate's parts x1 and x2, and derives
+Y = V - X itself; a GapResult carries its X (gr.x), so nothing takes X beside
+one. X, which records hold, is a tuple; any integer sequence is accepted and
+checked (digraph.split_masks). Y appears as a sorted int64 index array only
+where tau needs it (DegreeSplit.y, essential_tight_components).
 
 Randomness contract: trial t of candidate labeled L draws its stream from
 (seed, crc32(L), t), so results are reproducible and independent of execution
@@ -240,7 +242,7 @@ def _place(D: Digraph, forward, backward, literal_x1=()) -> tuple[tuple, tuple]:
 
 
 def candidate_x_partitions(
-    D: Digraph, y, gr: GapResult, cfg: EngineConfig
+    D: Digraph, gr: GapResult, cfg: EngineConfig
 ) -> list[CandidateXPartition]:
     """Structured candidates for the given gap result (X is gr.x); the huge
     count must be odd."""
@@ -277,7 +279,7 @@ def candidate_x_partitions(
         out.append(
             CandidateXPartition("X4", *_place(D, (huge[0],) + nonhuge, huge[1:]), p4)
         )
-        to_y, from_y = arc_census(D, vertex_mask(D.n, y, "Y"))
+        to_y, from_y = arc_census(D, ~vertex_mask(D.n, gr.x, "X"))
         balanced = np.minimum(to_y, from_y)[list(huge)].tolist()
         vi = huge[max(range(len(huge)), key=lambda i: (balanced[i], -i))]
         restv = tuple(v for v in huge if v != vi)
@@ -472,11 +474,11 @@ def _bit_sums(rows: np.ndarray, weights=None) -> np.ndarray:
 def extension_trial_cuts(
     D: Digraph,
     cand: CandidateXPartition,
-    y,
     cfg: EngineConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (e12, e21) for cfg.trials independent Y-assignments, plus the
-    trial matrix itself (trials x |Y| booleans, True = side 1).
+    """Per-trial (e12, e21) for cfg.trials independent assignments of
+    Y = V - x1 - x2, plus the trial matrix itself (trials x |Y| booleans,
+    True = side 1, one column per Y vertex in ascending order).
 
     With a_t(y) = 1 when y sits on side 1 in trial t, each trial's cut is
     linear in a_t apart from the Y-Y arcs with both ends on side 1:
@@ -486,7 +488,8 @@ def extension_trial_cuts(
     of bytes per Y vertex, so both_t is an AND of two rows per Y-Y arc and
     every per-trial sum is a bit count (_bit_sums); nothing of size
     trials x arcs is built."""
-    side1x, _, in_y = split_masks(D.n, [cand.x1, cand.x2, y], "x1, x2, Y")
+    side1x, in_x2 = split_masks(D.n, [cand.x1, cand.x2], "x1, x2")
+    in_y = ~(side1x | in_x2)
     ys = np.flatnonzero(in_y)  # trial-matrix columns, ascending
     to_x1, from_x1 = arc_census(D, side1x)
     deg_x1 = (to_x1 + from_x1)[ys]
@@ -514,20 +517,19 @@ def extension_trial_cuts(
 def extend_partition_randomized(
     D: Digraph,
     cand: CandidateXPartition,
-    y,
     cfg: EngineConfig,
-    improve: bool = True,
 ) -> Bipartition:
-    """Best-of-trials random extension of (x1, x2) over Y with P(side 1) = p."""
-    e12s, e21s, A = extension_trial_cuts(D, cand, y, cfg)
+    """Best-of-trials random extension of (x1, x2) over Y = V - x1 - x2 with
+    P(side 1) = p, polished by _refine."""
+    e12s, e21s, A = extension_trial_cuts(D, cand, cfg)
     mins, totals = _key(e12s, e21s)
     # the first trial with the largest (min, total)
     best = int(np.argmax(np.where(mins == mins.max(), totals, -1)))
-    sides = np.full(D.n, 2, dtype=np.uint8)
+    sides = np.zeros(D.n, dtype=np.uint8)
     sides[list(cand.x1)] = 1
-    sides[vertex_mask(D.n, y, "Y")] = np.where(A[best], 1, 2)
-    bip = Bipartition(sides)
-    return _refine(D, bip, cfg) if improve else bip
+    sides[list(cand.x2)] = 2
+    sides[sides == 0] = np.where(A[best], 1, 2)  # Y, ascending, as A's columns
+    return _refine(D, Bipartition(sides), cfg)
 
 
 def _arc_slices(indptr: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -616,16 +618,15 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     huge_even = False
     threshold: float | None = None
     if shortcut:
-        xs: tuple[int, ...] = ()
-        ys = np.arange(D.n)
-        gr = min_gap_partition(D, xs, ys)
+        ys = np.arange(D.n)  # Y, for tau
+        gr = min_gap_partition(D, ())
         cands = [mingap_candidate(gr)]
     else:
         sp = split_by_degree(D, cfg)
-        xs, ys, threshold = sp.x, sp.y, sp.threshold
-        gr = min_gap_partition(D, xs, ys)
+        ys, threshold = sp.y, sp.threshold
+        gr = min_gap_partition(D, sp.x)
         try:
-            cands = candidate_x_partitions(D, ys, gr, cfg)
+            cands = candidate_x_partitions(D, gr, cfg)
         except HugeSetEvenError:
             huge_even = True
             cands = [mingap_candidate(gr)]
@@ -638,14 +639,14 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
 
     results = []
     for c in cands:
-        bip = extend_partition_randomized(D, c, ys, cfg, improve=True)
+        bip = extend_partition_randomized(D, c, cfg)
         results.append((c, bip, cut_counts(D, bip)))
 
     cand, bip, cut = max(results, key=lambda r: _key(r[2].e12, r[2].e21))
 
     tr = essential_tight_components(D, ys)
     cert = certify_mod.build_certificate(
-        D, xs, ys, gr, tr, cfg,
+        D, gr, tr, cfg,
         candidates=[c for c, _, _ in results],
         flags={"shortcut": shortcut, "huge_even": huge_even},
     )
@@ -662,7 +663,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
         d_actual=d_actual,
         shortcut=shortcut,
         huge_even=huge_even,
-        x=xs,
+        x=gr.x,
         threshold=threshold,
         per_candidate=tuple(CandidateRun(c.label, c.p, cv) for c, _, cv in results),
         warnings=tuple(warns),

@@ -42,13 +42,14 @@ class EdgeListParseError(InputError):
 
 
 class PartitionError(InputError):
-    """A claimed partition does not cover the vertex set, or overlaps."""
+    """A vertex set names a vertex outside the graph, its parts overlap, or a
+    claimed partition does not cover what it splits."""
 
 
 # gap solver
 
 class StateLimitError(LimitError):
-    """Subset-sum table would exceed the configured state budget."""
+    """The subset-sum table would exceed gap.MAX_TABLE_BITS bits."""
 
 
 # digraph construction, oracle

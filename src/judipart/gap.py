@@ -11,8 +11,12 @@ minimizing |theta|.
 Arcs inside X cancel out of theta, so with the per-vertex Y-imbalance
 w(x) = e(x, Y) - e(Y, x) the gap is sum_{x1} w - sum_{x2} w for any e(X).
 One exact subset-sum table over the attainable signed sums therefore solves
-every instance; its size is capped by a state budget. When e(X) = 0, w(x) is
-the imbalance splus(x) = outdeg - indeg.
+every instance; its size, items x (span + 1) bits, is capped by
+MAX_TABLE_BITS. When e(X) = 0, w(x) is the imbalance splus(x) = outdeg -
+indeg.
+
+Every function here takes X (or its parts x1, x2) and counts against the
+complement Y = V - X.
 
 Ties among minimum-gap partitions are broken deterministically: vertices
 prefer side x2 in increasing index order (equivalently, the x1-indicator
@@ -31,12 +35,15 @@ Residual quantities attached to the result (all integers):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .digraph import Digraph, arc_census, e_between, split_masks
-from .errors import PartitionError, StateLimitError
+from .errors import StateLimitError
+
+# the subset-sum table holds items x (span + 1) bits, span the sum of |w(x)|
+MAX_TABLE_BITS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -62,18 +69,22 @@ class GapResult:
     backward: tuple[int, ...]
 
 
-def gap(D: Digraph, x1, x2, y) -> int:
-    """Gap of (x1, x2) against Y, straight from the definition."""
-    c1, c2, cy = (
-        np.flatnonzero(m) for m in split_masks(D.n, [x1, x2, y], "x1, x2, Y")
-    )
+def _parts_and_y(D: Digraph, x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of x1, x2 and Y = V - x1 - x2."""
+    in_x1, in_x2 = split_masks(D.n, [x1, x2], "x1, x2")
+    return in_x1, in_x2, ~(in_x1 | in_x2)
+
+
+def gap(D: Digraph, x1, x2) -> int:
+    """Gap of (x1, x2) against Y = V - x1 - x2, straight from the definition."""
+    c1, c2, cy = (np.flatnonzero(m) for m in _parts_and_y(D, x1, x2))
     return (e_between(D, c1, cy) + e_between(D, cy, c2)) - (
         e_between(D, c2, cy) + e_between(D, cy, c1)
     )
 
 
-def mf_mb(D: Digraph, x1, x2, y) -> MfMb:
-    in_x1, in_x2, in_y = split_masks(D.n, [x1, x2, y], "x1, x2, Y")
+def mf_mb(D: Digraph, x1, x2) -> MfMb:
+    in_x1, in_x2, in_y = _parts_and_y(D, x1, x2)
     to_y, from_y = arc_census(D, in_y)
     z = int(to_y[in_x1].sum())
     zp = int(from_y[in_x2].sum())
@@ -88,7 +99,7 @@ def _mask_positions(mask: int, nbits: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
-def _dp_min_gap(xs, values, state_limit: int):
+def _dp_min_gap(xs, values):
     """Subset-sum over signed values; returns (chosen x1 vertices, theta)."""
     items = [(v, val) for v, val in zip(xs, values) if val != 0]
     total = sum(val for _, val in items)
@@ -97,10 +108,11 @@ def _dp_min_gap(xs, values, state_limit: int):
     neg = sum(val for _, val in items if val < 0)
     pos = sum(val for _, val in items if val > 0)
     span = pos - neg  # sum of |values|
-    if len(items) * (span + 1) > state_limit:
+    bits = len(items) * (span + 1)
+    if bits > MAX_TABLE_BITS:
         raise StateLimitError(
-            f"subset-sum table of {len(items)}x{span + 1} states exceeds "
-            f"limit {state_limit}"
+            f"subset-sum table of {len(items)} items x {span + 1} sums = "
+            f"{bits} bits exceeds MAX_TABLE_BITS = {MAX_TABLE_BITS}"
         )
     offset = -neg
     # suffix[i] = bitmask of sums attainable from items[i:], bit = sum + offset
@@ -135,46 +147,33 @@ def _dp_min_gap(xs, values, state_limit: int):
     return chosen, 2 * partial - total
 
 
-def min_gap_partition(
-    D: Digraph,
-    x,
-    y,
-    state_limit: int = 10 ** 8,
-) -> GapResult:
-    """Partition X minimizing |gap| against Y = V without X; fully completed result."""
-    in_x, in_y = split_masks(D.n, [x, y], "X, Y")
-    xs = tuple(np.flatnonzero(in_x).tolist())
-    to_y, from_y = arc_census(D, in_y)
-    chosen, theta = _dp_min_gap(xs, (to_y - from_y)[in_x].tolist(), state_limit)
-    x1 = tuple(sorted(chosen))
-    x2 = tuple(sorted(set(xs) - set(chosen)))
-    gr = GapResult(
-        x=xs, x1=x1, x2=x2, theta=theta, theta_abs_min=abs(theta),
-        huge=(), k=None, g=0, b=0, forward=(), backward=(),
+def min_gap_partition(D: Digraph, x) -> GapResult:
+    """Partition X minimizing |gap| against Y = V - X, with every residual."""
+    (in_x,) = split_masks(D.n, [x], "X")
+    xa = np.flatnonzero(in_x)
+    xs = tuple(xa.tolist())
+    to_y, from_y = arc_census(D, ~in_x)
+    chosen, theta = _dp_min_gap(xs, (to_y - from_y)[xa].tolist())
+    theta_abs = abs(theta)
+    in_x1 = set(chosen)
+    splus = (D.out_degrees[xa] - D.in_degrees[xa]).tolist()
+    degree = (D.out_degrees[xa] + D.in_degrees[xa]).tolist()
+    s = [abs(sp) for sp in splus]
+    # s descending, index ascending on ties
+    huge = tuple(v for _, v in sorted((-sv, v) for v, sv in zip(xs, s)
+                                      if sv >= theta_abs))
+    return GapResult(
+        x=xs,
+        x1=tuple(chosen),  # _dp_min_gap keeps the ascending order of xs
+        x2=tuple(v for v in xs if v not in in_x1),
+        theta=theta,
+        theta_abs_min=theta_abs,
+        huge=huge,
+        k=(len(huge) - 1) // 2 if len(huge) % 2 == 1 else None,
+        g=sum(sv for sv in s if sv < theta_abs),
+        b=(sum(degree) - sum(s)) // 2,
+        forward=tuple(v for v, sp in zip(xs, splus)
+                      if (sp > 0 if v in in_x1 else sp < 0)),
+        backward=tuple(v for v, sp in zip(xs, splus)
+                       if (sp < 0 if v in in_x1 else sp > 0)),
     )
-    return huge_and_residuals(D, xs, gr)
-
-
-def huge_and_residuals(D: Digraph, x, gr: GapResult) -> GapResult:
-    """Fill huge/k/g/b and the forward/backward classification; idempotent."""
-    xs = tuple(sorted(set(x)))
-    if xs != gr.x:
-        raise PartitionError("gap result was computed for a different X")
-    s = {v: abs(int(D.out_degrees[v] - D.in_degrees[v])) for v in xs}
-    splus = {v: int(D.out_degrees[v] - D.in_degrees[v]) for v in xs}
-    huge = tuple(sorted((v for v in xs if s[v] >= gr.theta_abs_min),
-                        key=lambda v: (-s[v], v)))
-    hset = set(huge)
-    k = (len(huge) - 1) // 2 if len(huge) % 2 == 1 else None
-    g = sum(s[v] for v in xs if v not in hset)
-    b = sum(D.degree(v) - s[v] for v in xs) // 2
-    x1set = set(gr.x1)
-    forward = tuple(sorted(
-        v for v in xs
-        if (v in x1set and splus[v] > 0) or (v not in x1set and splus[v] < 0)
-    ))
-    backward = tuple(sorted(
-        v for v in xs
-        if (v in x1set and splus[v] < 0) or (v not in x1set and splus[v] > 0)
-    ))
-    return replace(gr, huge=huge, k=k, g=g, b=b, forward=forward, backward=backward)

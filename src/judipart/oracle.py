@@ -8,9 +8,10 @@ test.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .digraph import Bipartition, Digraph, CutValue, cut_counts, e_between
+from .digraph import Bipartition, Digraph, cut_counts, e_between
 from .errors import (
     EmptyGraphError,
     IdentityViolationError,
@@ -85,25 +86,23 @@ def exact_max_min_cut(D: Digraph, limit: int = 24, check_every: int = 0) -> Orac
     return OracleResult(optimum=best, witness=witness, evaluated=total)
 
 
-def _check_xy_partition(D: Digraph, x, y) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    xs = tuple(sorted(set(x)))
-    ys = tuple(sorted(set(y)))
-    if set(xs) & set(ys):
-        raise PartitionError("X and Y overlap")
-    if len(xs) + len(ys) != D.n or (xs + ys and set(xs) | set(ys) != set(range(D.n))):
-        raise PartitionError("X and Y must partition the vertex set")
-    return xs, ys
-
-
-def exact_min_gap(D: Digraph, x, y, limit: int = 24) -> OracleGapResult:
+def exact_min_gap(D: Digraph, x, limit: int = 24) -> OracleGapResult:
     """Minimize |gap| over all 2^|X| partitions of X by exhaustive scan.
 
-    The gap of (x1, x2) is (e(x1,Y) + e(Y,x2)) - (e(x2,Y) + e(Y,x1)). Moving
-    one vertex across changes it by twice that vertex's Y-imbalance, which is
-    measured per vertex straight from the definition via e_between. Witness:
-    first optimum in Gray-code order over X sorted ascending.
+    The gap of (x1, x2) is (e(x1,Y) + e(Y,x2)) - (e(x2,Y) + e(Y,x1)) with
+    Y = V - X. Moving one vertex across changes it by twice that vertex's
+    Y-imbalance, which is measured per vertex straight from the definition via
+    e_between. Witness: first optimum in Gray-code order over X sorted
+    ascending.
     """
-    xs, ys = _check_xy_partition(D, x, y)
+    try:
+        in_x = {operator.index(v) for v in x}
+    except TypeError:
+        raise PartitionError("X contains a vertex id that is not an integer") from None
+    xs = sorted(in_x)
+    if xs and not 0 <= xs[0] <= xs[-1] < D.n:
+        raise PartitionError(f"X contains a vertex outside 0..{D.n - 1}")
+    ys = [v for v in range(D.n) if v not in in_x]
     k = len(xs)
     if k > limit:
         raise TooLargeError(f"|X|={k} exceeds oracle limit {limit}")

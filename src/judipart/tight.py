@@ -51,7 +51,7 @@ class TightReport:
 def _undirected(D: Digraph, y) -> tuple[np.ndarray, ...]:
     """The vertices of Y, the undirected edges (lo, hi), lo < hi, of D[Y] in
     sorted order, and a flag per edge that is set for an anti-parallel pair."""
-    (inside,) = split_masks(D.n, [y], "Y", cover=False)
+    (inside,) = split_masks(D.n, [y], "Y")
     keep = inside[D.tails] & inside[D.heads]
     t = D.tails[keep].astype(np.int64, copy=False)
     h = D.heads[keep].astype(np.int64, copy=False)

@@ -263,13 +263,13 @@ def reference_trial_matrix(label: str, p: float, ysize: int, cfg) -> np.ndarray:
     return A
 
 
-def reference_extension_trial_cuts(D: Digraph, cand, y, cfg):
-    """Per-trial (e12, e21) and the trial matrix, by gathering every arc's
-    columns out of the trials x |Y| matrix."""
+def reference_extension_trial_cuts(D: Digraph, cand, cfg):
+    """Per-trial (e12, e21) and the trial matrix over Y = V - x1 - x2, by
+    gathering every arc's columns out of the trials x |Y| matrix."""
     side1x = np.zeros(D.n, dtype=bool)
     side1x[list(cand.x1)] = True
-    in_y = np.zeros(D.n, dtype=bool)
-    in_y[list(y)] = True
+    in_y = np.ones(D.n, dtype=bool)
+    in_y[list(cand.x1) + list(cand.x2)] = False
     ys = np.flatnonzero(in_y)
     yindex = np.full(D.n, -1, dtype=np.int64)
     yindex[ys] = np.arange(len(ys))

@@ -11,11 +11,14 @@ from judipart import (
     CandidateXPartition,
     EngineConfig,
     NotApplicableError,
+    PartitionError,
     build_certificate,
     compute_bundle,
+    e_between,
     essential_tight_components,
     eval_f_h,
     from_arc_list,
+    gen_random_minout,
     gen_skew_d4,
     gen_skew_d6,
     mf_mb,
@@ -45,9 +48,9 @@ def bundle_for(D, d, x=None):
     else:
         xs = tuple(sorted(x))
         ys = tuple(sorted(set(range(D.n)) - set(xs)))
-    gr = min_gap_partition(D, xs, ys)
+    gr = min_gap_partition(D, xs)
     tr = essential_tight_components(D, ys)
-    return compute_bundle(D, xs, ys, gr, tr, cfg), xs, ys, gr, tr, cfg
+    return compute_bundle(D, gr, tr, cfg), xs, ys, gr, tr, cfg
 
 
 def test_golden_vector_still_reproduces():
@@ -62,7 +65,7 @@ def test_golden_vector_still_reproduces():
 
     assert [rec(c) for c in out.certificate.checks] == want["engine_checks"]
     bundle, *_ = bundle_for(D, 4)
-    assert [rec(c) for c in check_d4_chain(bundle, force=True)] == want["forced_chain"]
+    assert [rec(c) for c in check_d4_chain(bundle)] == want["forced_chain"]
     got_fh = [
         {"label": s.label, "p": str(s.p), "f": str(s.f), "h": str(s.h)}
         for s in out.certificate.fh_values
@@ -73,7 +76,7 @@ def test_golden_vector_still_reproduces():
 def test_every_check_recomputes_from_stored_strings():
     D = gen_skew_d6(60, seed=2)
     bundle, xs, ys, gr, tr, cfg = bundle_for(D, 6)
-    cert = build_certificate(D, xs, ys, gr, tr, cfg)
+    cert = build_certificate(D, gr, tr, cfg)
     assert cert.checks
     for c in cert.checks:
         assert verify_record(c)
@@ -143,9 +146,7 @@ def test_candidate_forms_and_d4k1_disjunction():
 def test_chain_gating_and_force():
     D = gen_skew_d4(20)
     bundle, *_ = bundle_for(D, 4)
-    with pytest.raises(NotApplicableError):
-        check_d4_chain(bundle)  # five huge vertices, not the strict regime
-    forced = check_d4_chain(bundle, force=True)
+    forced = check_d4_chain(bundle)  # five huge vertices, not the strict regime
     ids = [r.check_id for r in forced]
     assert ids[0] == "chain-01" and "chain-05-slack" in ids
     assert any(not r.holds for r in forced)
@@ -174,7 +175,7 @@ def test_f_plus_h_equals_m_at_half_when_x_arc_free():
     for mask in range(4):
         x1 = tuple(v for v in xs if mask >> v & 1)
         x2 = tuple(v for v in xs if not mask >> v & 1)
-        mm = mf_mb(D, x1, x2, ys)
+        mm = mf_mb(D, x1, x2)
         f, h = eval_f_h(bundle, CandidateXPartition("T", x1, x2, Fraction(1, 2)), mm)
         assert f + h == bundle.m
 
@@ -207,3 +208,31 @@ def test_bundle_quantities_are_definitional():
     assert bundle.g == gr.g and bundle.b == gr.b
     assert bundle.tau == tr.tau
     assert sum(bundle.deltas) + bundle.g + 2 * bundle.b + bundle.m2 == D.m
+
+
+def test_bundle_counts_arcs_across_gr_x_and_its_complement():
+    D = gen_random_minout(60, 4, extra=60, seed=1)
+    cfg = EngineConfig(d=4)
+    for x in ((0, 1, 2), (0, 1, 2, 3, 4), split_by_degree(D, cfg).x):
+        gr = min_gap_partition(D, x)
+        y = sorted(set(range(D.n)) - set(gr.x))
+        bundle = compute_bundle(D, gr, essential_tight_components(D, y), cfg)
+        assert bundle.m1 == e_between(D, gr.x, y) + e_between(D, y, gr.x)
+        assert bundle.m2 == e_between(D, y, y)
+        assert bundle.e_x == e_between(D, gr.x, gr.x)
+        assert len(bundle.deltas) == len(gr.huge)
+
+
+def test_certificate_refuses_a_candidate_not_splitting_gr_x():
+    D = gen_skew_d4(20)
+    bundle, xs, ys, gr, tr, cfg = bundle_for(D, 4)
+    assert gr.x == tuple(range(5))
+    ok = CandidateXPartition("T", (4,), (0, 1, 2, 3), Fraction(1, 2))
+    assert len(build_certificate(D, gr, tr, cfg, candidates=[ok]).fh_values) == 1
+    for x1, x2 in (((4,), (0, 1, 2)),           # vertex 3 of X left out
+                   ((4,), (0, 1, 2, 3, 5)),     # vertex 5 of Y taken in
+                   ((3, 4), (0, 1, 2, 3)),      # x1 and x2 overlap
+                   ((4,), (0, 1, 2, 3, 20))):   # outside the graph
+        bad = CandidateXPartition("T", x1, x2, Fraction(1, 2))
+        with pytest.raises(PartitionError):
+            build_certificate(D, gr, tr, cfg, candidates=[ok, bad])

@@ -2,6 +2,7 @@
 edge-list round trips."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from helpers import arc_codes, vertex_stats
 from judipart import (
     Bipartition,
     CandidateXPartition,
-    Digraph,
     DuplicateArcError,
     EdgeListParseError,
     LoopArcError,
@@ -321,59 +321,66 @@ def test_immutability(data):
         D.tails[0] = 0
 
 
-# (X, Y) on a 5-vertex graph, each broken in one way
+# vertex sets on a 5-vertex graph whose X is (3, 4), each broken in one way;
+# an entry point that takes two parts gets x1 = x[:1] and x2 = x[1:]
 BAD_SPLITS = {
-    "overlap": ((3, 4), (0, 1, 2, 3)),
-    "missing": ((3,), (0, 1, 2)),  # vertex 4 in neither
-    "out_of_range": ((3, 4), (0, 1, 2, 5)),
-    "negative": ((3, 4), (-1, 0, 1, 2)),
-    "non_integer": ((3, 4), (0, 1, 2.5)),  # 2.5 must not pass as vertex 2
+    "overlap": (3, 4, 3),  # x1 = (3,), x2 = (4, 3)
+    "missing": (3,),  # x1 = (3,), x2 = (): vertex 4 of X in neither
+    "out_of_range": (3, 5),
+    "negative": (-1, 3),
+    "non_integer": (3, 4.0),  # 4.0 must not pass as vertex 4
 }
 SPLIT_D = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 3), (3, 0)])
-SPLIT_GR = min_gap_partition(SPLIT_D, (3, 4), (0, 1, 2))
+SPLIT_GR = min_gap_partition(SPLIT_D, (3, 4))
 SPLIT_TR = essential_tight_components(SPLIT_D, (0, 1, 2))
 SPLIT_CFG = EngineConfig(d=1, trials=4)
+ONE_SET = ("out_of_range", "negative", "non_integer")
+TWO_PARTS = ONE_SET + ("overlap",)
 
 
 def _cand(x):
     return CandidateXPartition("MINGAP", x[:1], x[1:], Fraction(1, 2))
 
 
-# entry point -> (call on (D, x, y), error, whether it takes a whole split);
-# one that takes a single vertex set can only see the range broken
+# entry point -> (call on (D, x), error, the cases it can see); only a
+# candidate handed to build_certificate must split one given X
 SPLIT_ENTRY_POINTS = {
-    "gap": (lambda D, x, y: gap(D, x[:1], x[1:], y), PartitionError, True),
-    "mf_mb": (lambda D, x, y: mf_mb(D, x[:1], x[1:], y), PartitionError, True),
-    "min_gap_partition": (min_gap_partition, PartitionError, True),
-    "exact_min_gap": (exact_min_gap, PartitionError, True),
+    "gap": (lambda D, x: gap(D, x[:1], x[1:]), PartitionError, TWO_PARTS),
+    "mf_mb": (lambda D, x: mf_mb(D, x[:1], x[1:]), PartitionError, TWO_PARTS),
+    "min_gap_partition": (min_gap_partition, PartitionError, ONE_SET),
+    "exact_min_gap": (exact_min_gap, PartitionError, ONE_SET),
     "extension_trial_cuts": (
-        lambda D, x, y: extension_trial_cuts(D, _cand(x), y, SPLIT_CFG),
-        PartitionError, True),
+        lambda D, x: extension_trial_cuts(D, _cand(x), SPLIT_CFG),
+        PartitionError, TWO_PARTS),
     "extend_partition_randomized": (
-        lambda D, x, y: extend_partition_randomized(D, _cand(x), y, SPLIT_CFG),
-        PartitionError, True),
+        lambda D, x: extend_partition_randomized(D, _cand(x), SPLIT_CFG),
+        PartitionError, TWO_PARTS),
     "compute_bundle": (
-        lambda D, x, y: compute_bundle(D, x, y, SPLIT_GR, SPLIT_TR, SPLIT_CFG),
-        PartitionError, True),
+        lambda D, x: compute_bundle(D, replace(SPLIT_GR, x=x), SPLIT_TR, SPLIT_CFG),
+        PartitionError, ONE_SET),
     "build_certificate": (
-        lambda D, x, y: build_certificate(D, x, y, SPLIT_GR, SPLIT_TR, SPLIT_CFG),
-        PartitionError, True),
-    "essential_tight_components": (
-        lambda D, x, y: essential_tight_components(D, y), PartitionError, False),
-    "e_between": (e_between, VertexOutOfRangeError, False),
+        lambda D, x: build_certificate(D, SPLIT_GR, SPLIT_TR, SPLIT_CFG,
+                                       candidates=[_cand(x)]),
+        PartitionError, TWO_PARTS + ("missing",)),
+    "essential_tight_components": (essential_tight_components, PartitionError, ONE_SET),
+    "e_between": (lambda D, x: e_between(D, x, x), VertexOutOfRangeError, ONE_SET),
     "from_side1": (
-        lambda D, x, y: Bipartition.from_side1(D.n, y), VertexOutOfRangeError, False),
+        lambda D, x: Bipartition.from_side1(D.n, x), VertexOutOfRangeError, ONE_SET),
 }
 
 
 @pytest.mark.parametrize("entry, case", [
     (entry, case)
-    for entry, (_, _, whole) in SPLIT_ENTRY_POINTS.items()
+    for entry, (_, _, cases) in SPLIT_ENTRY_POINTS.items()
     for case in BAD_SPLITS
-    if whole or case in ("out_of_range", "negative", "non_integer")
+    if case in cases
 ])
 def test_bad_split_raises_at_every_entry_point(entry, case):
     call, error, _ = SPLIT_ENTRY_POINTS[entry]
-    x, y = BAD_SPLITS[case]
     with pytest.raises(error):
-        call(SPLIT_D, x, y)
+        call(SPLIT_D, BAD_SPLITS[case])
+
+
+def test_the_good_split_passes_every_entry_point():
+    for call, _, _ in SPLIT_ENTRY_POINTS.values():
+        call(SPLIT_D, (3, 4))

@@ -43,7 +43,7 @@ from judipart import (
     uniform_split_bound,
     verify_record,
 )
-from judipart.engine import CANDIDATE_ORDER, _pcg_states, _trial_matrix
+from judipart.engine import CANDIDATE_ORDER, _pcg_states, _refine, _trial_matrix
 
 from helpers import (
     reference_extension_trial_cuts,
@@ -168,12 +168,12 @@ def k1_instance():
 
 def test_candidate_shapes_k1_with_small_clique_probes():
     D = k1_instance()
-    xs, ys = [0, 1, 2], list(range(3, 13))
+    xs = [0, 1, 2]
     assert e_between(D, xs, xs) == 0
-    gr = min_gap_partition(D, xs, ys)
+    gr = min_gap_partition(D, xs)
     assert gr.theta_abs_min == 1 and gr.k == 1
     assert gr.huge == (0, 2, 1)  # ordered by imbalance descending
-    cands = {c.label: c for c in candidate_x_partitions(D, ys, gr, cfg4())}
+    cands = {c.label: c for c in candidate_x_partitions(D, gr, cfg4())}
     assert cands["MINGAP"].x1 == (1, 2)
     assert cands["X1FWD"].x1 == (0,) and cands["X1FWD"].p == Fraction(1, 2)
     assert cands["X2SIGN"].x1 == (0,) and cands["X2SIGN"].p == Fraction(3, 8)
@@ -187,10 +187,9 @@ def test_candidate_shapes_single_huge():
     arcs = [(0, y) for y in range(2, 8)]
     arcs += [(1, 2), (1, 3), (4, 1), (5, 1)]
     D = from_arc_list(8, arcs)
-    xs, ys = [0, 1], list(range(2, 8))
-    gr = min_gap_partition(D, xs, ys)
+    gr = min_gap_partition(D, [0, 1])
     assert gr.huge == (0,) and gr.k == 0
-    cands = {c.label: c for c in candidate_x_partitions(D, ys, gr, cfg4())}
+    cands = {c.label: c for c in candidate_x_partitions(D, gr, cfg4())}
     assert "SINGLE-HUGE" in cands
     assert cands["SINGLE-HUGE"].x1 == (0,)
     assert cands["SINGLE-HUGE"].p == Fraction(1, 2)
@@ -200,9 +199,9 @@ def test_candidate_shapes_single_huge():
 def test_even_huge_raises_and_engine_falls_back():
     D = from_arc_list(6, [(0, 2), (0, 3), (0, 4), (0, 5),
                           (1, 2), (1, 3), (1, 4), (1, 5)])
-    gr = min_gap_partition(D, [0, 1], [2, 3, 4, 5])
+    gr = min_gap_partition(D, [0, 1])
     with pytest.raises(HugeSetEvenError):
-        candidate_x_partitions(D, [2, 3, 4, 5], gr, cfg4())
+        candidate_x_partitions(D, gr, cfg4())
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         out = partition(D, EngineConfig(d=1, trials=16, seed=0))
@@ -213,25 +212,25 @@ def test_even_huge_raises_and_engine_falls_back():
 def test_extension_degenerate_cases():
     D = gen_skew_d4(12)
     cand = CandidateXPartition("MINGAP", (4,), (0, 1, 2, 3), Fraction(1, 2))
-    bip = extend_partition_randomized(D, cand, range(5, 12),
-                                      cfg4(trials=4, seed=0), improve=False)
-    assert set(bip.side1()) - set(range(5, 12)) == {4}
+    _, _, A = extension_trial_cuts(D, cand, cfg4(trials=4, seed=0))
+    assert A.shape == (4, 7)  # one column per vertex of Y = 5..11
 
-    # p = 0 sends all of Y to side 2
+    # p = 0 sends all of Y to side 2 in every trial
     c0 = CandidateXPartition("MINGAP", (4,), (0, 1, 2, 3), Fraction(0))
-    b0 = extend_partition_randomized(D, c0, range(5, 12),
-                                     cfg4(trials=4, seed=0), improve=False)
-    assert b0.side1() == (4,)
-    c = cut_counts(D, b0)
+    e12s, e21s, A0 = extension_trial_cuts(D, c0, cfg4(trials=4, seed=0))
+    assert not A0.any()
+    c = cut_counts(D, Bipartition.from_side1(D.n, (4,)))
     assert c.e12 == e_between(D, [4], [0, 1, 2, 3]) + e_between(D, [4], range(5, 12))
+    assert e12s.tolist() == [c.e12] * 4 and e21s.tolist() == [c.e21] * 4
 
 
 def test_extension_empty_y_is_exact():
     D = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
     cand = CandidateXPartition("MINGAP", (0,), (1, 2), Fraction(1, 2))
-    bip = extend_partition_randomized(D, cand, [], EngineConfig(d=1, trials=8, seed=1),
-                                      improve=False)
-    assert bip.side1() == (0,) and bip.side2() == (1, 2)
+    e12s, e21s, A = extension_trial_cuts(D, cand, EngineConfig(d=1, trials=8, seed=1))
+    assert A.shape == (8, 0)
+    c = cut_counts(D, Bipartition.from_side1(D.n, (0,)))
+    assert e12s.tolist() == [c.e12] * 8 and e21s.tolist() == [c.e21] * 8
 
 
 def test_extension_rejects_vertices_outside_the_graph():
@@ -240,16 +239,15 @@ def test_extension_rejects_vertices_outside_the_graph():
     for x1 in ((5,), (-1,)):
         cand = CandidateXPartition("MINGAP", x1, (1, 2), Fraction(1, 2))
         with pytest.raises(PartitionError):
-            extension_trial_cuts(D, cand, [], cfg)
+            extension_trial_cuts(D, cand, cfg)
         with pytest.raises(PartitionError):
-            extend_partition_randomized(D, cand, [], cfg)
+            extend_partition_randomized(D, cand, cfg)
 
 
 def test_triangle_extension_hits_optimum():
     D = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
     cand = CandidateXPartition("MINGAP", (), (), Fraction(1, 2))
-    bip = extend_partition_randomized(D, cand, range(3),
-                                      EngineConfig(d=1, trials=64, seed=0))
+    bip = extend_partition_randomized(D, cand, EngineConfig(d=1, trials=64, seed=0))
     c = cut_counts(D, bip)
     assert min(c.e12, c.e21) == 1
 
@@ -258,11 +256,11 @@ def test_trial_streams_reproducible_and_label_dependent():
     D = gen_skew_d4(20)
     cand = CandidateXPartition("MINGAP", (4,), (0, 1, 2, 3), Fraction(1, 2))
     cfg = cfg4(trials=32, seed=9)
-    a1 = extension_trial_cuts(D, cand, range(5, 20), cfg)
-    a2 = extension_trial_cuts(D, cand, range(5, 20), cfg)
+    a1 = extension_trial_cuts(D, cand, cfg)
+    a2 = extension_trial_cuts(D, cand, cfg)
     assert np.array_equal(a1[2], a2[2])
     other = CandidateXPartition("X1FWD", (4,), (0, 1, 2, 3), Fraction(1, 2))
-    b = extension_trial_cuts(D, other, range(5, 20), cfg)
+    b = extension_trial_cuts(D, other, cfg)
     assert not np.array_equal(a1[2], b[2])  # stream keyed by label too
 
 
@@ -345,11 +343,10 @@ def test_refined_extension_has_no_improving_single_or_pair_flip(data):
         tuple(v for v in range(n) if role[v] == 2),
         Fraction(1, 2),
     )
-    ys = [v for v in range(n) if role[v] == 0]
     # a round cap no run reaches, so single flips stop only at a local optimum
     cfg = EngineConfig(d=1, trials=4, seed=data.draw(st.integers(0, 100)),
                        local_improve_rounds=10 ** 6)
-    sides = np.array(extend_partition_randomized(D, cand, ys, cfg).sides)
+    sides = np.array(extend_partition_randomized(D, cand, cfg).sides)
     here = _flip_key(D, sides)
     for u in range(n):
         assert _flip_key(D, sides, u) <= here
@@ -466,10 +463,10 @@ def test_extension_trial_cuts_match_each_materialised_trial(data):
     ys = [v for v in range(D.n) if role[v] == 0]
     cfg = EngineConfig(d=1, trials=data.draw(st.sampled_from((1, 7, 8, 9, 65))),
                        seed=data.draw(st.integers(0, 100)))
-    e12s, e21s, A = extension_trial_cuts(D, cand, ys, cfg)
+    e12s, e21s, A = extension_trial_cuts(D, cand, cfg)
     assert e12s.dtype == e21s.dtype == np.int64
     assert A.shape == (cfg.trials, len(ys)) and A.dtype == bool
-    ref = reference_extension_trial_cuts(D, cand, ys, cfg)
+    ref = reference_extension_trial_cuts(D, cand, cfg)
     assert np.array_equal(A, ref[2])
     assert e12s.tolist() == ref[0].tolist() and e21s.tolist() == ref[1].tolist()
     trial_sides = []
@@ -484,8 +481,8 @@ def test_extension_trial_cuts_match_each_materialised_trial(data):
     # tie often
     best = max(range(cfg.trials),
                key=lambda t: (min(e12s[t], e21s[t]), e12s[t] + e21s[t]))
-    kept = extend_partition_randomized(D, cand, ys, cfg, improve=False)
-    assert kept == trial_sides[best]
+    # and the extension polishes exactly that trial
+    assert extend_partition_randomized(D, cand, cfg) == _refine(D, trial_sides[best], cfg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -590,26 +587,29 @@ def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
     sp = split_by_degree(D, cfg)
     assert sp.x and sp.y.dtype == np.int64
     assert sp.y.tolist() == sorted(set(range(D.n)) - set(sp.x))
-    gr = min_gap_partition(D, sp.x, sp.y)
+    gr = min_gap_partition(D, sp.x)
     tr = essential_tight_components(D, sp.y)
-    cand = CandidateXPartition("MINGAP", gr.x1, gr.x2, Fraction(5, 14))
 
-    def results(x, y):
-        e12s, e21s, A = extension_trial_cuts(D, cand, y, cfg)
-        cert = build_certificate(D, x, y, gr, tr, cfg, candidates=[cand])
+    def results(x, x1, x2):
+        g = min_gap_partition(D, x)
+        cand = CandidateXPartition("MINGAP", x1, x2, Fraction(5, 14))
+        e12s, e21s, A = extension_trial_cuts(D, cand, cfg)
+        cert = build_certificate(D, g, tr, cfg, candidates=[cand])
         return (
-            min_gap_partition(D, x, y),
+            g,
             e12s.tolist(), e21s.tolist(), A.tolist(),
-            extend_partition_randomized(D, cand, y, cfg),
-            essential_tight_components(D, y),
+            extend_partition_randomized(D, cand, cfg),
             json.dumps(cert.to_jsonable(), sort_keys=True),
         )
 
-    expected = results(sp.x, sp.y)
+    expected = results(sp.x, gr.x1, gr.x2)
+    assert expected[0] == gr
     assert e_between(D, sp.x, sp.x) == e_x
     # with e(X) = 0 the certificate counts |Y|, which a repeated id must not move
     assert ('"gap-le-ysize"' in expected[-1]) == (e_x == 0)
-    for x, y in zip(vertex_set_forms(sp.x), vertex_set_forms(sp.y.tolist())):
-        assert results(x, y) == expected
+    for forms in zip(*map(vertex_set_forms, (sp.x, gr.x1, gr.x2))):
+        assert results(*forms) == expected
+    for y in vertex_set_forms(sp.y.tolist()):
+        assert essential_tight_components(D, y) == tr
     json.dumps(partition(D, cfg).to_jsonable())  # a numpy scalar would raise
 

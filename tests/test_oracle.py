@@ -73,7 +73,7 @@ def test_limit_guard():
     with pytest.raises(TooLargeError):
         exact_max_min_cut(D, limit=24)
     with pytest.raises(TooLargeError):
-        exact_min_gap(D, range(26), [], limit=24)
+        exact_min_gap(D, range(26), limit=24)
 
 
 def test_witness_is_reproducible_and_valid():
@@ -89,23 +89,21 @@ def test_witness_is_reproducible_and_valid():
 def test_min_gap_oracle_definitional():
     D = gen_random_minout(9, 2, extra=2, seed=11)
     xs = [0, 2, 5, 7]
-    ys = sorted(set(range(9)) - set(xs))
-    res = exact_min_gap(D, xs, ys)
+    res = exact_min_gap(D, xs)
     best = min(
         abs(gap(D,
                 [v for i, v in enumerate(xs) if pick >> i & 1],
-                [v for i, v in enumerate(xs) if not pick >> i & 1],
-                ys))
+                [v for i, v in enumerate(xs) if not pick >> i & 1]))
         for pick in range(2 ** len(xs))
     )
     assert res.theta_abs_min == best
-    assert abs(gap(D, res.x1, res.x2, ys)) == best
+    assert abs(gap(D, res.x1, res.x2)) == best
     assert res.evaluated == 2 ** len(xs)
 
 
 def test_min_gap_witness_pinned_on_skew_instance():
     D = gen_skew_d4(20)
-    res = exact_min_gap(D, range(5), range(5, 20))
+    res = exact_min_gap(D, range(5))
     assert res.theta_abs_min == 15
     assert res.x1 == (1,)  # first optimum in the scan order, frozen
 
