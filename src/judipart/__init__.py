@@ -44,7 +44,7 @@ from .errors import (
     TooSmallError,
     VertexOutOfRangeError,
 )
-from .gap import GapResult, MfMb, gap, mf_mb, min_gap_partition
+from .mingap import GapResult, MfMb, gap, mf_mb, min_gap_partition
 from .oracle import OracleGapResult, OracleResult, exact_max_min_cut, exact_min_gap
 from .tight import (
     TightReport,

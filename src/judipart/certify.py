@@ -26,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import Digraph, arc_census, split_masks
+from .digraph import Digraph, split_masks
 from .errors import IdentityViolationError, NotApplicableError, PartitionError
-from .gap import GapResult, MfMb, mf_mb
+from .mingap import GapResult, MfMb, mf_mb
 from .tight import TightReport
 
 _CHAIN_SLACK = Fraction(1, 1000)  # the n fraction chain-05-slack allows
@@ -140,7 +140,7 @@ def compute_bundle(D: Digraph, gr: GapResult, tr: TightReport, cfg) -> QuantityB
     """The measured quantities for X = gr.x and Y = V - X."""
     (in_x,) = split_masks(D.n, [gr.x], "X")
     in_y = ~in_x
-    to_y, from_y = arc_census(D, in_y)
+    to_y, from_y = gr.y_census
     m1 = int(to_y[in_x].sum() + from_y[in_x].sum())
     m2 = int(np.count_nonzero(in_y[D.tails] & in_y[D.heads]))
     e_x = int(np.count_nonzero(in_x[D.tails] & in_x[D.heads]))
@@ -425,7 +425,7 @@ def build_certificate(
     for cand in candidates:
         if set(cand.x1) | set(cand.x2) != x:
             raise PartitionError(f"candidate {cand.label} does not split X")
-        mm = mf_mb(D, cand.x1, cand.x2)
+        mm = mf_mb(D, cand.x1, cand.x2, gr.y_census)
         f, h = eval_f_h(bundle, cand, mm)
         scores.append(CandidateScore(
             label=cand.label, p=Fraction(cand.p), f=f, h=h,

@@ -37,7 +37,7 @@ from .engine import (
     split_by_degree,
 )
 from .errors import InputError, LimitError
-from .gap import min_gap_partition
+from .mingap import min_gap_partition
 from .generators import FAMILIES
 from .oracle import exact_max_min_cut
 from .tight import essential_tight_components

@@ -8,9 +8,10 @@ trial with single-vertex flips (and, when n <= 128, two-vertex flips), and keep
 the overall best. Every step ranks cuts by (min{e12, e21}, e12 + e21).
 
 A trial's cut is linear in its Y-assignment apart from the Y-Y arcs with both
-ends on side 1, so the trials are packed 8 to a byte, one row of bytes per Y
+ends on side 1, so the trials are packed 64 to a word, one row of words per Y
 vertex, and every trial's (e12, e21) comes from bit counts over those rows
-(extension_trial_cuts); nothing of size trials x arcs is built.
+(extension_trial_cuts); nothing of size trials x arcs or trials x |Y| is
+built.
 
 The local search keeps one state: c[v], the number of arcs, either way,
 between v and side 1. A flip's effect on (e12, e21) follows from c and v's
@@ -34,12 +35,13 @@ one. X, which records hold, is a tuple; any integer sequence is accepted and
 checked (digraph.split_masks). Y appears as a sorted int64 index array only
 where tau needs it (DegreeSplit.y, essential_tight_components).
 
-Randomness contract: trial t of candidate labeled L draws its stream from
-(seed, crc32(L), t), so results are reproducible and independent of execution
-order. The stream is exactly that of
-np.random.default_rng(np.random.SeedSequence((seed, crc32(L), t))); the
-PCG64 states of all trials are derived in one vectorized pass over t
-(_pcg_states), and one generator draws each trial from its own state.
+Randomness contract: candidate labeled L draws all its trials from one
+stream, np.random.default_rng(np.random.SeedSequence((seed, crc32(L)))),
+trial-major: trial t is the t-th block of |Y| draws, Y vertex i (ascending)
+going to side 1 when its draw is below p. So the trials are exactly
+rng.random((trials, |Y|)) < p, results are reproducible and independent of
+execution order, and a run with more trials only adds trials after the
+first ones (_trial_words draws them 64 at a time).
 
 Candidate labels and their p:
 
@@ -78,7 +80,6 @@ from .digraph import (
     max_degree,
     min_outdegree,
     split_masks,
-    vertex_mask,
 )
 from .errors import (
     EmptyGraphError,
@@ -86,8 +87,9 @@ from .errors import (
     InputError,
     MinOutdegreeWarning,
     PartitionError,
+    TooLargeError,
 )
-from .gap import GapResult, min_gap_partition
+from .mingap import GapResult, min_gap_partition
 from .tight import essential_tight_components
 
 CANDIDATE_ORDER = ("MINGAP", "X1FWD", "X2SIGN", "X3SIGN", "X4", "X5", "SINGLE-HUGE")
@@ -114,8 +116,6 @@ class EngineConfig:
             )
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > 2 ** 32:  # trial t is one 32-bit word of its stream's seed
-            raise InputError(f"trials must be <= 2**32, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.local_improve_rounds < 0:
@@ -279,7 +279,7 @@ def candidate_x_partitions(
         out.append(
             CandidateXPartition("X4", *_place(D, (huge[0],) + nonhuge, huge[1:]), p4)
         )
-        to_y, from_y = arc_census(D, ~vertex_mask(D.n, gr.x, "X"))
+        to_y, from_y = gr.y_census
         balanced = np.minimum(to_y, from_y)[list(huge)].tolist()
         vi = huge[max(range(len(huge)), key=lambda i: (balanced[i], -i))]
         restv = tuple(v for v in huge if v != vi)
@@ -300,98 +300,43 @@ def _dedupe(cands: list[CandidateXPartition]) -> list[CandidateXPartition]:
     return list(first.values())
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# The trials are drawn _DRAW_BLOCK floats at a time and packed _PACK_COLS Y
+# vertices at a time, so the float64 block (256 kB) and the transposed bool
+# block (256 kB) stay the same size for any |Y| and trials.
+_DRAW_BLOCK = 1 << 15
+_PACK_COLS = 1 << 12
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..count, as a (count + 1, 1) column."""
-    steps = np.full(count + 1, mult, dtype=np.uint32)
-    steps[0] = init
-    return np.cumprod(steps, dtype=np.uint32)[:, None]
+def _trial_words(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndarray:
+    """Bit t % 64 of words[i, t // 64] is 1 when Y vertex i sits on side 1 in
+    trial t: the (ysize, ceil(trials / 64)) uint64 packing of
+    np.random.default_rng(SeedSequence((cfg.seed, crc32(label)))).random(
+    (cfg.trials, ysize)) < p, bits past the last trial 0.
 
-
-def _hashmix(words: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
-    """SeedSequence's hashmix for hash calls k..k+count-1 at once: row i of
-    the result hashes words (row i of words, if it has several rows) with the
-    constants of call k + i."""
-    h = (words ^ consts[k:k + count]) * consts[k + 1:k + count + 1]
-    return h ^ (h >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return r ^ (r >> 16)
-
-
-def _pcg_states(seed: int, tag: int, trials: int) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence((seed, tag, t))) for every
-    t < trials, derived for all t in one pass; tag < 2**32, trials <= 2**32.
-
-    The entropy words are seed's words, then tag, then t. Only t differs
-    between trials, so each pool word is one uint32 row over the trials,
-    and a constant word is a one-element array that broadcasts over them.
-    Every product wraps mod 2**32 on arrays (numpy scalars would warn)."""
-    # seed's 32-bit little-endian words (0 is the one word 0), then tag
-    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.array([w], dtype=np.uint32) for w in words + [tag]]
-    entropy.append(np.arange(trials, dtype=np.uint32))
-    extra = entropy[4:]  # words past the pool, mixed into every pool word
-    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * len(extra))
-    pool = np.zeros((4, trials), dtype=np.uint32)
-    for i, w in enumerate(entropy[:4]):
-        pool[i] = w
-    pool = _hashmix(pool, consts, 0, 4)  # unfilled pool words hash 0
-    k = 4
-    for src in range(4):  # pool[src] is fixed while it mixes into the others
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, 3))
-        k += 3
-    for w in extra:
-        pool = _mix(pool, _hashmix(w, consts, k, 4))
-        k += 4
-    # generate_state(4, uint64): 8 words cycling the pool, paired little-endian
-    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
-    v = (out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << np.uint64(32))).tolist()
-    states = []
-    for v0, v1, v2, v3 in zip(*v):
-        inc = (((v2 << 64 | v3) << 1) | 1) & _MASK128
-        states.append((((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _trial_matrix(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndarray:
-    """Row t: ysize draws of np.random.default_rng(SeedSequence((cfg.seed,
-    crc32(label), t))).random(), compared with p.
-
-    _pcg_states seeds every row at once, as SeedSequence and PCG64 do:
-    - hashmix(w) = h ^ (h >> 16), h = (w ^ a_k) * a_(k+1) mod 2**32 with
-      a_k = INIT_A * MULT_A**k, k counting the hash calls; mix(x, y) =
-      r ^ (r >> 16), r = L * x - R * y mod 2**32;
-    - the 4-word pool is hashmix of the first 4 entropy words (0 past the
-      end), then every pool word mixes the hashmix of every other one, in
-      order, then each entropy word past the 4th mixes into every pool word;
-    - generate_state(4, uint64) hashes the pool twice round with
-      b_k = INIT_B * MULT_B**k in place of a_k and pairs the 8 words
-      little-endian into v0..v3;
-    - PCG64 takes inc = ((v2 << 64 | v3) << 1 | 1) mod 2**128 and
-      state = ((inc + (v0 << 64 | v1)) * M + inc) mod 2**128, M its 128-bit
-      multiplier.
-    One generator then draws every row from its assigned state, so each row
-    is bit-identical to building the row's generator on its own."""
-    A = np.empty((cfg.trials, ysize), dtype=bool)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for t, (state, inc) in enumerate(_pcg_states(cfg.seed, crc32(label.encode("utf-8")),
-                                                 cfg.trials)):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        A[t] = rng.random(ysize) < p
-    return A
+    The trials are drawn in order, 64 at a time. A chunk's rows x ysize
+    booleans fill from _DRAW_BLOCK-float draws (the stream is continuous, so
+    the block size does not change the bits), then each _PACK_COLS columns
+    are transposed and packed into one little-endian word per Y vertex.
+    Columns are contiguous (Fortran order), one per 64 trials."""
+    words = np.zeros((ysize, -(-cfg.trials // 64)), dtype="<u8", order="F")
+    tag = crc32(label.encode("utf-8"))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
+    chunk = np.empty(min(64, cfg.trials) * ysize, dtype=bool)
+    floats = np.empty(min(_DRAW_BLOCK, chunk.size))
+    for w in range(words.shape[1] if ysize else 0):
+        rows = min(64, cfg.trials - 64 * w)
+        flat = chunk[: rows * ysize]
+        for lo in range(0, flat.size, _DRAW_BLOCK):
+            block = floats[: min(_DRAW_BLOCK, flat.size - lo)]
+            rng.random(out=block)
+            np.less(block, p, out=flat[lo:lo + block.size])
+        bits = flat.reshape(rows, ysize)
+        dest = words[:, w].view(np.uint8).reshape(ysize, 8)
+        for lo in range(0, ysize, _PACK_COLS):
+            dest[lo:lo + _PACK_COLS, : -(-rows // 8)] = np.packbits(
+                np.ascontiguousarray(bits[:, lo:lo + _PACK_COLS].T), axis=1,
+                bitorder="little")
+    return words
 
 
 _PAIR_LIMIT = 128  # the pair scan is an n x n pass; keep it off large graphs
@@ -455,20 +400,32 @@ def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
 
 # _BITS[v, j] is bit j of the byte value v, little-endian as np.packbits packs
 _BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+# a bincount takes _ROW_BLOCK rows of one column: 2 MB of int64 codes
+_ROW_BLOCK = 1 << 15
 
 
-def _bit_sums(rows: np.ndarray, weights=None) -> np.ndarray:
-    """Column sums of the bit matrix that rows (r x 8k bytes) packs, one
-    column per bit, optionally weighted per row. Each 64-bit word of columns
-    takes one bincount over (byte position, byte value) codes, then the bit
-    table; going a word at a time keeps the codes at r x 8 for any trials."""
-    w = None if weights is None else np.repeat(weights, 8)
-    sums = []
-    for word in range(0, rows.shape[1], 8):
-        codes = (rows[:, word:word + 8] + np.arange(0, 256 * 8, 256)).ravel()
-        counts = np.bincount(codes, weights=w, minlength=256 * 8)
-        sums.append(counts.reshape(8, 256) @ _BITS)
-    return np.concatenate(sums).ravel()
+def _bit_sums(words: np.ndarray, weights=None, pairs=None) -> np.ndarray:
+    """Per trial t: how many rows of words (r x k, trial t at bit t % 64 of
+    column t // 64) have bit t set, or the sum of their weights; with
+    pairs = (a, b), counted over the rows words[a] & words[b] instead.
+    Returns 64k int64 sums.
+
+    Each column takes one bincount over (byte position, byte value) codes per
+    _ROW_BLOCK rows, then the bit table, so the codes stay at _ROW_BLOCK x 8
+    for any r and trials."""
+    rows = len(words) if pairs is None else len(pairs[0])
+    sums = np.zeros((words.shape[1], 64))
+    for w in range(words.shape[1]):
+        col = words[:, w]
+        for lo in range(0, rows, _ROW_BLOCK):
+            at = slice(lo, lo + _ROW_BLOCK)
+            block = col[at] if pairs is None else col[pairs[0][at]] & col[pairs[1][at]]
+            codes = (block.view(np.uint8).reshape(-1, 8) + np.arange(0, 256 * 8, 256)).ravel()
+            wt = None if weights is None else np.repeat(weights[at], 8)
+            counts = np.bincount(codes, weights=wt, minlength=256 * 8)
+            sums[w] += (counts.reshape(8, 256) @ _BITS).ravel()
+    # float64 sums of integers far below 2**53: exact
+    return sums.ravel().astype(np.int64)
 
 
 def extension_trial_cuts(
@@ -477,41 +434,39 @@ def extension_trial_cuts(
     cfg: EngineConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (e12, e21) for cfg.trials independent assignments of
-    Y = V - x1 - x2, plus the trial matrix itself (trials x |Y| booleans,
-    True = side 1, one column per Y vertex in ascending order).
+    Y = V - x1 - x2, plus the trials themselves packed as _trial_words does
+    (one row of words per Y vertex in ascending order, bit set = side 1).
 
     With a_t(y) = 1 when y sits on side 1 in trial t, each trial's cut is
     linear in a_t apart from the Y-Y arcs with both ends on side 1:
     e12_t = e(X1, V - X1) + sum_y a_t(y) w12(y) - both_t with
     w12(y) = outdeg(y) - e(y, X1) - e(X1, y), and e21_t likewise with
-    e(V - X1, X1) and indeg(y). The trials are packed 8 to a byte, one row
-    of bytes per Y vertex, so both_t is an AND of two rows per Y-Y arc and
-    every per-trial sum is a bit count (_bit_sums); nothing of size
-    trials x arcs is built."""
+    e(V - X1, X1) and indeg(y). both_t is an AND of two rows of words per
+    Y-Y arc, and every per-trial sum is a bit count (_bit_sums); nothing of
+    size trials x arcs or trials x |Y| is built.
+
+    Raises TooLargeError when the words, or the 64 sums each column of them
+    yields, cannot be addressed."""
     side1x, in_x2 = split_masks(D.n, [cand.x1, cand.x2], "x1, x2")
     in_y = ~(side1x | in_x2)
-    ys = np.flatnonzero(in_y)  # trial-matrix columns, ascending
+    ys = np.flatnonzero(in_y)  # rows of words, ascending
+    if max(len(ys), 64) * -(-cfg.trials // 64) >= np.iinfo(np.intp).max // 8:
+        raise TooLargeError(
+            f"{cfg.trials} trials over |Y| = {len(ys)} are too many to pack")
     to_x1, from_x1 = arc_census(D, side1x)
     deg_x1 = (to_x1 + from_x1)[ys]
     yindex = np.full(D.n, -1, dtype=np.int64)
     yindex[ys] = np.arange(len(ys))
     yy = in_y[D.tails] & in_y[D.heads]
 
-    A = _trial_matrix(cand.label, float(cand.p), len(ys), cfg)
-    # row i holds vertex ys[i]'s trial bits, zero-padded to whole 64-bit words
-    packed = np.zeros((len(ys), -(-cfg.trials // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-cfg.trials // 8)] = np.packbits(
-        np.ascontiguousarray(A.T), axis=1, bitorder="little")
-    words = packed.view(np.uint64)
-    both = words[yindex[D.tails[yy]]] & words[yindex[D.heads[yy]]]
-    both_t = _bit_sums(both.view(np.uint8))
-    # the weighted counts are float64 sums of integers far below 2**53: exact
-    s12 = _bit_sums(packed, D.out_degrees[ys] - deg_x1).astype(np.int64)
-    s21 = _bit_sums(packed, D.in_degrees[ys] - deg_x1).astype(np.int64)
+    words = _trial_words(cand.label, float(cand.p), len(ys), cfg)
+    both_t = _bit_sums(words, pairs=(yindex[D.tails[yy]], yindex[D.heads[yy]]))
+    s12 = _bit_sums(words, D.out_degrees[ys] - deg_x1)
+    s21 = _bit_sums(words, D.in_degrees[ys] - deg_x1)
     outside = ~side1x
     e12s = int(from_x1[outside].sum()) + s12 - both_t
     e21s = int(to_x1[outside].sum()) + s21 - both_t
-    return e12s[: cfg.trials], e21s[: cfg.trials], A
+    return e12s[: cfg.trials], e21s[: cfg.trials], words
 
 
 def extend_partition_randomized(
@@ -521,14 +476,15 @@ def extend_partition_randomized(
 ) -> Bipartition:
     """Best-of-trials random extension of (x1, x2) over Y = V - x1 - x2 with
     P(side 1) = p, polished by _refine."""
-    e12s, e21s, A = extension_trial_cuts(D, cand, cfg)
+    e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
     mins, totals = _key(e12s, e21s)
     # the first trial with the largest (min, total)
     best = int(np.argmax(np.where(mins == mins.max(), totals, -1)))
     sides = np.zeros(D.n, dtype=np.uint8)
     sides[list(cand.x1)] = 1
     sides[list(cand.x2)] = 2
-    sides[sides == 0] = np.where(A[best], 1, 2)  # Y, ascending, as A's columns
+    on1 = (words[:, best // 64] >> best % 64) & 1  # Y, ascending, as the rows
+    sides[sides == 0] = np.where(on1 == 1, 1, 2)
     return _refine(D, Bipartition(sides), cfg)
 
 

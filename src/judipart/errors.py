@@ -49,7 +49,7 @@ class PartitionError(InputError):
 # gap solver
 
 class StateLimitError(LimitError):
-    """The subset-sum table would exceed gap.MAX_TABLE_BITS bits."""
+    """The subset-sum table would exceed mingap.MAX_TABLE_BITS bits."""
 
 
 # digraph construction, oracle

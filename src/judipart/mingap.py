@@ -16,7 +16,9 @@ MAX_TABLE_BITS. When e(X) = 0, w(x) is the imbalance splus(x) = outdeg -
 indeg.
 
 Every function here takes X (or its parts x1, x2) and counts against the
-complement Y = V - X.
+complement Y = V - X. A GapResult keeps that count, the per-vertex
+(e(v, Y), e(Y, v)), so the candidates and the certificate built on it read
+Y's arcs without counting them again.
 
 Ties among minimum-gap partitions are broken deterministically: vertices
 prefer side x2 in increasing index order (equivalently, the x1-indicator
@@ -35,7 +37,7 @@ Residual quantities attached to the result (all integers):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +69,9 @@ class GapResult:
     b: int
     forward: tuple[int, ...]
     backward: tuple[int, ...]
+    # arc_census(D, Y) for Y = V - x, read-only; determined by x, so it takes
+    # no part in comparisons
+    y_census: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
 
 def _parts_and_y(D: Digraph, x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,9 +88,12 @@ def gap(D: Digraph, x1, x2) -> int:
     )
 
 
-def mf_mb(D: Digraph, x1, x2) -> MfMb:
+def mf_mb(D: Digraph, x1, x2, y_census=None) -> MfMb:
+    """Forward and backward arc mass of (x1, x2) against Y = V - x1 - x2.
+    y_census, when the caller has it, is arc_census(D, Y): a GapResult's
+    y_census for a split of its x."""
     in_x1, in_x2, in_y = _parts_and_y(D, x1, x2)
-    to_y, from_y = arc_census(D, in_y)
+    to_y, from_y = arc_census(D, in_y) if y_census is None else y_census
     z = int(to_y[in_x1].sum())
     zp = int(from_y[in_x2].sum())
     mb = int(to_y[in_x2].sum() + from_y[in_x1].sum())
@@ -153,6 +161,8 @@ def min_gap_partition(D: Digraph, x) -> GapResult:
     xa = np.flatnonzero(in_x)
     xs = tuple(xa.tolist())
     to_y, from_y = arc_census(D, ~in_x)
+    to_y.setflags(write=False)
+    from_y.setflags(write=False)
     chosen, theta = _dp_min_gap(xs, (to_y - from_y)[xa].tolist())
     theta_abs = abs(theta)
     in_x1 = set(chosen)
@@ -176,4 +186,5 @@ def min_gap_partition(D: Digraph, x) -> GapResult:
                       if (sp > 0 if v in in_x1 else sp < 0)),
         backward=tuple(v for v, sp in zip(xs, splus)
                        if (sp < 0 if v in in_x1 else sp > 0)),
+        y_census=(to_y, from_y),
     )

@@ -3,8 +3,8 @@
 The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
 Digraph container itself. The references below are the earlier, plainer
-versions of the random-graph generator, the per-trial random streams and the
-two search kernels; the fast versions must reproduce them number for number.
+versions of the random-graph generator, the trial draws and the two search
+kernels; the fast versions must reproduce them number for number.
 """
 from __future__ import annotations
 
@@ -253,14 +253,20 @@ def reference_gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -
 
 
 def reference_trial_matrix(label: str, p: float, ysize: int, cfg) -> np.ndarray:
-    """The trials x ysize assignment matrix, one SeedSequence and one
-    generator per trial: row t draws from (cfg.seed, crc32(label), t)."""
-    A = np.empty((cfg.trials, ysize), dtype=bool)
+    """The trials x ysize assignment matrix in one draw from the candidate's
+    one stream, (cfg.seed, crc32(label)): row t is the t-th block of ysize
+    draws."""
     tag = crc32(label.encode("utf-8"))
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, t)))
-        A[t] = rng.random(ysize) < p
-    return A
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
+    return rng.random((cfg.trials, ysize)) < p
+
+
+def unpack_trial_words(words: np.ndarray, trials: int) -> np.ndarray:
+    """The trials x |Y| boolean matrix that words (|Y| x ceil(trials / 64)
+    uint64, trial t at bit t % 64 of column t // 64) packs, one trial at a
+    time by shift and mask."""
+    return np.array([(words[:, t // 64] >> np.uint64(t % 64)) & np.uint64(1) == 1
+                     for t in range(trials)], dtype=bool)
 
 
 def reference_extension_trial_cuts(D: Digraph, cand, cfg):

@@ -301,9 +301,10 @@ def test_negative_generator_seed_exits_two(capsys, family, flags):
     assert rc == 2 and out == "" and err == "error: seed must be >= 0, got -1\n"
 
 
-def test_trials_beyond_one_seed_word_exit_two(tmp_path, capsys):
+def test_trials_beyond_addressable_words_exit_three(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys)
     rc, out, err = run(capsys, "partition", "--input", str(path), "--d", "4",
-                       "--trials", str(2 ** 32 + 1))
-    assert rc == 2 and out == ""
-    assert err == f"error: trials must be <= 2**32, got {2 ** 32 + 1}\n"
+                       "--trials", str(2 ** 62))
+    assert rc == 3 and out == ""
+    assert err.startswith("limit exceeded: ") and "too many to pack" in err
+    assert "Traceback" not in err

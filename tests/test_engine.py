@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 import warnings as _warnings
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from judipart import (
     InputError,
     MinOutdegreeWarning,
     PartitionError,
+    TooLargeError,
     build_certificate,
     candidate_x_partitions,
     cut_counts,
@@ -43,13 +45,14 @@ from judipart import (
     uniform_split_bound,
     verify_record,
 )
-from judipart.engine import CANDIDATE_ORDER, _pcg_states, _refine, _trial_matrix
+from judipart import certify as certify_mod, engine as engine_mod, mingap
+from judipart.engine import CANDIDATE_ORDER, _refine, _trial_words
 
 from helpers import (
     reference_extension_trial_cuts,
     reference_local_improve,
-    reference_trial_matrix,
     single_flip_cuts,
+    unpack_trial_words,
 )
 
 
@@ -122,9 +125,6 @@ def test_config_validation():
         EngineConfig(d=1, epsilon=1.5)
     with pytest.raises(InputError):
         EngineConfig(d=1, trials=0)
-    with pytest.raises(InputError, match=r"trials must be <= 2\*\*32"):
-        EngineConfig(d=1, trials=2 ** 32 + 1)
-    assert EngineConfig(d=1, trials=2 ** 32).trials == 2 ** 32
     with pytest.raises(InputError):
         EngineConfig(d=1, p_sweep=(0.7,))
     assert EngineConfig(d=4).trials == 64
@@ -212,13 +212,13 @@ def test_even_huge_raises_and_engine_falls_back():
 def test_extension_degenerate_cases():
     D = gen_skew_d4(12)
     cand = CandidateXPartition("MINGAP", (4,), (0, 1, 2, 3), Fraction(1, 2))
-    _, _, A = extension_trial_cuts(D, cand, cfg4(trials=4, seed=0))
-    assert A.shape == (4, 7)  # one column per vertex of Y = 5..11
+    _, _, words = extension_trial_cuts(D, cand, cfg4(trials=4, seed=0))
+    assert words.shape == (7, 1)  # one row per vertex of Y = 5..11
 
     # p = 0 sends all of Y to side 2 in every trial
     c0 = CandidateXPartition("MINGAP", (4,), (0, 1, 2, 3), Fraction(0))
-    e12s, e21s, A0 = extension_trial_cuts(D, c0, cfg4(trials=4, seed=0))
-    assert not A0.any()
+    e12s, e21s, words0 = extension_trial_cuts(D, c0, cfg4(trials=4, seed=0))
+    assert not words0.any()
     c = cut_counts(D, Bipartition.from_side1(D.n, (4,)))
     assert c.e12 == e_between(D, [4], [0, 1, 2, 3]) + e_between(D, [4], range(5, 12))
     assert e12s.tolist() == [c.e12] * 4 and e21s.tolist() == [c.e21] * 4
@@ -227,8 +227,8 @@ def test_extension_degenerate_cases():
 def test_extension_empty_y_is_exact():
     D = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
     cand = CandidateXPartition("MINGAP", (0,), (1, 2), Fraction(1, 2))
-    e12s, e21s, A = extension_trial_cuts(D, cand, EngineConfig(d=1, trials=8, seed=1))
-    assert A.shape == (8, 0)
+    e12s, e21s, words = extension_trial_cuts(D, cand, EngineConfig(d=1, trials=8, seed=1))
+    assert words.shape == (0, 1)
     c = cut_counts(D, Bipartition.from_side1(D.n, (0,)))
     assert e12s.tolist() == [c.e12] * 8 and e21s.tolist() == [c.e21] * 8
 
@@ -256,42 +256,72 @@ def test_trial_streams_reproducible_and_label_dependent():
     D = gen_skew_d4(20)
     cand = CandidateXPartition("MINGAP", (4,), (0, 1, 2, 3), Fraction(1, 2))
     cfg = cfg4(trials=32, seed=9)
-    a1 = extension_trial_cuts(D, cand, cfg)
-    a2 = extension_trial_cuts(D, cand, cfg)
-    assert np.array_equal(a1[2], a2[2])
+    words1 = extension_trial_cuts(D, cand, cfg)[2]
+    words2 = extension_trial_cuts(D, cand, cfg)[2]
+    assert np.array_equal(words1, words2)
     other = CandidateXPartition("X1FWD", (4,), (0, 1, 2, 3), Fraction(1, 2))
-    b = extension_trial_cuts(D, other, cfg)
-    assert not np.array_equal(a1[2], b[2])  # stream keyed by label too
+    assert not np.array_equal(words1, extension_trial_cuts(D, other, cfg)[2])
 
 
-# one to five 32-bit seed words: 1 and 2 fill SeedSequence's 4-word pool with
-# the label word and t; 3 and up leave t, then the label word too, to be mixed
-# in past the pool
-STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100, 2 ** 130)
-YSIZE_P = [(y, p) for y in (0, 1, 13, 1000) for p in (0.0, 5 / 14, 0.5)]
+# 5000 draws per trial cross both the draw block and the packing block
+YSIZE_P = [(y, p) for y in (0, 1, 13, 1000, 5000) for p in (0.0, 5 / 14, 0.5)]
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_trial_matrix_matches_per_trial_streams(seed):
+@pytest.mark.parametrize("seed", (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100, 2 ** 130))
+def test_trial_words_pack_one_stream_per_candidate(seed):
     i = 0
     for label in CANDIDATE_ORDER:
-        for trials in (1, 7, 64, 65, 300):
+        for trials in (1, 7, 64, 65, 130):
             ysize, p = YSIZE_P[i % len(YSIZE_P)]
             i += 1
             cfg = EngineConfig(d=1, trials=trials, seed=seed)
-            A = _trial_matrix(label, p, ysize, cfg)
-            assert A.shape == (trials, ysize) and A.dtype == bool
-            assert np.array_equal(A, reference_trial_matrix(label, p, ysize, cfg))
+            words = _trial_words(label, p, ysize, cfg)
+            assert words.shape == (ysize, -(-trials // 64)) and words.dtype == np.uint64
+            want = (np.random.default_rng(np.random.SeedSequence(
+                (seed, crc32(label.encode("utf-8"))))).random((trials, ysize)) < p)
+            assert np.array_equal(unpack_trial_words(words, trials), want), (label, trials)
+            if trials % 64:  # bits past the last trial stay 0
+                assert not (words[:, -1] >> np.uint64(trials % 64)).any()
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS + (2 ** 64 - 1, 2 ** 96))
-def test_pcg_states_equal_seeded_pcg64(seed):
-    tags = [crc32(label.encode("utf-8")) for label in CANDIDATE_ORDER]
-    for tag in tags + [0, 2 ** 32 - 1]:
-        states = _pcg_states(seed, tag, 70)
-        for t in (0, 1, 2, 63, 64, 69):
-            want = np.random.PCG64(np.random.SeedSequence((seed, tag, t))).state
-            assert states[t] == (want["state"]["state"], want["state"]["inc"])
+def test_more_trials_only_add_trials():
+    D = gen_random_minout(300, 3, extra=200, seed=4)
+    cand = CandidateXPartition("X2SIGN", (0, 7), (1, 2), Fraction(3, 8))
+    e12a, e21a, words_a = extension_trial_cuts(D, cand, EngineConfig(d=3, trials=64, seed=6))
+    e12b, e21b, words_b = extension_trial_cuts(D, cand, EngineConfig(d=3, trials=130, seed=6))
+    assert e12b[:64].tolist() == e12a.tolist() and e21b[:64].tolist() == e21a.tolist()
+    assert np.array_equal(words_b[:, :1], words_a)
+
+
+def test_trial_cut_memory_grows_only_by_the_packed_trials():
+    """At 256 trials the trial cuts hold more only in the packed words
+    (|Y| x 8 bytes per 64 trials) and the per-trial sums, not a trials x |Y|
+    matrix or a per-trial copy of the Y-Y arcs. One arc per vertex, so the
+    trials, not the arcs, set the peak."""
+    D = gen_random_minout(50_000, 1, seed=2)
+    cand = CandidateXPartition("MINGAP", (), (), Fraction(1, 2))  # Y = V
+
+    def peak(trials):
+        cfg = EngineConfig(d=1, trials=trials, seed=0)
+        tracemalloc.start()
+        try:
+            extension_trial_cuts(D, cand, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extension_trial_cuts(D, cand, EngineConfig(d=1, trials=1))  # one-time set-up, unmeasured
+    growth = peak(256) - peak(64)
+    packed = D.n * (256 - 64) // 8
+    assert growth <= packed + 64 * 1024, (growth, packed)
+
+
+def test_trials_beyond_addressable_words_are_too_large():
+    D = from_arc_list(3, [(0, 1), (1, 2), (2, 0)])
+    for x1, x2 in (((), ()), ((0,), (1, 2))):  # |Y| = 3 and |Y| = 0
+        cand = CandidateXPartition("MINGAP", x1, x2, Fraction(1, 2))
+        with pytest.raises(TooLargeError, match="too many to pack"):
+            extension_trial_cuts(D, cand, EngineConfig(d=1, trials=2 ** 62))
 
 
 def test_local_improve_examples():
@@ -398,6 +428,27 @@ def test_partition_deterministic():
     assert d2.cut == a.cut or json.dumps(d2.to_jsonable()) != ja
 
 
+def test_partition_counts_the_y_arcs_once(monkeypatch):
+    """min_gap_partition counts the arcs of Y = V - X once; the X5 candidate
+    and the certificate's bundle and f/h scores read that census."""
+    D = hub_digraph(73, 3, seed=44)
+    cfg = cfg4(trials=16, seed=44)
+    in_y = np.ones(D.n, dtype=bool)
+    in_y[list(split_by_degree(D, cfg).x)] = False
+    real, over_y = engine_mod.arc_census, []
+
+    def counting(D_, in_s):
+        over_y.append(np.array_equal(in_s, in_y))
+        return real(D_, in_s)
+
+    for mod in (mingap, engine_mod, certify_mod):
+        monkeypatch.setattr(mod, "arc_census", counting, raising=False)
+    out = partition(D, cfg)
+    assert {"X4", "X5"} <= {r.label for r in out.per_candidate}
+    assert len(out.certificate.fh_values) == len(out.per_candidate)
+    assert sum(over_y) == 1
+
+
 def test_golden_outcomes_still_reproduce():
     want = json.loads(GOLDEN_OUTCOMES.read_text())
     got = golden_outcomes()
@@ -463,9 +514,10 @@ def test_extension_trial_cuts_match_each_materialised_trial(data):
     ys = [v for v in range(D.n) if role[v] == 0]
     cfg = EngineConfig(d=1, trials=data.draw(st.sampled_from((1, 7, 8, 9, 65))),
                        seed=data.draw(st.integers(0, 100)))
-    e12s, e21s, A = extension_trial_cuts(D, cand, cfg)
+    e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
     assert e12s.dtype == e21s.dtype == np.int64
-    assert A.shape == (cfg.trials, len(ys)) and A.dtype == bool
+    assert words.shape == (len(ys), -(-cfg.trials // 64))
+    A = unpack_trial_words(words, cfg.trials)
     ref = reference_extension_trial_cuts(D, cand, cfg)
     assert np.array_equal(A, ref[2])
     assert e12s.tolist() == ref[0].tolist() and e21s.tolist() == ref[1].tolist()
@@ -518,12 +570,13 @@ def test_local_improve_matches_the_one_vertex_loop_at_scale(name):
 
 # sha256 of json.dumps(partition(D, EngineConfig(d=4, trials=t)).to_jsonable(),
 # sort_keys=True): larger than the golden instances, so the local search runs
-# many flips per round
+# many flips per round. The two random digests agree: its one candidate's best
+# trial is trial 15, and a run with more trials only adds trials.
 SCALE_DIGESTS = {
-    ("random", 64): "b89bdf4a881d605cb56d852a0933a818e6ed06c086da4f33648242a66c60b9ef",
-    ("random", 20): "8d7e6198d6f247296ebe249f823132d83308a4eec78101efe3faa1ddce5575d3",
-    ("tight-union", 64): "5b1dda809bc7667931348ec118672b1c64a55d4fc6a857df8ed36d315fbe0c31",
-    ("tight-union", 20): "7bb385317037391a1e8087d2013f8cec7703bfbdddee27ee252a77fd8dec76a2",
+    ("random", 64): "da5c65c4756cab9eae64a1521a19e5921c9b0bee4be8dfe08839a882bf1cb851",
+    ("random", 20): "da5c65c4756cab9eae64a1521a19e5921c9b0bee4be8dfe08839a882bf1cb851",
+    ("tight-union", 64): "9270a298f5c7016edcc1cb81cf33300415a8184d1b53dabeb80a2e9e1df2cb36",
+    ("tight-union", 20): "3fb1e4c392bf2b8b33a36f19968027978a0cf18302d3d73013d6993c916cbdfa",
 }
 
 
@@ -593,11 +646,11 @@ def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
     def results(x, x1, x2):
         g = min_gap_partition(D, x)
         cand = CandidateXPartition("MINGAP", x1, x2, Fraction(5, 14))
-        e12s, e21s, A = extension_trial_cuts(D, cand, cfg)
+        e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
         cert = build_certificate(D, g, tr, cfg, candidates=[cand])
         return (
             g,
-            e12s.tolist(), e21s.tolist(), A.tolist(),
+            e12s.tolist(), e21s.tolist(), words.tolist(),
             extend_partition_randomized(D, cand, cfg),
             json.dumps(cert.to_jsonable(), sort_keys=True),
         )

@@ -1,7 +1,6 @@
 """Minimum-gap solver: subset-sum DP for any e(X), residual quantities."""
 from __future__ import annotations
 
-import importlib
 import random
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import arc_list, vertex_stats
+from judipart import mingap
 from judipart import (
     PartitionError,
     StateLimitError,
@@ -134,8 +134,7 @@ def test_limit_errors(monkeypatch):
     assert abs(gap(D, gr.x1, gr.x2)) == gr.theta_abs_min
     assert gap(D, gr.x1, gr.x2) == gr.theta
     E = from_arc_list(4, [(0, 2), (0, 3), (1, 2), (2, 1), (3, 1)])
-    # the package's `gap` is the function, so fetch the module by name
-    monkeypatch.setattr(importlib.import_module("judipart.gap"), "MAX_TABLE_BITS", 1)
+    monkeypatch.setattr(mingap, "MAX_TABLE_BITS", 1)
     with pytest.raises(StateLimitError, match="bits exceeds MAX_TABLE_BITS"):
         min_gap_partition(E, [0, 1])
 
