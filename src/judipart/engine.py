@@ -307,6 +307,13 @@ _DRAW_BLOCK = 1 << 15
 _PACK_COLS = 1 << 12
 
 
+def _trial_stream(label: str, seed: int) -> np.random.Generator:
+    """Candidate label's one stream under engine seed: a PCG64 seeded by
+    SeedSequence((seed, crc32(label))), the whole seed as entropy."""
+    tag = crc32(label.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence((seed, tag)))
+
+
 def _trial_words(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndarray:
     """Bit t % 64 of words[i, t // 64] is 1 when Y vertex i sits on side 1 in
     trial t: the (ysize, ceil(trials / 64)) uint64 packing of
@@ -319,8 +326,7 @@ def _trial_words(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndar
     are transposed and packed into one little-endian word per Y vertex.
     Columns are contiguous (Fortran order), one per 64 trials."""
     words = np.zeros((ysize, -(-cfg.trials // 64)), dtype="<u8", order="F")
-    tag = crc32(label.encode("utf-8"))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
+    rng = _trial_stream(label, cfg.seed)
     chunk = np.empty(min(64, cfg.trials) * ysize, dtype=bool)
     floats = np.empty(min(_DRAW_BLOCK, chunk.size))
     for w in range(words.shape[1] if ysize else 0):

@@ -46,7 +46,7 @@ from judipart import (
     verify_record,
 )
 from judipart import certify as certify_mod, engine as engine_mod, mingap
-from judipart.engine import CANDIDATE_ORDER, _refine, _trial_words
+from judipart.engine import CANDIDATE_ORDER, _refine, _trial_stream, _trial_words
 
 from helpers import (
     reference_extension_trial_cuts,
@@ -267,8 +267,15 @@ def test_trial_streams_reproducible_and_label_dependent():
 YSIZE_P = [(y, p) for y in (0, 1, 13, 1000, 5000) for p in (0.0, 5 / 14, 0.5)]
 
 
-@pytest.mark.parametrize("seed", (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100, 2 ** 130))
-def test_trial_words_pack_one_stream_per_candidate(seed):
+# one to five 32-bit seed words
+STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100, 2 ** 130)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_matrix_matches_per_trial_streams(seed):
+    """The trial matrix the words pack is, trial by trial, the candidate's one
+    stream: trial t is the t-th block of |Y| draws of
+    default_rng(SeedSequence((seed, crc32(L)))), below p means side 1."""
     i = 0
     for label in CANDIDATE_ORDER:
         for trials in (1, 7, 64, 65, 130):
@@ -282,6 +289,23 @@ def test_trial_words_pack_one_stream_per_candidate(seed):
             assert np.array_equal(unpack_trial_words(words, trials), want), (label, trials)
             if trials % 64:  # bits past the last trial stay 0
                 assert not (words[:, -1] >> np.uint64(trials % 64)).any()
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS + (2 ** 64 - 1, 2 ** 96))
+def test_pcg_states_equal_seeded_pcg64(seed):
+    """Each candidate's stream starts at the PCG64 state of
+    SeedSequence((seed, crc32(L))); every word of the seed counts, and the
+    label keys the stream."""
+    states = []
+    for label in CANDIDATE_ORDER:
+        bitgen = _trial_stream(label, seed).bit_generator
+        want = np.random.PCG64(np.random.SeedSequence((seed, crc32(label.encode("utf-8")))))
+        assert isinstance(bitgen, np.random.PCG64) and bitgen.state == want.state
+        states.append(bitgen.state["state"]["state"])
+        if seed >= 2 ** 32:  # not cut to its low word
+            low = _trial_stream(label, seed % 2 ** 32).bit_generator.state
+            assert low["state"]["state"] != states[-1]
+    assert len(set(states)) == len(CANDIDATE_ORDER)
 
 
 def test_more_trials_only_add_trials():
