@@ -157,14 +157,13 @@ def cmd_partition(args) -> int:
         raise InputError(f"--p-sweep: {exc}") from None
     cfg = EngineConfig(
         d=args.d, epsilon=args.eps, trials=args.trials, seed=args.seed,
-        local_improve_rounds=args.rounds, p_sweep=sweep,
+        p_sweep=sweep,
     )
     out = run_partition(D, cfg)
     record = _record(
         "partition", inp,
         {"d": cfg.d, "eps": cfg.epsilon, "trials": cfg.trials,
-         "seed": cfg.seed, "rounds": cfg.local_improve_rounds,
-         "p_sweep": list(sweep)},
+         "seed": cfg.seed, "p_sweep": list(sweep)},
         out.to_jsonable(), started,
     )
     lines = [
@@ -312,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="claimed min outdegree")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--rounds", type=int, default=10, help="local improve sweeps")
     p.add_argument("--p-sweep", default="", help="extra p values, comma separated")
     p.add_argument("--certify", action="store_true", help="print the full certificate")
     p.set_defaults(func=cmd_partition)

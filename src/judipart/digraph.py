@@ -192,8 +192,12 @@ def split_masks(n: int, parts: Sequence[Iterable[int]], names: str) -> list[np.n
         masks = [vertex_mask(n, p, names) for p in parts]
     except VertexOutOfRangeError as exc:
         raise PartitionError(str(exc)) from None
-    if (np.sum(masks, axis=0, dtype=np.int64) > 1).any():
-        raise PartitionError(f"{names} overlap")
+    # one AND per further part: a single part has nothing to overlap
+    seen = masks[0] if masks else None
+    for mask in masks[1:]:
+        if (seen & mask).any():
+            raise PartitionError(f"{names} overlap")
+        seen = seen | mask
     return masks
 
 

@@ -17,11 +17,12 @@ The local search keeps one state: c[v], the number of arcs, either way,
 between v and side 1. A flip's effect on (e12, e21) follows from c and v's
 degrees (_flip_deltas), and a flip moves c only at the other ends of the
 flipped vertex's arcs (Fiduccia-Mattheyses gain bookkeeping). A round screens
-every vertex in one vectorized pass, then decides the screened ones in index
-order over plain ints: an accepted flip shifts the deltas of the later
-screened vertices it shares an arc with, and c catches up in one scatter at
-the round's end. A two-vertex flip scores as the sum of its single flips plus
-a correction for the arcs joining the pair (Kernighan-Lin).
+every vertex in one vectorized pass, keeps the screened vertices that rank
+above every screened neighbour (Luby's independent set), and flips the best
+prefix of them in rank order; no arc joins two of them, so their deltas add
+exactly, and c catches up in one scatter. Rounds run until nothing is
+screened. A two-vertex flip scores as the sum of its single flips plus a
+correction for the arcs joining the pair (Kernighan-Lin).
 
 Dense or degree-flat instances skip the split entirely: when m >= 8n/eps^2 or
 max degree <= eps^2 m / 4, a plain p = 1/2 random bipartition already
@@ -102,7 +103,6 @@ class EngineConfig:
     threshold_exponent: float = 0.75
     trials: int = 64
     seed: int = 0
-    local_improve_rounds: int = 10
     p_sweep: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -118,8 +118,6 @@ class EngineConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.local_improve_rounds < 0:
-            raise InputError("local_improve_rounds must be >= 0")
         for p in self.p_sweep:
             if not 0 <= p <= 0.5:
                 raise InputError(f"p_sweep values must lie in [0, 1/2], got {p}")
@@ -413,25 +411,38 @@ _ROW_BLOCK = 1 << 15
 def _bit_sums(words: np.ndarray, weights=None, pairs=None) -> np.ndarray:
     """Per trial t: how many rows of words (r x k, trial t at bit t % 64 of
     column t // 64) have bit t set, or the sum of their weights; with
-    pairs = (a, b), counted over the rows words[a] & words[b] instead.
-    Returns 64k int64 sums.
+    pairs = (rowof, tails, heads), counted instead over the rows
+    words[rowof[tails[i]]] & words[rowof[heads[i]]] of every arc i whose two
+    ends both have a row (rowof >= 0). Returns 64k int64 sums.
 
-    Each column takes one bincount over (byte position, byte value) codes per
-    _ROW_BLOCK rows, then the bit table, so the codes stay at _ROW_BLOCK x 8
-    for any r and trials."""
-    rows = len(words) if pairs is None else len(pairs[0])
+    The rows, or the arcs, are taken _ROW_BLOCK at a time, and each block
+    gives one bincount per column over (byte position, byte value) codes,
+    then the bit table, so the codes and the pair rows stay at _ROW_BLOCK
+    entries for any r, m and trials."""
+    if pairs is not None:
+        rowof, tails, heads = pairs
+    rows = len(words) if pairs is None else len(tails)
     sums = np.zeros((words.shape[1], 64))
-    for w in range(words.shape[1]):
-        col = words[:, w]
-        for lo in range(0, rows, _ROW_BLOCK):
-            at = slice(lo, lo + _ROW_BLOCK)
-            block = col[at] if pairs is None else col[pairs[0][at]] & col[pairs[1][at]]
-            codes = (block.view(np.uint8).reshape(-1, 8) + np.arange(0, 256 * 8, 256)).ravel()
-            wt = None if weights is None else np.repeat(weights[at], 8)
-            counts = np.bincount(codes, weights=wt, minlength=256 * 8)
-            sums[w] += (counts.reshape(8, 256) @ _BITS).ravel()
+    for lo in range(0, rows, _ROW_BLOCK):
+        at = slice(lo, lo + _ROW_BLOCK)
+        if pairs is not None:
+            a, b = rowof[tails[at]], rowof[heads[at]]
+            both = (a >= 0) & (b >= 0)
+            a, b = a[both], b[both]
+        wt = None if weights is None else np.repeat(weights[at], 8)
+        for w in range(words.shape[1]):
+            col = words[:, w]
+            sums[w] += _block_bit_sums(col[at] if pairs is None else col[a] & col[b], wt)
     # float64 sums of integers far below 2**53: exact
     return sums.ravel().astype(np.int64)
+
+
+def _block_bit_sums(block: np.ndarray, wt) -> np.ndarray:
+    """The 64 per-bit counts (or weight sums) of one block of words, from one
+    bincount over (byte position, byte value) codes; the codes die here."""
+    codes = (block.view(np.uint8).reshape(-1, 8) + np.arange(0, 256 * 8, 256)).ravel()
+    counts = np.bincount(codes, weights=wt, minlength=256 * 8)
+    return (counts.reshape(8, 256) @ _BITS).ravel()
 
 
 def extension_trial_cuts(
@@ -461,12 +472,11 @@ def extension_trial_cuts(
             f"{cfg.trials} trials over |Y| = {len(ys)} are too many to pack")
     to_x1, from_x1 = arc_census(D, side1x)
     deg_x1 = (to_x1 + from_x1)[ys]
-    yindex = np.full(D.n, -1, dtype=np.int64)
-    yindex[ys] = np.arange(len(ys))
-    yy = in_y[D.tails] & in_y[D.heads]
+    rowof = np.full(D.n, -1, dtype=np.int64)
+    rowof[ys] = np.arange(len(ys))
 
     words = _trial_words(cand.label, float(cand.p), len(ys), cfg)
-    both_t = _bit_sums(words, pairs=(yindex[D.tails[yy]], yindex[D.heads[yy]]))
+    both_t = _bit_sums(words, pairs=(rowof, D.tails, D.heads))
     s12 = _bit_sums(words, D.out_degrees[ys] - deg_x1)
     s21 = _bit_sums(words, D.in_degrees[ys] - deg_x1)
     outside = ~side1x
@@ -499,23 +509,27 @@ def _arc_slices(indptr: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndar
     and for each the index in vs of the v that owns it."""
     starts = indptr[vs]
     lens = indptr[vs + 1] - starts
-    stops = np.cumsum(lens)
+    stops = lens.cumsum()
     at = np.arange(stops[-1]) + np.repeat(starts - stops + lens, lens)
     return at, np.repeat(np.arange(len(vs)), lens)
 
 
 def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
-    """Single-vertex flips; accept when min cut rises, or holds with a larger
-    total. Each accepted flip strictly raises (min, total), so this terminates
-    regardless of the round cap.
+    """Single-vertex flips, a batch of pairwise non-adjacent ones per round,
+    until no single flip raises (min cut, total cut). No setting of cfg
+    changes the search.
 
-    A round screens every vertex against the cut at the round's start, then
-    re-checks the screened ones in index order against the current cut. The
-    re-check runs over plain ints: a flip moves c only at its arcs' other
-    ends, so an accepted flip shifts the deltas of the later screened
-    vertices it shares an arc with (shift), and c itself is brought up to
-    date in one scatter at the round's end. The decisions are those of
-    flipping one vertex at a time with c updated after every flip."""
+    A round screens every vertex: a vertex is screened when its flip alone
+    raises _key. The screened vertices are ranked by (new min, new total)
+    descending, then by index, and a screened vertex is kept when it ranks
+    above every screened neighbour (Luby's independent-set step). No arc
+    joins two kept vertices, so flipping any of them moves (e12, e21) by
+    exactly the sum of their deltas. The round flips the first prefix, in
+    rank order, whose summed deltas give the best _key (the best-prefix step
+    of deterministic parallel refinement). The top vertex alone improves, so
+    every round strictly raises (min, total), which is at most m: the loop
+    ends. c then moves only at the other ends of the flipped vertices' arcs,
+    in one scatter."""
     if P.n != D.n:
         raise PartitionError("bipartition size mismatch")
     if D.m == 0 or D.n == 0:
@@ -525,41 +539,41 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     side1 = P.sides == 1
     out1, in1 = arc_census(D, side1)
     c = out1 + in1
+    sgn = np.where(side1, 1, -1)
     cut = cut_counts(D, P)
     e12, e21 = cut.e12, cut.e21
-    for _ in range(cfg.local_improve_rounds):
-        sgn = np.where(side1, 1, -1)
+    rank = np.full(D.n, D.n)  # a screened vertex's rank in its round, else n
+    while True:
         d12, d21 = _flip_deltas(sgn, c, outdeg, indeg)
-        screened = np.flatnonzero(_beats(_key(e12 + d12, e21 + d21), _key(e12, e21)))
-        if not screened.size:  # else the first screened vertex flips
+        # each flip's new min cut, and its change in the total cut; a flip
+        # raises (min, total) when low + (gain > 0) exceeds the min now
+        low, gain = np.minimum(d12 + e12, d21 + e21), d12 + d21
+        screened = (low + (gain > 0) > min(e12, e21)).nonzero()[0]
+        if not screened.size:
             break
-        k = len(screened)
-        pos = np.full(D.n, -1, dtype=np.int64)
-        pos[screened] = np.arange(k)
-        arcs, owner = _arc_slices(indptr, screened)
-        other = pos[ends[arcs]]
-        ahead = other > owner  # arc to a screened vertex checked later
-        later = other[ahead].tolist()
-        first = np.searchsorted(owner[ahead], np.arange(k + 1)).tolist()
-        signs = sgn[screened]
-        shift = [0] * k  # change in c since the round's start
-        flips = []
-        low = min(e12, e21)
-        for i, s, a, b in zip(range(k), signs.tolist(),
-                              d12[screened].tolist(), d21[screened].tolist()):
-            moved = s * shift[i]
-            x, y = e12 + a + moved, e21 + b + moved
-            if min(x, y) > low or (min(x, y) == low and x + y > e12 + e21):
-                e12, e21, low = x, y, min(x, y)
-                flips.append(i)
-                for j in later[first[i]:first[i + 1]]:
-                    shift[j] -= s
-        flipped = np.zeros(k, dtype=bool)
-        flipped[flips] = True
-        side1[screened[flipped]] ^= True
-        done = flipped[owner]
-        np.subtract.at(c, ends[arcs[done]], signs[owner[done]])
-    return Bipartition(np.where(side1, 1, 2))
+        # screened vertices best first; lexsort is stable, so index breaks ties
+        order = screened[np.lexsort((-gain[screened], -low[screened]))]
+        k = len(order)
+        rank[order] = np.arange(k)
+        arcs, owner = _arc_slices(indptr, order)  # owner is the rank
+        other = ends[arcs]
+        keep = np.ones(k, dtype=bool)
+        keep[owner[rank[other] < owner]] = False  # a screened neighbour ranks above
+        rank[order] = D.n
+        kept_rank = keep.nonzero()[0]
+        kept = order[kept_rank]
+        sum12 = d12[kept].cumsum() + e12
+        sum21 = d21[kept].cumsum() + e21
+        # the first prefix with the best (min, total)
+        pmin = np.minimum(sum12, sum21)
+        j = np.where(pmin == pmin.max(), sum12 + sum21, -1).argmax()
+        e12, e21 = int(sum12[j]), int(sum21[j])
+        # the arcs come in rank order, so the flips' arcs all lie before end
+        end = owner.searchsorted(kept_rank[j], "right")
+        done = keep[owner[:end]]
+        np.subtract.at(c, other[:end][done], sgn[order[owner[:end][done]]])
+        sgn[kept[: j + 1]] *= -1
+    return Bipartition(np.where(sgn > 0, 1, 2))
 
 
 def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:

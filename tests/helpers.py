@@ -17,7 +17,6 @@ import numpy as np
 from judipart import (
     Bipartition,
     Digraph,
-    cut_counts,
     e_between,
     from_arc_list,
     gen_eulerian_complete,
@@ -307,43 +306,66 @@ def reference_extension_trial_cuts(D: Digraph, cand, cfg):
     return e12s.astype(np.int64), e21s.astype(np.int64), A
 
 
-def reference_local_improve(D: Digraph, P: Bipartition, rounds: int) -> Bipartition:
-    """Single-vertex flips, one vertex at a time: each round screens every
-    vertex against the round's starting cut, then re-checks the screened
-    ones in index order against the current cut, accepting a flip when it
-    raises (min, total)."""
+def reference_local_improve(D: Digraph, P: Bipartition):
+    """Batched single-vertex flips over plain ints and sets, cuts recounted
+    arc by arc. Each round screens the vertices whose flip alone raises
+    (min, total), ranks them by (new min, new total) descending and then by
+    index, keeps a screened vertex when no screened neighbour ranks above it,
+    and flips the first prefix of the kept vertices, in rank order, with the
+    best summed (min, total). Stops when nothing is screened.
+
+    Asserts that each round's flips are pairwise non-adjacent, that the
+    summed deltas equal the recounted cut, and that the round strictly
+    raises (min, total). Returns the bipartition and the running (e12, e21)."""
     def key(e12, e21):
         return min(e12, e21), e12 + e21
 
-    if D.m == 0 or D.n == 0:
-        return Bipartition(P.sides)
-    outdeg, indeg = D.out_degrees, D.in_degrees
-    side1 = P.sides == 1
-    out1 = np.bincount(D.tails[side1[D.heads]], minlength=D.n)
-    in1 = np.bincount(D.heads[side1[D.tails]], minlength=D.n)
-    cut = cut_counts(D, P)
-    e12, e21 = cut.e12, cut.e21
-    for _ in range(rounds):
-        s = np.where(side1, 1, -1)
-        d12 = s * (in1 - (outdeg - out1))
-        d21 = s * (out1 - (indeg - in1))
+    arcs = arc_list(D)
+    nbrs = [set() for _ in range(D.n)]
+    for u, v in arcs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    on1 = (P.sides == 1).tolist()
+
+    def cut():
+        return (sum(on1[u] and not on1[v] for u, v in arcs),
+                sum(on1[v] and not on1[u] for u, v in arcs))
+
+    def flip_cuts():
+        """(e12, e21) after flipping each vertex alone: an arc's cut status
+        changes only when one of its ends flips."""
+        out = [[e12, e21] for _ in range(D.n)]
+        for u, v in arcs:
+            a, b = on1[u], on1[v]
+            now = (a and not b, b and not a)
+            for w, (x, y) in ((u, (not a, b)), (v, (a, not b))):
+                out[w][0] += (x and not y) - now[0]
+                out[w][1] += (y and not x) - now[1]
+        return out
+
+    e12, e21 = cut()
+    while True:
         here = key(e12, e21)
-        screened = [v for v in range(D.n)
-                    if key(e12 + int(d12[v]), e21 + int(d21[v])) > here]
-        accepted = 0
-        for v in screened:
-            sv = 1 if side1[v] else -1
-            f12 = sv * int(in1[v] - (outdeg[v] - out1[v]))
-            f21 = sv * int(out1[v] - (indeg[v] - in1[v]))
-            if key(e12 + f12, e21 + f21) > key(e12, e21):
-                e12, e21 = e12 + f12, e21 + f21
-                side1[v] = sv < 0
-                in1[D.out_neighbors(v)] -= sv
-                out1[D.in_neighbors(v)] -= sv
-                accepted += 1
-        if accepted == 0:
-            break
-    return Bipartition(np.where(side1, 1, 2))
+        after = flip_cuts()
+        new = {w: key(*after[w]) for w in range(D.n) if key(*after[w]) > here}
+        if not new:
+            return Bipartition([1 if s else 2 for s in on1]), (e12, e21)
+        ranked = sorted(new, key=lambda w: (-new[w][0], -new[w][1], w))
+        rank = {w: i for i, w in enumerate(ranked)}
+        kept = [w for w in ranked if all(rank.get(u, len(ranked)) > rank[w] for u in nbrs[w])]
+        prefixes, s12, s21 = [], e12, e21
+        for w in kept:
+            s12 += after[w][0] - e12
+            s21 += after[w][1] - e21
+            prefixes.append((s12, s21))
+        best = max(range(len(kept)), key=lambda i: (key(*prefixes[i]), -i))
+        flips = kept[:best + 1]
+        assert not any(nbrs[w] & set(flips) for w in flips)
+        for w in flips:
+            on1[w] = not on1[w]
+        assert cut() == prefixes[best]
+        assert key(*prefixes[best]) > here
+        e12, e21 = prefixes[best]
 
 
 def single_flip_cuts(D: Digraph, P: Bipartition):

@@ -70,7 +70,7 @@ def test_partition_json_record_and_determinism(tmp_path, capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["command"] == "partition"
     assert r1["version"] == __version__
-    assert r1["config"]["trials"] == 8
+    assert r1["config"] == {"d": 4, "eps": 0.01, "trials": 8, "seed": 5, "p_sweep": []}
     assert r1["outcome"] == r2["outcome"]  # wall time lives outside outcome
     assert r1["outcome"]["cut"]["min"] <= r1["outcome"]["cut"]["e12"]
     assert "wall_time_s" in r1
@@ -270,6 +270,17 @@ def test_argparse_level_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc2:
         main([])
     assert exc2.value.code == 2
+
+
+def test_partition_rounds_flag_is_a_usage_error(tmp_path, capsys):
+    """The local search runs to a single-flip optimum; there is no round cap."""
+    path = gen_instance(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--input", str(path), "--d", "4", "--rounds", "3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: judipart")
+    assert "unrecognized arguments: --rounds 3" in out.err
 
 
 @pytest.mark.parametrize("where", ["input", "x-file", "output"])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from judipart import (
     Bipartition,
     CandidateXPartition,
+    CutValue,
     EngineConfig,
     HugeSetEvenError,
     InputError,
@@ -127,6 +128,8 @@ def test_config_validation():
         EngineConfig(d=1, trials=0)
     with pytest.raises(InputError):
         EngineConfig(d=1, p_sweep=(0.7,))
+    with pytest.raises(TypeError):  # the local search has no round cap
+        EngineConfig(d=1, local_improve_rounds=10)
     assert EngineConfig(d=4).trials == 64
 
 
@@ -363,7 +366,7 @@ def test_local_improve_examples():
 
 def test_local_improve_never_degrades():
     rng = np.random.default_rng(5)
-    cfg = EngineConfig(d=1, local_improve_rounds=6)
+    cfg = EngineConfig(d=1)
     for i in range(25):
         D = gen_random_minout(9, 2, extra=int(rng.integers(0, 8)), seed=200 + i)
         P = Bipartition(rng.integers(1, 3, size=9).astype(np.uint8))
@@ -397,9 +400,7 @@ def test_refined_extension_has_no_improving_single_or_pair_flip(data):
         tuple(v for v in range(n) if role[v] == 2),
         Fraction(1, 2),
     )
-    # a round cap no run reaches, so single flips stop only at a local optimum
-    cfg = EngineConfig(d=1, trials=4, seed=data.draw(st.integers(0, 100)),
-                       local_improve_rounds=10 ** 6)
+    cfg = EngineConfig(d=1, trials=4, seed=data.draw(st.integers(0, 100)))
     sides = np.array(extend_partition_randomized(D, cand, cfg).sides)
     here = _flip_key(D, sides)
     for u in range(n):
@@ -563,13 +564,28 @@ def test_extension_trial_cuts_match_each_materialised_trial(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_local_improve_matches_the_one_vertex_loop(data):
+def test_local_improve_matches_the_batched_reference(data):
     D = data.draw(digraphs(max_n=40))
     sides = data.draw(st.lists(st.integers(1, 2), min_size=D.n, max_size=D.n))
     P = Bipartition(sides)
-    rounds = data.draw(st.sampled_from((1, 3, 10 ** 6)))
-    got = local_improve(D, P, EngineConfig(d=1, local_improve_rounds=rounds))
-    assert got == reference_local_improve(D, P, rounds)
+    assert local_improve(D, P, EngineConfig(d=1)) == reference_local_improve(D, P)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_local_improve_ends_at_a_single_flip_optimum(data):
+    """No single flip raises (min, total) after local_improve, and the cut it
+    reached is the reference's running (e12, e21), whose every round flips
+    pairwise non-adjacent vertices and strictly raises (min, total)."""
+    D = data.draw(digraphs(max_n=40))
+    sides = data.draw(st.lists(st.integers(1, 2), min_size=D.n, max_size=D.n))
+    P = Bipartition(sides)
+    got = local_improve(D, P, EngineConfig(d=1))
+    c = cut_counts(D, got)
+    assert (c.e12, c.e21) == reference_local_improve(D, P)[1]
+    e12, e21 = single_flip_cuts(D, got)
+    low, total = np.minimum(e12, e21), e12 + e21
+    assert not ((low > c.minval) | ((low == c.minval) & (total > c.e12 + c.e21))).any()
 
 
 def _relabelled(D, seed):
@@ -578,7 +594,7 @@ def _relabelled(D, seed):
 
 
 @pytest.mark.parametrize("name", ["random", "tight-union", "tight-union relabelled"])
-def test_local_improve_matches_the_one_vertex_loop_at_scale(name):
+def test_local_improve_matches_the_batched_reference_at_scale(name):
     D = {
         "random": lambda: gen_random_minout(3000, 3, extra=3000, seed=21),
         "tight-union": lambda: gen_tight_union(4, 200, augment=True),
@@ -586,10 +602,12 @@ def test_local_improve_matches_the_one_vertex_loop_at_scale(name):
             gen_tight_union(4, 200, augment=True), 22),
     }[name]()
     rng = np.random.default_rng(23)
-    for rounds in (1, 3, 10 ** 6):
+    for start in range(3):
         P = Bipartition(rng.integers(1, 3, size=D.n).astype(np.uint8))
-        got = local_improve(D, P, EngineConfig(d=1, local_improve_rounds=rounds))
-        assert got == reference_local_improve(D, P, rounds), rounds
+        got = local_improve(D, P, EngineConfig(d=1))
+        want, (e12, e21) = reference_local_improve(D, P)
+        assert got == want, start
+        assert cut_counts(D, got) == CutValue(e12, e21, min(e12, e21)), start
 
 
 # sha256 of json.dumps(partition(D, EngineConfig(d=4, trials=t)).to_jsonable(),
@@ -597,10 +615,10 @@ def test_local_improve_matches_the_one_vertex_loop_at_scale(name):
 # many flips per round. The two random digests agree: its one candidate's best
 # trial is trial 15, and a run with more trials only adds trials.
 SCALE_DIGESTS = {
-    ("random", 64): "da5c65c4756cab9eae64a1521a19e5921c9b0bee4be8dfe08839a882bf1cb851",
-    ("random", 20): "da5c65c4756cab9eae64a1521a19e5921c9b0bee4be8dfe08839a882bf1cb851",
+    ("random", 64): "3337d949aded9e5b43c9e32cd52ed330e53436aa23a7016849daa60608b731d8",
+    ("random", 20): "3337d949aded9e5b43c9e32cd52ed330e53436aa23a7016849daa60608b731d8",
     ("tight-union", 64): "9270a298f5c7016edcc1cb81cf33300415a8184d1b53dabeb80a2e9e1df2cb36",
-    ("tight-union", 20): "3fb1e4c392bf2b8b33a36f19968027978a0cf18302d3d73013d6993c916cbdfa",
+    ("tight-union", 20): "bc2d01f6844e8a85314deee45f17908f3323e4dcf825531778f60ae5f10dc85d",
 }
 
 
@@ -627,12 +645,11 @@ def test_single_flip_cuts_helper_counts_each_flip():
 
 
 def test_large_outcomes_are_single_flip_optimal_and_self_consistent():
-    """Checks that need no oracle, at n >= 2000: with no round cap the result
-    is a single-flip local optimum, the reported cut is the recomputed one,
-    and every certificate record verifies from its stored strings."""
+    """Checks that need no oracle, at n >= 2000: the result is a single-flip
+    local optimum, the reported cut is the recomputed one, and every
+    certificate record verifies from its stored strings."""
     cases = [
-        (gen_random_minout(10_000, 4, extra=10_000, seed=8),
-         cfg4(trials=16, seed=8, local_improve_rounds=10 ** 6)),
+        (gen_random_minout(10_000, 4, extra=10_000, seed=8), cfg4(trials=16, seed=8)),
         (gen_tight_union(4, 300, augment=True), cfg4(trials=16, seed=9)),
     ]
     for D, cfg in cases:
@@ -640,11 +657,10 @@ def test_large_outcomes_are_single_flip_optimal_and_self_consistent():
         assert out.cut == cut_counts(D, out.bipartition)
         assert out.certificate.checks
         assert all(verify_record(rec) for rec in out.certificate.checks)
-        if cfg.local_improve_rounds == 10 ** 6:
-            e12, e21 = single_flip_cuts(D, out.bipartition)
-            low, total = np.minimum(e12, e21), e12 + e21
-            here = (out.cut.minval, out.cut.e12 + out.cut.e21)
-            assert not ((low > here[0]) | ((low == here[0]) & (total > here[1]))).any()
+        e12, e21 = single_flip_cuts(D, out.bipartition)
+        low, total = np.minimum(e12, e21), e12 + e21
+        here = (out.cut.minval, out.cut.e12 + out.cut.e21)
+        assert not ((low > here[0]) | ((low == here[0]) & (total > here[1]))).any()
 
 
 def vertex_set_forms(vs):
