@@ -28,7 +28,6 @@ from .errors import (
     EmptyGraphError,
     EvenOrderError,
     GenParamError,
-    HugeSetEvenError,
     IdentityViolationError,
     InfeasibleParamsError,
     InputError,
@@ -46,14 +45,7 @@ from .errors import (
 )
 from .mingap import GapResult, MfMb, gap, mf_mb, min_gap_partition
 from .oracle import OracleGapResult, OracleResult, exact_max_min_cut, exact_min_gap
-from .tight import (
-    TightReport,
-    blocks,
-    essential_tight_components,
-    is_tight,
-    underlying_adjacency,
-    underlying_components,
-)
+from .tight import TightReport, essential_tight_components
 from .generators import (
     FAMILIES,
     gen_eulerian_complete,

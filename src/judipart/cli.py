@@ -9,11 +9,19 @@ One binary, six subcommands:
   certify    quantity bundle plus every in-regime inequality check
   gen        write a generated instance as an edge list (+ .props.json sidecar)
 
+One runner (main) does what every subcommand shares: it loads the instance,
+times the run, builds the record, serializes it once, prints it or the human
+text, writes it to -o, and maps errors to exit codes. A subcommand is a
+function (args, D) -> (config, outcome, human text); gen alone loads nothing,
+writes its instance and returns its own record input.
+
 Instances come from --input FILE (edge-list format: header "n m", one "u v"
 line per arc, # comments) or --gen FAMILY with family parameters (--n, --q,
 --copies, --extra, --augment, --gen-d; the analysis commands reuse --seed for
-the generator). X sets for gap/tight/certify come from --x-file (one vertex id
-per line) or --x-auto (the degree-threshold split).
+the generator). gen declares the same generator flags, but spells the
+outdegree --d: elsewhere --d is the engine's claimed outdegree. X sets for
+gap/tight/certify come from --x-file (one vertex id per line) or --x-auto
+(the degree-threshold split).
 
 Exit codes: 0 success, 2 bad input, 3 resource limit exceeded. --json emits a
 RunRecord whose "outcome" object is byte-identical across reruns with the
@@ -43,19 +51,26 @@ from .oracle import exact_max_min_cut
 from .tight import essential_tight_components
 
 
+def _add_gen_args(sp: argparse.ArgumentParser, d_flag: str) -> None:
+    """Generator parameters and --seed. The outdegree lands in gen_d: it is
+    `gen --d` but `--gen-d` wherever --d is the engine's claimed outdegree."""
+    sp.add_argument("--n", type=int, help="generator: vertex count")
+    sp.add_argument("--q", type=int, help="generator: clique order")
+    sp.add_argument(d_flag, dest="gen_d", type=int, metavar="D",
+                    help="generator: per-vertex outdegree")
+    sp.add_argument("--copies", type=int, help="generator: small-clique copies")
+    sp.add_argument("--extra", type=int, help="generator: extra random arcs")
+    sp.add_argument("--augment", action="store_true",
+                    help="generator: wire small cliques into the big one")
+    sp.add_argument("--seed", type=int, default=0)
+
+
 def _add_input_args(sp: argparse.ArgumentParser) -> None:
     """Instance source, generator parameters, seed and record output."""
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="edge-list file")
     src.add_argument("--gen", choices=sorted(FAMILIES), help="generate the instance")
-    sp.add_argument("--n", type=int, help="generator: vertex count")
-    sp.add_argument("--q", type=int, help="generator: clique order")
-    sp.add_argument("--copies", type=int, help="generator: small-clique copies")
-    sp.add_argument("--extra", type=int, help="generator: extra random arcs")
-    sp.add_argument("--gen-d", type=int, help="generator: per-vertex outdegree")
-    sp.add_argument("--augment", action="store_true",
-                    help="generator: wire small cliques into the big one")
-    sp.add_argument("--seed", type=int, default=0)
+    _add_gen_args(sp, "--gen-d")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("-o", "--output", help="also write the JSON record here")
 
@@ -68,19 +83,16 @@ def _add_x_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threshold-exp", type=float, default=0.75)
 
 
-def _gen_kwargs(family: str, args, d_flag: str) -> dict:
-    """Generator arguments from the parsed flags; the outdegree flag is
-    `gen --d` but `--gen-d` wherever --d is the engine's claimed outdegree."""
+def _gen_kwargs(family: str, args) -> dict:
+    """Generator arguments from the parsed flags."""
     _, params = FAMILIES[family]
     kwargs = {}
     for p in params:
-        flag = d_flag if p == "d" else p
-        val = getattr(args, flag)
+        val = getattr(args, "gen_d" if p == "d" else p)
         if val is None:
             if p not in ("extra", "copies"):
-                raise InputError(
-                    f"generator {family!r} needs --{flag.replace('_', '-')}"
-                )
+                flag = "gen-d" if p == "d" and args.command != "gen" else p
+                raise InputError(f"generator {family!r} needs --{flag}")
             val = 0
         kwargs[p] = val
     return kwargs
@@ -89,7 +101,7 @@ def _gen_kwargs(family: str, args, d_flag: str) -> dict:
 def _load_instance(args) -> tuple[Digraph, dict]:
     if args.input:
         return load_edge_list(args.input), {"path": args.input}
-    kwargs = _gen_kwargs(args.gen, args, "gen_d")
+    kwargs = _gen_kwargs(args.gen, args)
     func, _ = FAMILIES[args.gen]
     return func(**kwargs), {"family": args.gen, "params": kwargs}
 
@@ -97,8 +109,7 @@ def _load_instance(args) -> tuple[Digraph, dict]:
 def _load_x(args, D: Digraph) -> tuple[int, ...]:
     """X from --x-auto or --x-file (empty with neither), sorted."""
     if args.x_auto:
-        cfg = EngineConfig(d=max(getattr(args, "d", 1) or 1, 1),
-                           threshold_exponent=args.threshold_exp)
+        cfg = EngineConfig(d=1, threshold_exponent=args.threshold_exp)  # d unread
         return split_by_degree(D, cfg).x
     xs = []
     path = args.x_file
@@ -124,33 +135,7 @@ def _complement(D: Digraph, xs) -> np.ndarray:
     return np.flatnonzero(~vertex_mask(D.n, xs, "X"))
 
 
-def _emit(args, record: dict, human: str, record_path: str | None = None) -> None:
-    if args.json:
-        text = json.dumps(record, sort_keys=True, indent=2)
-    else:
-        text = human
-    if record_path is None:
-        record_path = getattr(args, "output", None)
-    if record_path:
-        with open(record_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
-    print(text)
-
-
-def _record(command: str, inp: dict, config: dict, outcome, started: float) -> dict:
-    return {
-        "command": command,
-        "input": inp,
-        "config": config,
-        "outcome": outcome,
-        "version": __version__,
-        "wall_time_s": round(time.monotonic() - started, 3),
-    }
-
-
-def cmd_partition(args) -> int:
-    started = time.monotonic()
-    D, inp = _load_instance(args)
+def cmd_partition(args, D: Digraph) -> tuple[dict, dict, str]:
     try:
         sweep = tuple(float(s) for s in args.p_sweep.split(",") if s)
     except ValueError as exc:  # the message quotes the token
@@ -160,12 +145,8 @@ def cmd_partition(args) -> int:
         p_sweep=sweep,
     )
     out = run_partition(D, cfg)
-    record = _record(
-        "partition", inp,
-        {"d": cfg.d, "eps": cfg.epsilon, "trials": cfg.trials,
-         "seed": cfg.seed, "p_sweep": list(sweep)},
-        out.to_jsonable(), started,
-    )
+    config = {"d": cfg.d, "eps": cfg.epsilon, "trials": cfg.trials,
+              "seed": cfg.seed, "p_sweep": list(sweep)}
     lines = [
         f"n={D.n} m={D.m} d={out.d_configured} (actual min outdegree {out.d_actual})",
         f"best candidate={out.candidate_used} cut: e12={out.cut.e12} "
@@ -188,13 +169,10 @@ def cmd_partition(args) -> int:
             f"certificate: {len(out.certificate.checks)} checks, "
             f"{failing} failing (--certify for detail)"
         )
-    _emit(args, record, "\n".join(lines))
-    return 0
+    return config, out.to_jsonable(), "\n".join(lines)
 
 
-def cmd_oracle(args) -> int:
-    started = time.monotonic()
-    D, inp = _load_instance(args)
+def cmd_oracle(args, D: Digraph) -> tuple[dict, dict, str]:
     res = exact_max_min_cut(D, limit=args.limit)
     outcome = {
         "optimum": res.optimum,
@@ -203,20 +181,16 @@ def cmd_oracle(args) -> int:
         "m": D.m,
         "ratio": res.optimum / D.m if D.m else 0.0,
     }
-    record = _record("oracle", inp, {"limit": args.limit}, outcome, started)
     human = (
         f"n={D.n} m={D.m} optimum={res.optimum} "
         f"ratio={outcome['ratio']:.6f}\n"
         f"witness side1={list(res.witness.side1())} "
         f"(evaluated {res.evaluated} partitions)"
     )
-    _emit(args, record, human)
-    return 0
+    return {"limit": args.limit}, outcome, human
 
 
-def cmd_gap(args) -> int:
-    started = time.monotonic()
-    D, inp = _load_instance(args)
+def cmd_gap(args, D: Digraph) -> tuple[dict, dict, str]:
     gr = min_gap_partition(D, _load_x(args, D))
     outcome = {
         "x": list(gr.x), "x1": list(gr.x1), "x2": list(gr.x2),
@@ -224,19 +198,15 @@ def cmd_gap(args) -> int:
         "huge": list(gr.huge), "k": gr.k, "g": gr.g, "b": gr.b,
         "forward": list(gr.forward), "backward": list(gr.backward),
     }
-    record = _record("gap", inp, {"x_auto": args.x_auto}, outcome, started)
     human = (
         f"|X|={len(gr.x)} theta={gr.theta} (|theta|={gr.theta_abs_min})\n"
         f"x1={list(gr.x1)}\nx2={list(gr.x2)}\n"
         f"huge={list(gr.huge)} k={gr.k} g={gr.g} b={gr.b}"
     )
-    _emit(args, record, human)
-    return 0
+    return {"x_auto": args.x_auto}, outcome, human
 
 
-def cmd_tight(args) -> int:
-    started = time.monotonic()
-    D, inp = _load_instance(args)
+def cmd_tight(args, D: Digraph) -> tuple[dict, dict, str]:
     ys = _complement(D, _load_x(args, D))
     tr = essential_tight_components(D, ys)
     outcome = {
@@ -245,7 +215,6 @@ def cmd_tight(args) -> int:
         "tight": list(tr.tight_flags),
         "essential": list(tr.essential_flags),
     }
-    record = _record("tight", inp, {"x_auto": args.x_auto}, outcome, started)
     lines = [f"|Y|={len(ys)} components={len(tr.components)} tau={tr.tau}"]
     for comp, tf, ef in list(zip(tr.components, tr.tight_flags, tr.essential_flags))[:20]:
         tag = "essential-tight" if ef else ("tight" if tf else "loose")
@@ -253,31 +222,26 @@ def cmd_tight(args) -> int:
                      + ("..." if len(comp) > 12 else ""))
     if len(tr.components) > 20:
         lines.append(f"  ... {len(tr.components) - 20} more")
-    _emit(args, record, "\n".join(lines))
-    return 0
+    return {"x_auto": args.x_auto}, outcome, "\n".join(lines)
 
 
-def cmd_certify(args) -> int:
-    started = time.monotonic()
-    D, inp = _load_instance(args)
+def cmd_certify(args, D: Digraph) -> tuple[dict, dict, str]:
     cfg = EngineConfig(d=args.d, epsilon=args.eps,
                        threshold_exponent=args.threshold_exp)
     gr = min_gap_partition(D, _load_x(args, D))
     tr = essential_tight_components(D, _complement(D, gr.x))
     cert = build_certificate(D, gr, tr, cfg)
-    record = _record("certify", inp,
-                     {"d": args.d, "eps": args.eps, "x_auto": args.x_auto},
-                     cert.to_jsonable(), started)
-    _emit(args, record, render_text(cert))
-    return 0
+    config = {"d": args.d, "eps": args.eps, "x_auto": args.x_auto}
+    return config, cert.to_jsonable(), render_text(cert)
 
 
-def cmd_gen(args) -> int:
-    started = time.monotonic()
-    kwargs = _gen_kwargs(args.family, args, "d")
+def cmd_gen(args) -> tuple[dict, dict, dict, str]:
+    """Write the instance and its .props.json; returns the record's input
+    beside what the other commands return."""
+    kwargs = _gen_kwargs(args.family, args)
     func, _ = FAMILIES[args.family]
     D = func(**kwargs)
-    save_edge_list(D, args.output)
+    save_edge_list(D, args.instance)
     props = {
         "family": args.family,
         "n": D.n,
@@ -285,17 +249,14 @@ def cmd_gen(args) -> int:
         "min_outdegree": min_outdegree(D),
         "params": {k: v for k, v in kwargs.items()},
     }
-    with open(args.output + ".props.json", "w", encoding="utf-8") as fh:
+    with open(args.instance + ".props.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(props, sort_keys=True, indent=2) + "\n")
-    record = _record("gen", {"family": args.family, "params": kwargs},
-                     {"output": args.output}, props, started)
     human = (
-        f"wrote {args.output} ({D.n} vertices, {D.m} arcs, "
+        f"wrote {args.instance} ({D.n} vertices, {D.m} arcs, "
         f"min outdegree {props['min_outdegree']})"
     )
-    # -o here is the instance path, not a record destination
-    _emit(args, record, human, record_path="")
-    return 0
+    inp = {"family": args.family, "params": kwargs}
+    return inp, {"output": args.instance}, props, human
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,24 +300,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a generated instance")
     p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--copies", type=int)
-    p.add_argument("--extra", type=int)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
+    _add_gen_args(p, "--d")
+    p.add_argument("-o", "--output", dest="instance", metavar="OUTPUT", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gen)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """The one runner (see the module docstring)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = time.monotonic()
+        if args.command == "gen":
+            inp, config, outcome, human = cmd_gen(args)
+        else:
+            D, inp = _load_instance(args)
+            config, outcome, human = args.func(args, D)
+        text = json.dumps({
+            "command": args.command,
+            "input": inp,
+            "config": config,
+            "outcome": outcome,
+            "version": __version__,
+            "wall_time_s": round(time.monotonic() - started, 3),
+        }, sort_keys=True, indent=2)
+        if getattr(args, "output", None):  # gen's -o is its instance
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        print(text if args.json else human)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

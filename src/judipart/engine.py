@@ -84,7 +84,6 @@ from .digraph import (
 )
 from .errors import (
     EmptyGraphError,
-    HugeSetEvenError,
     InputError,
     MinOutdegreeWarning,
     PartitionError,
@@ -242,17 +241,15 @@ def _place(D: Digraph, forward, backward, literal_x1=()) -> tuple[tuple, tuple]:
 def candidate_x_partitions(
     D: Digraph, gr: GapResult, cfg: EngineConfig
 ) -> list[CandidateXPartition]:
-    """Structured candidates for the given gap result (X is gr.x); the huge
-    count must be odd."""
+    """Structured candidates for the given gap result (X is gr.x). They are
+    keyed by the huge-vertex layout, which needs an odd huge count; when it
+    is even (X = () included) the MINGAP candidate is the only one."""
     huge = gr.huge
-    if len(huge) % 2 == 0:
-        raise HugeSetEvenError(
-            f"|huge| = {len(huge)} is even; only the MINGAP candidate applies"
-        )
-    k = gr.k
-    assert k is not None
-    nonhuge = tuple(sorted(set(gr.x) - set(huge)))
     out = [mingap_candidate(gr)]
+    if len(huge) % 2 == 0:
+        return out
+    k = gr.k
+    nonhuge = tuple(sorted(set(gr.x) - set(huge)))
     d = cfg.d
     p_sign = Fraction(d - 1, 2 * d)
 
@@ -577,7 +574,9 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
 
 
 def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
-    """Full pipeline; always returns the best bipartition found."""
+    """Full pipeline; always returns the best bipartition found. The shortcut
+    (X = ()) or the degree split chooses X; one candidate path follows. An
+    even huge count, X = () included, gives MINGAP alone."""
     if D.n == 0:
         raise EmptyGraphError("cannot partition an empty graph")
     d_actual = min_outdegree(D)
@@ -591,21 +590,14 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
         warns.append(msg)
 
     shortcut = uniform_split_applicable(D, cfg) or D.m >= 6272 * D.n
-    huge_even = False
-    threshold: float | None = None
     if shortcut:
-        ys = np.arange(D.n)  # Y, for tau
-        gr = min_gap_partition(D, ())
-        cands = [mingap_candidate(gr)]
+        xs, ys, threshold = (), np.arange(D.n), None
     else:
         sp = split_by_degree(D, cfg)
-        ys, threshold = sp.y, sp.threshold
-        gr = min_gap_partition(D, sp.x)
-        try:
-            cands = candidate_x_partitions(D, gr, cfg)
-        except HugeSetEvenError:
-            huge_even = True
-            cands = [mingap_candidate(gr)]
+        xs, ys, threshold = sp.x, sp.y, sp.threshold
+    gr = min_gap_partition(D, xs)
+    cands = candidate_x_partitions(D, gr, cfg)
+    huge_even = not shortcut and len(gr.huge) % 2 == 0
 
     if cfg.p_sweep:
         cands = _dedupe(cands + [

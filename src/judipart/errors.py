@@ -58,12 +58,6 @@ class TooLargeError(LimitError):
     """An instance is too large for the requested computation."""
 
 
-# engine
-
-class HugeSetEvenError(JudipartError):
-    """Huge-vertex count is even; structured candidates are undefined."""
-
-
 # certify
 
 class NotApplicableError(JudipartError):

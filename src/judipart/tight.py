@@ -30,6 +30,7 @@ clique, so it is tight (odd-clique shortcut). Only the components that neither
 rule settles reach the block DFS, the edge-stack DFS of Hopcroft and Tarjan
 (1973), on an adjacency built for their vertices only. The DFS is iterative so
 that hundred-thousand-vertex components do not hit the recursion limit.
+It is the module's only classifier.
 """
 from __future__ import annotations
 
@@ -70,12 +71,6 @@ def _adjacency(verts, lo: np.ndarray, hi: np.ndarray) -> dict[int, list[int]]:
     return adj
 
 
-def underlying_adjacency(D: Digraph, y) -> dict[int, list[int]]:
-    """Undirected adjacency of D[Y] with anti-parallel pairs collapsed."""
-    verts, lo, hi, _ = _undirected(D, y)
-    return _adjacency(verts.tolist(), lo, hi)
-
-
 def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Components of the graph on verts with edges (lo, hi).
 
@@ -104,12 +99,6 @@ def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     ends = np.cumsum(sizes).tolist()
     comps = tuple(tuple(members[s:e]) for s, e in zip([0] + ends[:-1], ends))
     return comp, sizes, comps
-
-
-def underlying_components(D: Digraph, y) -> list[tuple[int, ...]]:
-    """Connected components of the underlying undirected graph of D[Y]."""
-    verts, lo, hi, _ = _undirected(D, y)
-    return list(_components(D.n, verts, lo, hi)[2])
 
 
 def _blocks_with_edges(
@@ -175,30 +164,10 @@ def _blocks_with_edges(
     return out
 
 
-def _blocks_of(D: Digraph, vs) -> list[tuple[tuple[int, ...], int]]:
-    """Blocks with edge counts of every underlying component of D[vs]."""
-    verts, lo, hi, _ = _undirected(D, vs)
-    adj = _adjacency(verts.tolist(), lo, hi)
-    return [b for comp in _components(D.n, verts, lo, hi)[2]
-            for b in _blocks_with_edges(adj, comp)]
-
-
 def _odd_cliques(blocks_with_edges) -> bool:
     """True when every (vertices, edge count) block is an odd complete graph."""
     return all(len(vs) % 2 == 1 and e == len(vs) * (len(vs) - 1) // 2
                for vs, e in blocks_with_edges)
-
-
-def blocks(D: Digraph, vs) -> list[tuple[int, ...]]:
-    """Vertex sets of the biconnected blocks of D[vs]'s underlying graph,
-    component by component in order of their smallest vertex."""
-    return [verts for verts, _ in _blocks_of(D, vs)]
-
-
-def is_tight(D: Digraph, vs) -> bool:
-    """True when every block of every underlying component of D[vs] is a
-    complete graph on an odd vertex count."""
-    return _odd_cliques(_blocks_of(D, vs))
 
 
 def essential_tight_components(D: Digraph, y) -> TightReport:

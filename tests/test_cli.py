@@ -60,6 +60,54 @@ def test_gen_missing_required_param(tmp_path, capsys):
     assert rc == 2 and "needs --q" in err
 
 
+# every family's flags, the outdegree as OUTDEG (gen --d, elsewhere --gen-d),
+# and the engine's --d
+FAMILY_FLAGS = [
+    ("eulerian", ["--q", "7"], "3"),
+    ("tight-union", ["OUTDEG", "4", "--copies", "2", "--augment"], "4"),
+    ("star-triangle", ["--n", "8"], "1"),
+    ("skew-d4", ["--n", "20"], "4"),
+    ("skew-d6", ["--n", "30"], "6"),
+    ("random", ["--n", "30", "OUTDEG", "3", "--extra", "5"], "3"),
+]
+
+
+@pytest.mark.parametrize("family, flags, d", FAMILY_FLAGS,
+                         ids=[f for f, _, _ in FAMILY_FLAGS])
+def test_gen_and_partition_gen_share_generator_flags(tmp_path, capsys, family,
+                                                      flags, d):
+    def spelled(outdeg):
+        return [outdeg if f == "OUTDEG" else f for f in flags]
+
+    path = str(tmp_path / "inst.txt")
+    rc, _, err = run(capsys, "gen", family, *spelled("--d"), "--seed", "3", "-o", path)
+    assert rc == 0, err
+    engine = ("--d", d, "--trials", "8", "--seed", "3", "--json")
+    rc1, out1, err1 = run(capsys, "partition", "--input", path, *engine)
+    rc2, out2, err2 = run(capsys, "partition", "--gen", family,
+                          *spelled("--gen-d"), *engine)
+    assert rc1 == rc2 == 0, err1 + err2
+    assert json.loads(out1)["outcome"] == json.loads(out2)["outcome"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("partition", ["--d", "3", "--trials", "4"]),
+    ("oracle", []),
+    ("gap", ["--x-auto"]),
+    ("tight", ["--x-auto"]),
+    ("certify", ["--x-auto", "--d", "3"]),
+])
+def test_one_record_goes_to_stdout_and_to_the_file(tmp_path, capsys, command,
+                                                    flags):
+    rec_path = tmp_path / "rec.json"
+    rc, out, err = run(capsys, command, "--gen", "eulerian", "--q", "7", *flags,
+                       "--json", "-o", str(rec_path))
+    assert rc == 0, err
+    assert set(json.loads(out)) == {
+        "command", "input", "config", "outcome", "version", "wall_time_s"}
+    assert rec_path.read_text() == out  # the JSON text and one newline
+
+
 def test_partition_json_record_and_determinism(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys)
     args = ("partition", "--input", str(path), "--d", "4",
@@ -163,7 +211,7 @@ def test_gap_and_partition_with_large_x_spanning_arcs(tmp_path, capsys):
     (MemoryError(), "out of memory"),
 ])
 def test_memory_error_exits_three(monkeypatch, capsys, exc, shown):
-    def exhausted(args):
+    def exhausted(args, D):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_oracle", exhausted)

@@ -20,7 +20,6 @@ from judipart import (
     CandidateXPartition,
     CutValue,
     EngineConfig,
-    HugeSetEvenError,
     InputError,
     MinOutdegreeWarning,
     PartitionError,
@@ -40,6 +39,7 @@ from judipart import (
     gen_tight_union,
     local_improve,
     min_gap_partition,
+    mingap_candidate,
     partition,
     split_by_degree,
     uniform_split_applicable,
@@ -199,12 +199,13 @@ def test_candidate_shapes_single_huge():
     assert cands["MINGAP"].x1 == ()
 
 
-def test_even_huge_raises_and_engine_falls_back():
+def test_even_huge_gives_mingap_alone_and_engine_flags_it():
     D = from_arc_list(6, [(0, 2), (0, 3), (0, 4), (0, 5),
                           (1, 2), (1, 3), (1, 4), (1, 5)])
     gr = min_gap_partition(D, [0, 1])
-    with pytest.raises(HugeSetEvenError):
-        candidate_x_partitions(D, gr, cfg4())
+    assert len(gr.huge) == 2
+    for g in (gr, min_gap_partition(D, ())):  # X = (): no huge vertex either
+        assert candidate_x_partitions(D, g, cfg4()) == [mingap_candidate(g)]
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         out = partition(D, EngineConfig(d=1, trials=16, seed=0))

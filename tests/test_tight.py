@@ -11,16 +11,25 @@ import judipart.tight as tight_mod
 from helpers import naive_tight_report, naive_underlying, naive_blocks
 from judipart import (
     TightReport,
-    blocks,
     essential_tight_components,
     from_arc_list,
     gen_eulerian_complete,
     gen_random_minout,
     gen_tight_union,
-    is_tight,
-    underlying_adjacency,
-    underlying_components,
 )
+
+
+def all_tight(D, vs) -> bool:
+    """Every underlying component of D[vs] is tight."""
+    return all(essential_tight_components(D, vs).tight_flags)
+
+
+def dfs_blocks(D, vs) -> list[tuple[int, ...]]:
+    """Vertex sets of the blocks that the block DFS finds, run on each
+    underlying component of D[vs] with that component's adjacency."""
+    adj = {v: sorted(ws) for v, ws in naive_underlying(D, vs).items()}
+    return [verts for comp in essential_tight_components(D, vs).components
+            for verts, _ in tight_mod._blocks_with_edges(adj, comp)]
 
 
 def test_single_vertex_is_tight():
@@ -34,57 +43,54 @@ def test_single_vertex_is_tight():
 def test_triangle_variants():
     tri = [(0, 1), (1, 2), (2, 0)]
     D = from_arc_list(3, tri)
-    assert is_tight(D, (0, 1, 2))
     rep = essential_tight_components(D, range(3))
     assert rep.tight_flags == (True,) and rep.essential_flags == (True,)
 
-    # anti-parallel pair collapses in the underlying graph: still tight,
-    # no longer essential
+    # anti-parallel pair collapses in the underlying graph: still one tight
+    # triangle, no longer essential
     E = from_arc_list(3, tri + [(1, 0)])
-    adj = underlying_adjacency(E, range(3))
-    assert sorted(adj[0]) == [1, 2]
     rep2 = essential_tight_components(E, range(3))
+    assert rep2.components == ((0, 1, 2),)
     assert rep2.tight_flags == (True,) and rep2.essential_flags == (False,)
     assert rep2.tau == 0
 
 
 def test_four_cycle_and_pendant_are_not_tight():
     C4 = from_arc_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert not is_tight(C4, (0, 1, 2, 3))
+    assert not all_tight(C4, (0, 1, 2, 3))
     pend = from_arc_list(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    assert not is_tight(pend, (0, 1, 2, 3))
-    assert sorted(map(sorted, blocks(pend, (0, 1, 2, 3)))) == [[0, 1, 2], [2, 3]]
+    assert not all_tight(pend, (0, 1, 2, 3))
+    assert sorted(map(sorted, dfs_blocks(pend, (0, 1, 2, 3)))) == [[0, 1, 2], [2, 3]]
 
 
 def test_two_triangles_sharing_a_vertex():
     D = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    bl = sorted(map(sorted, blocks(D, (0, 1, 2, 3, 4))))
+    bl = sorted(map(sorted, dfs_blocks(D, (0, 1, 2, 3, 4))))
     assert bl == [[0, 1, 2], [2, 3, 4]]
-    assert is_tight(D, (0, 1, 2, 3, 4))
+    assert all_tight(D, (0, 1, 2, 3, 4))
 
 
 def test_disconnected_sets_judge_every_component():
     D = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-    assert not is_tight(D, (0, 1, 2, 3, 4))  # the edge 3-4 is an even clique
-    assert blocks(D, (0, 1, 2, 3, 4)) == [(0, 1, 2), (3, 4)]
-    assert is_tight(D, (0, 1, 2, 3))  # triangle plus an isolated vertex
-    assert blocks(D, (0, 1, 2, 3)) == [(0, 1, 2), (3,)]
+    assert not all_tight(D, (0, 1, 2, 3, 4))  # the edge 3-4 is an even clique
+    assert dfs_blocks(D, (0, 1, 2, 3, 4)) == [(0, 1, 2), (3, 4)]
+    assert all_tight(D, (0, 1, 2, 3))  # triangle plus an isolated vertex
+    assert dfs_blocks(D, (0, 1, 2, 3)) == [(0, 1, 2), (3,)]
     E = from_arc_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert is_tight(E, range(6))
-    assert blocks(E, range(6)) == [(0, 1, 2), (3, 4, 5)]
+    assert all_tight(E, range(6))
+    assert dfs_blocks(E, range(6)) == [(0, 1, 2), (3, 4, 5)]
 
 
 def test_odd_cliques_are_tight():
     for q in (5, 7):
         D = gen_eulerian_complete(q)
-        assert is_tight(D, tuple(range(q)))
+        assert all_tight(D, tuple(range(q)))
 
 
 def test_tight_union_component_census():
     D = gen_tight_union(4, copies=3)
-    comps = underlying_components(D, range(D.n))
-    assert len(comps) == 4  # three small cliques and one big one
     rep = essential_tight_components(D, range(D.n))
+    assert len(rep.components) == 4  # three small cliques and one big one
     assert all(rep.tight_flags)
     assert all(rep.essential_flags)
     assert rep.tau == 4
@@ -137,7 +143,7 @@ def test_blocks_partition_the_edges(seed):
     for comp in rep.components:
         for verts, ecount in naive_blocks(adj, comp):
             got += ecount
-        bl = blocks(D, comp)
+        bl = dfs_blocks(D, comp)
         naive_sets = sorted(tuple(v) for v, _ in naive_blocks(adj, comp))
         assert sorted(tuple(sorted(b)) for b in bl) == naive_sets
     assert got == total_edges
@@ -198,7 +204,6 @@ def test_agrees_with_naive_checker_on_glued_cliques_and_cycles(case):
     rep = essential_tight_components(D, ys)
     comps, tight, essential, tau = naive_tight_report(D, ys)
     assert rep == TightReport(tuple(comps), tight, essential, tau)
-    assert tuple(underlying_components(D, ys)) == rep.components
 
 
 def test_block_dfs_runs_only_where_no_lemma_decides(monkeypatch):
