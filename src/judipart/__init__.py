@@ -34,7 +34,6 @@ from .errors import (
     JudipartError,
     LimitError,
     LoopArcError,
-    MinOutdegreeWarning,
     NotApplicableError,
     PartitionError,
     RegularityFailureError,

@@ -200,14 +200,14 @@ def check_min_gap_bounds(bundle: QuantityBundle, ysize: int) -> list[CheckRecord
 
 def check_gap_dichotomy(bundle: QuantityBundle) -> list[CheckRecord]:
     """Either the gap is small (p = 1/2 route succeeds) or the huge set is
-    odd with a dominated head; three labeled checks."""
+    odd (k set) with a dominated head; three labeled checks."""
+    k = bundle.k
     out = [
         _rec("gap-above-ratio", "theta > m/(2d-1)",
              bundle.theta, ">", Fraction(bundle.m, 2 * bundle.d - 1)),
-        _rec("huge-odd", "|huge| is odd", len(bundle.deltas) % 2, "==", 1),
+        _rec("huge-odd", "|huge| is odd", int(k is not None), "==", 1),
     ]
-    if len(bundle.deltas) % 2 == 1:
-        k = (len(bundle.deltas) - 1) // 2
+    if k is not None:
         lead = sum(bundle.deltas[:k])
         tail = sum(bundle.deltas[k:])
         out.append(
@@ -228,12 +228,11 @@ def _delta1(bundle: QuantityBundle, j: int) -> tuple[Fraction, bool]:
 def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
     """The three general-d inequalities of the candidate analysis, plus the
     d=4, k=1 disjunction and its tau-refined bound."""
-    if len(bundle.deltas) % 2 == 0:
+    d, k = bundle.d, bundle.k
+    if k is None:
         raise NotApplicableError(
             f"candidate forms need an odd huge count, got {len(bundle.deltas)}"
         )
-    d = bundle.d
-    k = (len(bundle.deltas) - 1) // 2
     g, b, m2, n = bundle.g, bundle.b, bundle.m2, bundle.n
     lead = sum(bundle.deltas[:k])
     tail = sum(bundle.deltas[k:])
@@ -414,7 +413,7 @@ def build_certificate(
     if bundle.e_x == 0:
         checks.extend(check_min_gap_bounds(bundle, D.n - len(gr.x)))
     checks.extend(check_gap_dichotomy(bundle))
-    if len(bundle.deltas) % 2 == 1:
+    if bundle.k is not None:
         checks.extend(check_candidate_forms(bundle))
     checks.extend(check_huge_regimes(bundle))
     if bundle.d == 4 and len(bundle.deltas) == 3:

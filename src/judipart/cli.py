@@ -21,11 +21,14 @@ line per arc, # comments) or --gen FAMILY with family parameters (--n, --q,
 the generator). gen declares the same generator flags, but spells the
 outdegree --d: elsewhere --d is the engine's claimed outdegree. X sets for
 gap/tight/certify come from --x-file (one vertex id per line) or --x-auto
-(the degree-threshold split).
+(the engine's own split: total degree at least n^(3/4)); their records name
+both (config.x_auto, config.x_file).
 
 Exit codes: 0 success, 2 bad input, 3 resource limit exceeded. --json emits a
 RunRecord whose "outcome" object is byte-identical across reruns with the
-same inputs and seed.
+same inputs and seed. A --d above the instance's minimum outdegree is a
+"warning:" line of the partition text and an entry of outcome.warnings; a
+successful run writes nothing to stderr.
 """
 from __future__ import annotations
 
@@ -79,8 +82,7 @@ def _add_x_args(sp: argparse.ArgumentParser) -> None:
     xgrp = sp.add_mutually_exclusive_group()
     xgrp.add_argument("--x-file", help="file of X vertex ids, one per line")
     xgrp.add_argument("--x-auto", action="store_true",
-                      help="X from the degree threshold")
-    sp.add_argument("--threshold-exp", type=float, default=0.75)
+                      help="X from the degree threshold n^(3/4)")
 
 
 def _gen_kwargs(family: str, args) -> dict:
@@ -109,8 +111,7 @@ def _load_instance(args) -> tuple[Digraph, dict]:
 def _load_x(args, D: Digraph) -> tuple[int, ...]:
     """X from --x-auto or --x-file (empty with neither), sorted."""
     if args.x_auto:
-        cfg = EngineConfig(d=1, threshold_exponent=args.threshold_exp)  # d unread
-        return split_by_degree(D, cfg).x
+        return split_by_degree(D).x
     xs = []
     path = args.x_file
     if path is not None:
@@ -203,7 +204,7 @@ def cmd_gap(args, D: Digraph) -> tuple[dict, dict, str]:
         f"x1={list(gr.x1)}\nx2={list(gr.x2)}\n"
         f"huge={list(gr.huge)} k={gr.k} g={gr.g} b={gr.b}"
     )
-    return {"x_auto": args.x_auto}, outcome, human
+    return {"x_auto": args.x_auto, "x_file": args.x_file}, outcome, human
 
 
 def cmd_tight(args, D: Digraph) -> tuple[dict, dict, str]:
@@ -222,16 +223,16 @@ def cmd_tight(args, D: Digraph) -> tuple[dict, dict, str]:
                      + ("..." if len(comp) > 12 else ""))
     if len(tr.components) > 20:
         lines.append(f"  ... {len(tr.components) - 20} more")
-    return {"x_auto": args.x_auto}, outcome, "\n".join(lines)
+    return {"x_auto": args.x_auto, "x_file": args.x_file}, outcome, "\n".join(lines)
 
 
 def cmd_certify(args, D: Digraph) -> tuple[dict, dict, str]:
-    cfg = EngineConfig(d=args.d, epsilon=args.eps,
-                       threshold_exponent=args.threshold_exp)
+    cfg = EngineConfig(d=args.d, epsilon=args.eps)
     gr = min_gap_partition(D, _load_x(args, D))
     tr = essential_tight_components(D, _complement(D, gr.x))
     cert = build_certificate(D, gr, tr, cfg)
-    config = {"d": args.d, "eps": args.eps, "x_auto": args.x_auto}
+    config = {"d": args.d, "eps": args.eps, "x_auto": args.x_auto,
+              "x_file": args.x_file}
     return config, cert.to_jsonable(), render_text(cert)
 
 

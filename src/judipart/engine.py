@@ -1,11 +1,14 @@
 """Top-level partitioner.
 
-Pipeline: split vertices into a high-degree core X and the rest Y, solve the
-minimum-gap partition of X, derive the structured candidate partitions keyed
-by the huge-vertex layout, extend each candidate over Y by independent random
-assignment (side 1 with probability p) across repeated trials, polish the best
-trial with single-vertex flips (and, when n <= 128, two-vertex flips), and keep
-the overall best. Every step ranks cuts by (min{e12, e21}, e12 + e21).
+Pipeline: split vertices into a high-degree core X (total degree at least
+n^(3/4), one fixed rule) and the rest Y, solve the minimum-gap partition of X,
+derive the structured candidate partitions keyed by the huge-vertex layout
+(GapResult.k, None when the huge count is even), extend each candidate over Y
+by independent random assignment (side 1 with probability p) across repeated
+trials, polish the best trial with single-vertex flips (and, when n <= 128,
+two-vertex flips), and keep the overall best. Every step ranks cuts by
+(min{e12, e21}, e12 + e21). A d above the minimum outdegree is reported in
+PartitionOutcome.warnings alone.
 
 A trial's cut is linear in its Y-assignment apart from the Y-Y arcs with both
 ends on side 1, so the trials are packed 64 to a word, one row of words per Y
@@ -63,9 +66,9 @@ side 2.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isqrt
 from zlib import crc32
 
 import numpy as np
@@ -85,7 +88,6 @@ from .digraph import (
 from .errors import (
     EmptyGraphError,
     InputError,
-    MinOutdegreeWarning,
     PartitionError,
     TooLargeError,
 )
@@ -99,7 +101,6 @@ CANDIDATE_ORDER = ("MINGAP", "X1FWD", "X2SIGN", "X3SIGN", "X4", "X5", "SINGLE-HU
 class EngineConfig:
     d: int
     epsilon: float = 0.01
-    threshold_exponent: float = 0.75
     trials: int = 64
     seed: int = 0
     p_sweep: tuple[float, ...] = ()
@@ -109,10 +110,6 @@ class EngineConfig:
             raise InputError(f"d must be >= 1, got {self.d}")
         if not 0 < self.epsilon < 1:
             raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0 < self.threshold_exponent < 2:
-            raise InputError(
-                f"threshold_exponent must lie in (0, 2), got {self.threshold_exponent}"
-            )
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -202,23 +199,14 @@ def uniform_split_applicable(D: Digraph, cfg: EngineConfig) -> bool:
     return uniform_split_bound(D.n, D.m, md, cfg.epsilon)
 
 
-def split_by_degree(D: Digraph, cfg: EngineConfig) -> DegreeSplit:
-    """X = vertices of total degree >= n^threshold_exponent, exact arithmetic."""
+def split_by_degree(D: Digraph) -> DegreeSplit:
+    """X = vertices of total degree >= n^(3/4), exactly: the least integer t
+    with t^4 >= n^3 is isqrt(isqrt(n^3 - 1)) + 1."""
     if D.n == 0:
         raise EmptyGraphError("cannot split an empty graph")
-    frac = Fraction(cfg.threshold_exponent).limit_denominator(64)
-    p, q = frac.numerator, frac.denominator
-    target = D.n ** p
-    lo, hi = 0, 2 * D.n + 2  # degrees cannot exceed 2(n-1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** q >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    in_x = D.degrees() >= lo
+    in_x = D.degrees() >= isqrt(isqrt(D.n ** 3 - 1)) + 1
     return DegreeSplit(x=tuple(np.flatnonzero(in_x).tolist()), y=np.flatnonzero(~in_x),
-                       threshold=float(D.n) ** cfg.threshold_exponent)
+                       threshold=float(D.n) ** 0.75)
 
 
 def mingap_candidate(gr: GapResult) -> CandidateXPartition:
@@ -242,13 +230,12 @@ def candidate_x_partitions(
     D: Digraph, gr: GapResult, cfg: EngineConfig
 ) -> list[CandidateXPartition]:
     """Structured candidates for the given gap result (X is gr.x). They are
-    keyed by the huge-vertex layout, which needs an odd huge count; when it
-    is even (X = () included) the MINGAP candidate is the only one."""
-    huge = gr.huge
+    keyed by the huge-vertex layout k, set when the huge count is odd; when
+    it is even (X = () included) the MINGAP candidate is the only one."""
+    huge, k = gr.huge, gr.k
     out = [mingap_candidate(gr)]
-    if len(huge) % 2 == 0:
+    if k is None:
         return out
-    k = gr.k
     nonhuge = tuple(sorted(set(gr.x) - set(huge)))
     d = cfg.d
     p_sign = Fraction(d - 1, 2 * d)
@@ -582,22 +569,20 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     d_actual = min_outdegree(D)
     warns: list[str] = []
     if d_actual < cfg.d:
-        msg = (
+        warns.append(
             f"configured d={cfg.d} exceeds the actual minimum outdegree "
             f"{d_actual}; proceeding, with both recorded"
         )
-        warnings.warn(msg, MinOutdegreeWarning, stacklevel=2)
-        warns.append(msg)
 
     shortcut = uniform_split_applicable(D, cfg) or D.m >= 6272 * D.n
     if shortcut:
         xs, ys, threshold = (), np.arange(D.n), None
     else:
-        sp = split_by_degree(D, cfg)
+        sp = split_by_degree(D)
         xs, ys, threshold = sp.x, sp.y, sp.threshold
     gr = min_gap_partition(D, xs)
     cands = candidate_x_partitions(D, gr, cfg)
-    huge_even = not shortcut and len(gr.huge) % 2 == 0
+    huge_even = not shortcut and gr.k is None
 
     if cfg.p_sweep:
         cands = _dedupe(cands + [

@@ -2,7 +2,8 @@
 
 Two broad families matter to callers: bad input (CLI exit code 2) and blown
 resource limits (CLI exit code 3). Everything else is a control-flow signal or
-an internal-consistency failure.
+an internal-consistency failure. There are no warning classes: a claimed d
+above the minimum outdegree is a string in PartitionOutcome.warnings.
 """
 from __future__ import annotations
 
@@ -88,7 +89,3 @@ class InfeasibleParamsError(GenParamError):
 
 class RegularityFailureError(JudipartError):
     """A generated instance failed its own degree post-condition."""
-
-
-class MinOutdegreeWarning(UserWarning):
-    """Configured d exceeds the instance's actual minimum outdegree."""

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -187,15 +186,13 @@ def test_criterion_05_extension_sampling_means():
 def test_criterion_06_engine_tracks_small_oracle():
     eq = 0
     hard_bound = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i in range(100):
-            n = 5 + i % 4
-            D = gen_random_minout(n, 2, extra=(i * 7) % 5, seed=1000 + i)
-            opt = exact_max_min_cut(D).optimum
-            out = partition(D, EngineConfig(d=2, trials=256, seed=i))
-            hard_bound &= out.cut.minval <= opt
-            eq += out.cut.minval == opt
+    for i in range(100):
+        n = 5 + i % 4
+        D = gen_random_minout(n, 2, extra=(i * 7) % 5, seed=1000 + i)
+        opt = exact_max_min_cut(D).optimum
+        out = partition(D, EngineConfig(d=2, trials=256, seed=i))
+        hard_bound &= out.cut.minval <= opt
+        eq += out.cut.minval == opt
     ok = hard_bound and eq >= 95
     report(6, ok, f"min cut <= optimum always: {hard_bound}; equal on {eq}/100 (>= 95)")
 
@@ -242,19 +239,17 @@ def test_criterion_09_certificates_recompute():
     identity_breaks = 0
     n_instances = 0
     n_zero = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for idx, (D, d) in enumerate(engine_corpus_50()):
-            out = partition(D, EngineConfig(d=d, trials=8, seed=idx))
-            n_instances += 1
-            for rec in out.certificate.checks:
-                bad_records += not verify_record(rec)
-            bundle = out.certificate.bundle
-            if bundle.e_x == 0:
-                n_zero += 1
-                if sum(bundle.deltas) + bundle.g + 2 * bundle.b + bundle.m2 \
-                        != bundle.m:
-                    identity_breaks += 1
+    for idx, (D, d) in enumerate(engine_corpus_50()):
+        out = partition(D, EngineConfig(d=d, trials=8, seed=idx))
+        n_instances += 1
+        for rec in out.certificate.checks:
+            bad_records += not verify_record(rec)
+        bundle = out.certificate.bundle
+        if bundle.e_x == 0:
+            n_zero += 1
+            if sum(bundle.deltas) + bundle.g + 2 * bundle.b + bundle.m2 \
+                    != bundle.m:
+                identity_breaks += 1
     ok = n_instances == 50 and bad_records == 0 and identity_breaks == 0
     report(9, ok, f"{n_instances} instances, {bad_records} stale records, "
                   f"{identity_breaks} identity breaks over {n_zero} arc-free-X")

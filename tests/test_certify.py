@@ -43,7 +43,7 @@ GOLDEN = Path(__file__).parent / "golden" / "skew_d4_n20_checks.json"
 def bundle_for(D, d, x=None):
     cfg = EngineConfig(d=d)
     if x is None:
-        sp = split_by_degree(D, cfg)
+        sp = split_by_degree(D)
         xs, ys = sp.x, sp.y
     else:
         xs = tuple(sorted(x))
@@ -213,7 +213,7 @@ def test_bundle_quantities_are_definitional():
 def test_bundle_counts_arcs_across_gr_x_and_its_complement():
     D = gen_random_minout(60, 4, extra=60, seed=1)
     cfg = EngineConfig(d=4)
-    for x in ((0, 1, 2), (0, 1, 2, 3, 4), split_by_degree(D, cfg).x):
+    for x in ((0, 1, 2), (0, 1, 2, 3, 4), split_by_degree(D).x):
         gr = min_gap_partition(D, x)
         y = sorted(set(range(D.n)) - set(gr.x))
         bundle = compute_bundle(D, gr, essential_tight_components(D, y), cfg)

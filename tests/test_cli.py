@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -88,6 +89,10 @@ def test_gen_and_partition_gen_share_generator_flags(tmp_path, capsys, family,
                           *spelled("--gen-d"), *engine)
     assert rc1 == rc2 == 0, err1 + err2
     assert json.loads(out1)["outcome"] == json.loads(out2)["outcome"]
+    # gap --x-auto reports the X that partition used
+    rc3, out3, err3 = run(capsys, "gap", "--input", path, "--x-auto", "--json")
+    assert rc3 == 0, err3
+    assert json.loads(out3)["outcome"]["x"] == json.loads(out1)["outcome"]["x"]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -178,6 +183,40 @@ def test_gap_subcommand_x_file_and_auto(tmp_path, capsys):
     assert json.loads(out2)["outcome"]["theta_abs"] == 15
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("gap", []), ("tight", []), ("certify", ["--d", "4"]),
+])
+def test_x_records_name_how_x_was_chosen(tmp_path, capsys, command, flags):
+    path = gen_instance(tmp_path, capsys, n=20)
+    xfile = tmp_path / "x.txt"
+    xfile.write_text("0\n1\n")
+    base = {"d": 4, "eps": 0.01} if command == "certify" else {}
+    for xflags, x_auto, x_file in [
+        (["--x-file", str(xfile)], False, str(xfile)),
+        (["--x-auto"], True, None),
+        ([], False, None),
+    ]:
+        rc, out, err = run(capsys, command, "--input", str(path), *xflags,
+                           *flags, "--json")
+        assert rc == 0, err
+        assert json.loads(out)["config"] == {**base, "x_auto": x_auto,
+                                             "x_file": x_file}
+
+
+@pytest.mark.parametrize("command", ["gap", "tight", "certify"])
+def test_threshold_exp_flag_is_a_usage_error(tmp_path, capsys, command):
+    """X is the engine's fixed n^(3/4) split; no flag moves it."""
+    path = gen_instance(tmp_path, capsys)
+    d = ["--d", "4"] if command == "certify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(path), "--x-auto", *d,
+              "--threshold-exp", "0.5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: judipart")
+    assert "unrecognized arguments: --threshold-exp 0.5" in out.err
+
+
 def hub_cycle_instance(tmp_path, hubs=25, leaves=125):
     """Hubs 0..hubs-1 each point to the next two hubs, so e(X) > 0; every
     leaf has arcs to and from ten consecutive hubs, which puts exactly the
@@ -252,6 +291,15 @@ def test_tight_subcommand(tmp_path, capsys):
     assert len(rec["outcome"]["components"]) == 3
 
 
+def test_tight_text_lists_twenty_components_then_a_count(capsys):
+    rc, out, err = run(capsys, "tight", "--gen", "tight-union", "--gen-d", "2",
+                       "--copies", "22")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0].endswith("components=23 tau=23")
+    assert len(lines) == 22 and lines[-1] == "  ... 3 more"
+
+
 def test_certify_subcommand(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys, family="skew-d6", n=60,
                         extra=["--seed", "2"])
@@ -291,6 +339,30 @@ def test_malformed_edge_list_names_its_line(tmp_path, capsys, text, lineno):
         rc, out, err = run(capsys, *cmd, "--input", str(bad))
         assert rc == 2 and not out
         assert err.startswith(f"error: line {lineno}: ")
+
+
+def test_partition_warns_once_on_stdout_only(capsys):
+    """An overstated --d is one "warning:" line and one outcome.warnings
+    entry; stderr stays empty and no Python warning is raised."""
+    args = ("partition", "--gen", "star-triangle", "--n", "8", "--d", "2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *args)
+        assert rc == 0 and err == ""
+        warned = [ln for ln in out.splitlines() if ln.startswith("warning:")]
+        assert warned == ["warning: configured d=2 exceeds the actual minimum "
+                          "outdegree 1; proceeding, with both recorded"]
+        rc, out, err = run(capsys, *args, "--json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["outcome"]["warnings"] == [warned[0][len("warning: "):]]
+
+
+def test_partition_of_an_empty_graph_exits_two(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    rc, out, err = run(capsys, "partition", "--input", str(path), "--d", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: cannot partition an empty graph\n"
 
 
 def test_partition_bad_p_sweep(tmp_path, capsys):

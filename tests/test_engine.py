@@ -21,7 +21,6 @@ from judipart import (
     CutValue,
     EngineConfig,
     InputError,
-    MinOutdegreeWarning,
     PartitionError,
     TooLargeError,
     build_certificate,
@@ -109,12 +108,10 @@ def golden_outcomes() -> dict:
         # two hubs in X, one of them huge
         "hub_n66_single_huge": (hub_digraph(66, 2, seed=177), cfg4(trials=16, seed=177)),
     }
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        return {
-            name: json.loads(json.dumps(partition(D, cfg).to_jsonable()))
-            for name, (D, cfg) in runs.items()
-        }
+    return {
+        name: json.loads(json.dumps(partition(D, cfg).to_jsonable()))
+        for name, (D, cfg) in runs.items()
+    }
 
 
 def test_config_validation():
@@ -130,6 +127,8 @@ def test_config_validation():
         EngineConfig(d=1, p_sweep=(0.7,))
     with pytest.raises(TypeError):  # the local search has no round cap
         EngineConfig(d=1, local_improve_rounds=10)
+    with pytest.raises(TypeError):  # X is always degree >= n^(3/4)
+        EngineConfig(d=1, threshold_exponent=0.5)
     assert EngineConfig(d=4).trials == 64
 
 
@@ -137,18 +136,34 @@ def test_split_by_degree_cases():
     flat = gen_random_minout(100, 1, seed=0)  # degrees far below 100^0.75
     # force degree exactly 2 everywhere: a big directed cycle
     cyc = from_arc_list(100, [(i, (i + 1) % 100) for i in range(100)])
-    sp = split_by_degree(cyc, EngineConfig(d=1))
+    sp = split_by_degree(cyc)
     assert sp.x == () and len(sp.y) == 100
     assert sp.threshold == pytest.approx(100 ** 0.75)
 
     skew = gen_skew_d4(200)
-    sp2 = split_by_degree(skew, cfg4())
+    sp2 = split_by_degree(skew)
     assert sp2.x == (0, 1, 2, 3, 4)
 
     star = gen_star_triangle(40)
-    sp3 = split_by_degree(star, EngineConfig(d=1))
+    sp3 = split_by_degree(star)
     assert sp3.x == (0,)
     assert flat.n == 100  # keep the unused generator honest
+
+
+@pytest.mark.parametrize("n", [16, 81, 256, 625, 4096, 100, 1000])
+def test_split_by_degree_threshold_boundary(n):
+    """A hub of degree ceil(n^(3/4)) is in X and one of degree one less is
+    not; at n = k^4, n^(3/4) = k^3 is an integer and floats could round."""
+    t = next(t for t in range(n) if t ** 4 >= n ** 3)  # ceil(n^(3/4))
+    k = round(n ** 0.25)
+    if k ** 4 == n:
+        assert t == k ** 3
+    arcs = [(0, v) for v in range(2, t + 2)] + [(1, v) for v in range(2, t + 1)]
+    D = from_arc_list(n, arcs)
+    assert D.degree(0) == t and D.degree(1) == t - 1
+    sp = split_by_degree(D)
+    assert sp.x == (0,)
+    assert sp.threshold == float(n) ** 0.75
 
 
 def test_uniform_split_bound_cases():
@@ -206,9 +221,7 @@ def test_even_huge_gives_mingap_alone_and_engine_flags_it():
     assert len(gr.huge) == 2
     for g in (gr, min_gap_partition(D, ())):  # X = (): no huge vertex either
         assert candidate_x_partitions(D, g, cfg4()) == [mingap_candidate(g)]
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        out = partition(D, EngineConfig(d=1, trials=16, seed=0))
+    out = partition(D, EngineConfig(d=1, trials=16, seed=0))
     assert out.huge_even
     assert tuple(r.label for r in out.per_candidate) == ("MINGAP",)
 
@@ -437,8 +450,10 @@ def test_partition_shortcut_path():
 
 
 def test_partition_warns_when_d_overstated():
+    """The outcome's warnings are the one channel: no Python warning."""
     D = gen_star_triangle(12)  # min outdegree 1
-    with pytest.warns(MinOutdegreeWarning):
+    with _warnings.catch_warnings():
+        _warnings.simplefilter("error")
         out = partition(D, EngineConfig(d=2, trials=8, seed=0))
     assert out.d_actual == 1 and out.d_configured == 2
     assert out.warnings and "minimum outdegree" in out.warnings[0]
@@ -460,7 +475,7 @@ def test_partition_counts_the_y_arcs_once(monkeypatch):
     D = hub_digraph(73, 3, seed=44)
     cfg = cfg4(trials=16, seed=44)
     in_y = np.ones(D.n, dtype=bool)
-    in_y[list(split_by_degree(D, cfg).x)] = False
+    in_y[list(split_by_degree(D).x)] = False
     real, over_y = engine_mod.arc_census, []
 
     def counting(D_, in_s):
@@ -494,14 +509,12 @@ def test_partition_p_sweep_adds_variants():
 
 def test_small_instances_track_oracle():
     hits = 0
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        for i in range(20):
-            D = gen_random_minout(6 + i % 3, 2, extra=i % 4, seed=300 + i)
-            out = partition(D, EngineConfig(d=2, trials=64, seed=i))
-            opt = exact_max_min_cut(D).optimum
-            assert out.cut.minval <= opt
-            hits += out.cut.minval == opt
+    for i in range(20):
+        D = gen_random_minout(6 + i % 3, 2, extra=i % 4, seed=300 + i)
+        out = partition(D, EngineConfig(d=2, trials=64, seed=i))
+        opt = exact_max_min_cut(D).optimum
+        assert out.cut.minval <= opt
+        hits += out.cut.minval == opt
     assert hits >= 18
 
 
@@ -678,7 +691,7 @@ def vertex_set_forms(vs):
 ])
 def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
     cfg = cfg4(trials=16, seed=44)
-    sp = split_by_degree(D, cfg)
+    sp = split_by_degree(D)
     assert sp.x and sp.y.dtype == np.int64
     assert sp.y.tolist() == sorted(set(range(D.n)) - set(sp.x))
     gr = min_gap_partition(D, sp.x)
