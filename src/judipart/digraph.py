@@ -53,6 +53,25 @@ from .errors import (
 )
 
 
+def index_dtype(largest: int) -> type:
+    """The integer width for arrays whose values lie in 0..largest: int32
+    when largest < 2**31, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for nonnegative integer keys below
+    bound, as an LSD radix sort: one stable argsort per 16-bit digit, which
+    numpy runs as a radix sort on uint16, so ceil(bitlen(bound - 1) / 16)
+    passes, one when bound <= 2**16."""
+    order = keys.astype(np.uint16).argsort(kind="stable")
+    for shift in range(16, (bound - 1).bit_length(), 16):
+        # gather the 16-bit digits, not the wide keys
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[digit.argsort(kind="stable")]
+    return order
+
+
 @dataclass(frozen=True)
 class CutValue:
     e12: int
@@ -92,11 +111,15 @@ class Digraph:
         """(indptr, ends): ends[indptr[v]:indptr[v + 1]] holds the other end of
         every arc at v, out-arcs first, then in-arcs, each in arc order, so an
         anti-parallel pair shows twice. This is the graph's one adjacency
-        array; it is built by one stable sort on the first call and kept."""
+        array; it is built on the first call by stable_order over the arcs'
+        ends and kept. Both arrays have index_dtype(max(2m, n)): int32 on
+        every graph whose 2m and n fit, else int64."""
         if self._incidence is None:
-            order = np.argsort(np.concatenate((self.tails, self.heads)), kind="stable")
-            ends = np.concatenate((self.heads, self.tails))[order]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            dtype = index_dtype(max(2 * self.m, self.n))
+            order = stable_order(np.concatenate((self.tails, self.heads), dtype=dtype),
+                                 self.n)
+            ends = np.concatenate((self.heads, self.tails), dtype=dtype)[order]
+            indptr = np.zeros(self.n + 1, dtype=dtype)
             np.cumsum(self.out_degrees + self.in_degrees, out=indptr[1:])
             for arr in (indptr, ends):
                 arr.setflags(write=False)

@@ -16,16 +16,20 @@ vertex, and every trial's (e12, e21) comes from bit counts over those rows
 (extension_trial_cuts); nothing of size trials x arcs or trials x |Y| is
 built.
 
-The local search keeps one state: c[v], the number of arcs, either way,
-between v and side 1. A flip's effect on (e12, e21) follows from c and v's
-degrees (_flip_deltas), and a flip moves c only at the other ends of the
-flipped vertex's arcs (Fiduccia-Mattheyses gain bookkeeping). A round screens
-every vertex in one vectorized pass, keeps the screened vertices that rank
-above every screened neighbour (Luby's independent set), and flips the best
-prefix of them in rank order; no arc joins two of them, so their deltas add
-exactly, and c catches up in one scatter. Rounds run until nothing is
-screened. A two-vertex flip scores as the sum of its single flips plus a
-correction for the arcs joining the pair (Kernighan-Lin).
+The local search keeps every vertex's flip deltas (d12, d21), the change in
+(e12, e21) if it flipped alone. _flip_deltas derives them once from c[v], the
+number of arcs, either way, between v and side 1, and v's degrees. After that
+a flip moves them only at the flipped vertex, which negates both, and at the
+other ends of its arcs (Fiduccia-Mattheyses gain bookkeeping). A round screens
+every vertex in one vectorized pass, ranks the screened ones by one integer
+code (a 16-bit radix sort when it fits), keeps those that rank above every
+screened neighbour (Luby's independent set), and flips the best prefix of
+them in rank order. No arc joins two of them, so their deltas add exactly, and
+the neighbours' deltas catch up in two scatters over the arcs the round has
+already sliced. The per-vertex state takes the width of the graph's adjacency
+(int32 unless 2m or n reaches 2^31). Rounds run until nothing is screened. A
+two-vertex flip scores as the sum of its single flips plus a correction for
+the arcs joining the pair (Kernighan-Lin).
 
 Dense or degree-flat instances skip the split entirely: when m >= 8n/eps^2 or
 max degree <= eps^2 m / 4, a plain p = 1/2 random bipartition already
@@ -84,6 +88,7 @@ from .digraph import (
     max_degree,
     min_outdegree,
     split_masks,
+    stable_order,
 )
 from .errors import (
     EmptyGraphError,
@@ -488,14 +493,14 @@ def extend_partition_randomized(
     return _refine(D, Bipartition(sides), cfg)
 
 
-def _arc_slices(indptr: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions indptr[v]:indptr[v + 1] of every v in vs, concatenated,
-    and for each the index in vs of the v that owns it."""
-    starts = indptr[vs]
-    lens = indptr[vs + 1] - starts
-    stops = lens.cumsum()
-    at = np.arange(stops[-1]) + np.repeat(starts - stops + lens, lens)
-    return at, np.repeat(np.arange(len(vs)), lens)
+def _arc_slices(indptr: np.ndarray, degree: np.ndarray,
+                vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions indptr[v]:indptr[v] + degree[v] of every v in vs,
+    concatenated, and where each v's run starts in them and its length."""
+    starts, lens = indptr[vs], degree[vs]
+    firsts = lens.cumsum() - lens
+    at = np.arange(firsts[-1] + lens[-1]) + np.repeat(starts - firsts, lens)
+    return at, firsts, lens
 
 
 def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
@@ -505,59 +510,88 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
 
     A round screens every vertex: a vertex is screened when its flip alone
     raises _key. The screened vertices are ranked by (new min, new total)
-    descending, then by index, and a screened vertex is kept when it ranks
-    above every screened neighbour (Luby's independent-set step). No arc
-    joins two kept vertices, so flipping any of them moves (e12, e21) by
-    exactly the sum of their deltas. The round flips the first prefix, in
-    rank order, whose summed deltas give the best _key (the best-prefix step
-    of deterministic parallel refinement). The top vertex alone improves, so
-    every round strictly raises (min, total), which is at most m: the loop
-    ends. c then moves only at the other ends of the flipped vertices' arcs,
-    in one scatter."""
+    descending, then by index, through one code per vertex (_rank_order),
+    and a screened vertex is kept when it ranks above every screened
+    neighbour (Luby's independent-set step). No arc joins two kept vertices,
+    so flipping any of them moves (e12, e21) by exactly the sum of their
+    deltas. The round flips the first prefix, in rank order, whose summed
+    deltas give the best _key (the best-prefix step of deterministic parallel
+    refinement). The top vertex alone improves, so every round strictly
+    raises (min, total), which is at most m: the loop ends.
+
+    Every vertex's flip deltas (d12, d21) are kept current from round to
+    round: a flipped vertex negates both, and a neighbour u of a flipped v
+    moves both by -sgn[u] * sgn[v] per arc joining them (v's sign before the
+    flip), over the arcs the round has already sliced. The per-vertex state
+    has the dtype of D.incidence(); the cut sums are int64."""
     if P.n != D.n:
         raise PartitionError("bipartition size mismatch")
     if D.m == 0 or D.n == 0:
         return Bipartition(P.sides)
-    outdeg, indeg = D.out_degrees, D.in_degrees
     indptr, ends = D.incidence()
+    dtype = indptr.dtype
     side1 = P.sides == 1
     out1, in1 = arc_census(D, side1)
-    c = out1 + in1
-    sgn = np.where(side1, 1, -1)
-    cut = cut_counts(D, P)
-    e12, e21 = cut.e12, cut.e21
-    rank = np.full(D.n, D.n)  # a screened vertex's rank in its round, else n
+    on2 = ~side1
+    e12, e21 = int(in1[on2].sum()), int(out1[on2].sum())  # the cut now
+    sgn = np.where(side1, 1, -1).astype(dtype)
+    d12, d21 = (d.astype(dtype) for d in
+                _flip_deltas(sgn, out1 + in1, D.out_degrees, D.in_degrees))
+    degree = D.degrees()
+    rank = np.full(D.n, D.n, dtype=dtype)  # a screened vertex's rank in its round, else n
     while True:
-        d12, d21 = _flip_deltas(sgn, c, outdeg, indeg)
-        # each flip's new min cut, and its change in the total cut; a flip
-        # raises (min, total) when low + (gain > 0) exceeds the min now
-        low, gain = np.minimum(d12 + e12, d21 + e21), d12 + d21
-        screened = (low + (gain > 0) > min(e12, e21)).nonzero()[0]
+        # each flip's new min cut, less the min now, and its change in the
+        # total cut; a flip raises (min, total) when low + (gain > 0) > 0
+        lo, hi = (d12, d21) if e12 <= e21 else (d21, d12)
+        low, gain = np.minimum(lo, hi + abs(e12 - e21)), d12 + d21
+        screened = (low + (gain > 0) > 0).nonzero()[0]
         if not screened.size:
             break
-        # screened vertices best first; lexsort is stable, so index breaks ties
-        order = screened[np.lexsort((-gain[screened], -low[screened]))]
-        k = len(order)
-        rank[order] = np.arange(k)
-        arcs, owner = _arc_slices(indptr, order)  # owner is the rank
-        other = ends[arcs]
-        keep = np.ones(k, dtype=bool)
-        keep[owner[rank[other] < owner]] = False  # a screened neighbour ranks above
+        order = screened[_rank_order(low[screened], gain[screened])]
+        ranks = np.arange(len(order), dtype=dtype)
+        rank[order] = ranks
+        arcs, firsts, lens = _arc_slices(indptr, degree, order)
+        other = ends[arcs].astype(np.intp)  # an index: intp gathers fastest
+        # kept: every screened neighbour ranks below (a screened vertex has an
+        # arc, so no run is empty)
+        keep = np.minimum.reduceat(rank[other], firsts) > ranks
         rank[order] = D.n
         kept_rank = keep.nonzero()[0]
         kept = order[kept_rank]
-        sum12 = d12[kept].cumsum() + e12
-        sum21 = d21[kept].cumsum() + e21
+        sum12 = d12[kept].astype(np.int64).cumsum() + e12
+        sum21 = d21[kept].astype(np.int64).cumsum() + e21
         # the first prefix with the best (min, total)
         pmin = np.minimum(sum12, sum21)
         j = np.where(pmin == pmin.max(), sum12 + sum21, -1).argmax()
         e12, e21 = int(sum12[j]), int(sum21[j])
-        # the arcs come in rank order, so the flips' arcs all lie before end
-        end = owner.searchsorted(kept_rank[j], "right")
-        done = keep[owner[:end]]
-        np.subtract.at(c, other[:end][done], sgn[order[owner[:end][done]]])
-        sgn[kept[: j + 1]] *= -1
+        # the runs of ranks 0..kept_rank[j] hold every flip's arcs; an arc of
+        # a vertex that is not kept moves nothing
+        r = kept_rank[j] + 1
+        owner_sgn = np.repeat(sgn[order[:r]] * keep[:r], lens[:r])
+        nbrs = other[: owner_sgn.size]
+        step = sgn[nbrs] * owner_sgn
+        np.subtract.at(d12, nbrs, step)
+        np.subtract.at(d21, nbrs, step)
+        flips = kept[: j + 1]
+        for arr in (sgn, d12, d21):
+            arr[flips] = -arr[flips]
     return Bipartition(np.where(sgn > 0, 1, 2))
+
+
+def _rank_order(low: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """The stable argsort of (-low, -gain) for nonnegative lows: best new min
+    first, then best gain, then index. One int64 code per vertex,
+    (max low - low) * (gain span + 1) + (max gain - gain), below
+    (max low + 1) * (gain span + 1), sorted by stable_order: one uint16 radix
+    pass when that bound is at most 2**16."""
+    # the value at an argmax or argmin: on short arrays that costs half of max()
+    lmax, gmax = int(low[low.argmax()]), int(gain[gain.argmax()])
+    span = gmax - int(gain[gain.argmin()]) + 1
+    code = low.astype(np.int64)
+    code *= -span
+    code -= gain
+    code += lmax * span + gmax
+    return stable_order(code, (lmax + 1) * span)
 
 
 def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:

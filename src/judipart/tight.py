@@ -19,7 +19,8 @@ essential_tight_components classifies every component in one numpy pass:
   (np.minimum.at), then pointer jumping takes every label to its root, until
   no edge joins two roots (Shiloach and Vishkin 1982).
 - bincounts per component give its size, edge count, odd-degree vertices and
-  anti-parallel pairs.
+  anti-parallel pairs; one stable radix sort of the component numbers
+  (digraph.stable_order, which also builds incidence()) groups the members.
 
 Two lemmas settle most components without a DFS. In a tight component every
 block is an odd clique K_q, so every degree is a sum of even terms q - 1, and
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, split_masks
+from .digraph import Digraph, split_masks, stable_order
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     comp = rank[label]
     of_vert = comp[verts]
     sizes = np.bincount(of_vert, minlength=roots.size)
-    members = verts[np.argsort(of_vert, kind="stable")].tolist()
+    members = verts[stable_order(of_vert, roots.size)].tolist()
     ends = np.cumsum(sizes).tolist()
     comps = tuple(tuple(members[s:e]) for s, e in zip([0] + ends[:-1], ends))
     return comp, sizes, comps

@@ -41,6 +41,7 @@ from judipart import (
     parse_edge_list,
     save_edge_list,
 )
+from judipart.digraph import index_dtype, stable_order
 
 
 def arcs_strategy(max_n=10):
@@ -96,6 +97,40 @@ def test_incidence_lists_out_then_in_neighbours(case, rnd):
 ])
 def test_incidence_on_sparse_graphs(n, arcs):
     assert_adjacency_matches_arc_scan(from_arc_list(n, arcs))
+
+
+@pytest.mark.parametrize("n", [2**16, 2**16 + 5], ids=["one-digit", "two-digits"])
+def test_incidence_across_the_radix_digit_boundary(n):
+    """Ids up to 2**16 - 1 sort in one 16-bit pass, larger ones in two; arcs
+    at the top ids and anti-parallel pairs land in arc order either way."""
+    rng = np.random.default_rng(n)
+    top = np.arange(n - 40, n)
+    ends = np.concatenate((top, rng.integers(0, n, size=200), [0, 1, 2**16 - 1]))
+    arcs = {(int(u), int(v)) for u, v in rng.choice(ends, size=(600, 2)) if u != v}
+    arcs = sorted(arcs) + [(v, u) for u, v in sorted(arcs)[::3] if (v, u) not in arcs]
+    order = rng.permutation(len(arcs))
+    D = from_arc_list(n, [arcs[i] for i in order])
+    assert D.tails.max() >= n - 40 and D.heads.max() >= n - 40
+    assert_adjacency_matches_arc_scan(D)
+    assert D.incidence()[0].dtype == D.incidence()[1].dtype == np.int32
+
+
+@pytest.mark.parametrize("bound", [1, 2, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**40])
+def test_stable_order_is_a_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    for size in (0, 1, 7, 3000):
+        keys = rng.integers(0, bound, size=size)
+        keys[: size // 3] = keys[size // 3: 2 * (size // 3)]  # ties
+        want = np.argsort(keys, kind="stable").tolist()
+        for dtype in (np.int64, np.int32) if bound <= 2**31 else (np.int64,):
+            assert stable_order(keys.astype(dtype), bound).tolist() == want
+
+
+def test_index_width_switches_at_two_to_the_31():
+    assert index_dtype(0) is np.int32
+    assert index_dtype(2**31 - 1) is np.int32
+    assert index_dtype(2**31) is np.int64
+    assert index_dtype(2**40) is np.int64
 
 
 def test_construction_rejects_bad_input():

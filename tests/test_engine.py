@@ -45,7 +45,7 @@ from judipart import (
     uniform_split_bound,
     verify_record,
 )
-from judipart import certify as certify_mod, engine as engine_mod, mingap
+from judipart import certify as certify_mod, digraph as digraph_mod, engine as engine_mod, mingap
 from judipart.engine import CANDIDATE_ORDER, _refine, _trial_stream, _trial_words
 
 from helpers import (
@@ -622,6 +622,46 @@ def test_local_improve_matches_the_batched_reference_at_scale(name):
         want, (e12, e21) = reference_local_improve(D, P)
         assert got == want, start
         assert cut_counts(D, got) == CutValue(e12, e21, min(e12, e21)), start
+
+
+def test_local_improve_matches_the_batched_reference_past_one_radix_pass():
+    """A hub graph started with the hubs and most of their feeders on side 1:
+    the first round's rank code, (max low - low) * (gain span + 1)
+    + (max gain - gain) over the screened vertices, exceeds 2**16 - 1, and
+    its low 16 bits alone would rank the vertices otherwise, so the ranking
+    needs a second radix pass."""
+    D = hub_digraph(2500, 2, seed=62)
+    sides = np.where(np.random.default_rng(63).random(D.n) < 0.2, 2, 1).astype(np.uint8)
+    sides[:2] = 1
+    P = Bipartition(sides)
+    cut = cut_counts(D, P)
+    e12, e21 = single_flip_cuts(D, P)
+    low, gain = np.minimum(e12, e21), e12 + e21 - cut.e12 - cut.e21
+    screened = (low > cut.minval) | ((low == cut.minval) & (gain > 0))
+    low, gain = low[screened], gain[screened]
+    span = int(gain.max() - gain.min()) + 1
+    code = (low.max() - low) * span + gain.max() - gain
+    assert code.max() > 2**16 - 1
+    assert (np.argsort(code % 2**16, kind="stable") != np.argsort(code, kind="stable")).any()
+    got = local_improve(D, P, EngineConfig(d=1))
+    want, (e12, e21) = reference_local_improve(D, P)
+    assert got == want
+    assert cut_counts(D, got) == CutValue(e12, e21, min(e12, e21))
+
+
+def test_local_improve_does_not_depend_on_the_index_width(monkeypatch):
+    """The same flips with int64 adjacency and state as with int32."""
+    graphs = [gen_random_minout(3000, 3, extra=3000, seed=21),
+              gen_tight_union(4, 200, augment=True), hub_digraph(600, 3, seed=5)]
+    starts = [Bipartition(np.random.default_rng(i).integers(1, 3, size=D.n).astype(np.uint8))
+              for i, D in enumerate(graphs)]
+    narrow = [local_improve(D, P, EngineConfig(d=1)) for D, P in zip(graphs, starts)]
+    assert all(D.incidence()[0].dtype == np.int32 for D in graphs)
+    monkeypatch.setattr(digraph_mod, "index_dtype", lambda largest: np.int64)
+    for D, P, want in zip(graphs, starts, narrow):
+        wide = from_arc_list(D.n, np.column_stack((D.tails, D.heads)))
+        assert wide.incidence()[0].dtype == np.int64
+        assert local_improve(wide, P, EngineConfig(d=1)) == want
 
 
 # sha256 of json.dumps(partition(D, EngineConfig(d=4, trials=t)).to_jsonable(),
