@@ -37,7 +37,6 @@ from .errors import (
     NotApplicableError,
     PartitionError,
     RegularityFailureError,
-    StateLimitError,
     TooLargeError,
     TooSmallError,
     VertexOutOfRangeError,

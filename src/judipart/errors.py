@@ -17,7 +17,7 @@ class InputError(JudipartError):
 
 
 class LimitError(JudipartError):
-    """A configured resource limit was exceeded (CLI exit code 3)."""
+    """An instance is beyond what a computation can hold (CLI exit code 3)."""
 
 
 # digraph construction / parsing
@@ -45,12 +45,6 @@ class EdgeListParseError(InputError):
 class PartitionError(InputError):
     """A vertex set names a vertex outside the graph, its parts overlap, or a
     claimed partition does not cover what it splits."""
-
-
-# gap solver
-
-class StateLimitError(LimitError):
-    """The subset-sum table would exceed mingap.MAX_TABLE_BITS bits."""
 
 
 # digraph construction, oracle

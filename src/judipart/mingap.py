@@ -10,10 +10,17 @@ minimizing |theta|.
 
 Arcs inside X cancel out of theta, so with the per-vertex Y-imbalance
 w(x) = e(x, Y) - e(Y, x) the gap is sum_{x1} w - sum_{x2} w for any e(X).
-One exact subset-sum table over the attainable signed sums therefore solves
-every instance; its size, items x (span + 1) bits, is capped by
-MAX_TABLE_BITS. When e(X) = 0, w(x) is the imbalance splus(x) = outdeg -
-indeg.
+One exact subset-sum over the attainable signed sums therefore solves every
+instance, with no size limit. When e(X) = 0, w(x) is the imbalance
+splus(x) = outdeg - indeg.
+
+The sums are bigint bitsets over span + 1 bits (span = sum of |w(x)|). The
+forward pass keeps the suffix bitset only at every ceil(sqrt(items))-th item
+and at the empty suffix; the reconstruction rebuilds one block of suffixes
+at a time from the checkpoint after it. Memory is about 2 sqrt(items)
+bitsets, time at most two forward passes. A subset and its complement pair
+up, so the attainable sums are symmetric about their midpoint, and the
+nearest one is the highest set bit at or below it.
 
 Every function here takes X (or its parts x1, x2) and counts against the
 complement Y = V - X. A GapResult keeps that count, the per-vertex
@@ -38,14 +45,11 @@ Residual quantities attached to the result (all integers):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from .digraph import Digraph, arc_census, e_between, split_masks
-from .errors import StateLimitError
-
-# the subset-sum table holds items x (span + 1) bits, span the sum of |w(x)|
-MAX_TABLE_BITS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -100,57 +104,47 @@ def mf_mb(D: Digraph, x1, x2, y_census=None) -> MfMb:
     return MfMb(mf=z + zp, mb=mb, z=z, zprime=zp)
 
 
-def _mask_positions(mask: int, nbits: int) -> np.ndarray:
-    """Positions of set bits of a bigint, as an array."""
-    nbytes = (nbits + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-
-
 def _dp_min_gap(xs, values):
     """Subset-sum over signed values; returns (chosen x1 vertices, theta)."""
     items = [(v, val) for v, val in zip(xs, values) if val != 0]
-    total = sum(val for _, val in items)
     if not items:
         return [], 0
-    neg = sum(val for _, val in items if val < 0)
-    pos = sum(val for _, val in items if val > 0)
-    span = pos - neg  # sum of |values|
-    bits = len(items) * (span + 1)
-    if bits > MAX_TABLE_BITS:
-        raise StateLimitError(
-            f"subset-sum table of {len(items)} items x {span + 1} sums = "
-            f"{bits} bits exceeds MAX_TABLE_BITS = {MAX_TABLE_BITS}"
-        )
-    offset = -neg
-    # suffix[i] = bitmask of sums attainable from items[i:], bit = sum + offset
-    suffix = [0] * (len(items) + 1)
-    suffix[len(items)] = 1 << offset
+    total = sum(val for _, val in items)
+    offset = -sum(val for _, val in items if val < 0)
+    span = sum(abs(val) for _, val in items)
+
+    def extend(suffix, val):
+        return suffix | (suffix << val if val > 0 else suffix >> -val)
+
+    # suffix(i) = bitmask of sums attainable from items[i:], bit = sum + offset;
+    # kept holds it at every step-th i and at the empty suffix
+    step = isqrt(len(items) - 1) + 1
+    kept = {len(items): 1 << offset}
+    suffix = kept[len(items)]
     for i in range(len(items) - 1, -1, -1):
-        val = items[i][1]
-        prev = suffix[i + 1]
-        suffix[i] = prev | (prev << val if val > 0 else prev >> -val)
-    positions = _mask_positions(suffix[0], span + 1)
-    sigmas = positions.astype(np.int64) - offset
-    devs = np.abs(2 * sigmas - total)
-    theta_abs = int(devs.min())
-    targets = {s for s in ((total + theta_abs) // 2, (total - theta_abs) // 2)
-               if 0 <= s + offset <= span and (suffix[0] >> (s + offset)) & 1}
-    # lexicographic reconstruction: prefer x2 (exclusion) in index order
+        suffix = extend(suffix, items[i][1])
+        if i % step == 0:
+            kept[i] = suffix
+    # bits pair up about span / 2 (a subset and its complement), so the
+    # highest set bit at or below it and its mirror are the nearest sums
+    below = (kept[0] & ((2 << span // 2) - 1)).bit_length() - 1
+    targets = (below, span - below)
+    # lexicographic reconstruction: prefer x2 (exclusion) in index order,
+    # rebuilding one block's suffixes from the checkpoint after it
     chosen = []
     partial = 0
-    for i, (v, val) in enumerate(items):
-        can_exclude = False
-        for s in targets:
-            rest = s - partial
-            p = rest + offset
-            if 0 <= p <= span and (suffix[i + 1] >> p) & 1:
-                can_exclude = True
-                break
-        if not can_exclude:
-            chosen.append(v)
-            partial += val
-    if partial not in targets:
+    for start in range(0, len(items), step):
+        end = min(start + step, len(items))
+        block = [kept[end]]  # block[j] = suffix(end - j)
+        for i in range(end - 1, start, -1):
+            block.append(extend(block[-1], items[i][1]))
+        for i in range(start, end):
+            rest = block[end - i - 1]
+            if not any(t >= partial and rest >> (t - partial) & 1 for t in targets):
+                v, val = items[i]
+                chosen.append(v)
+                partial += val
+    if partial + offset not in targets:
         raise AssertionError("subset-sum reconstruction drifted")
     return chosen, 2 * partial - total
 

@@ -3,8 +3,9 @@
 The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
 Digraph container itself. The references below are the earlier, plainer
-versions of the random-graph generator, the trial draws and the two search
-kernels; the fast versions must reproduce them number for number.
+versions of the random-graph generator, the trial draws, the two search
+kernels and the min-gap subset-sum; the fast versions must reproduce them
+number for number.
 """
 from __future__ import annotations
 
@@ -382,3 +383,49 @@ def single_flip_cuts(D: Digraph, P: Bipartition):
            + np.bincount(D.heads, weights=both2.astype(int) - now21, minlength=D.n))
     return (int(now12.sum()) + d12).astype(np.int64), (int(now21.sum()) + d21).astype(np.int64)
 
+
+
+def reference_dp_min_gap(xs, values):
+    """The min-gap subset-sum with every suffix bitset kept (items x span
+    bits) and the nearest sum found by scanning all set bits; returns
+    (chosen x1 vertices, theta) under the same tie rule: prefer x2 in index
+    order."""
+    items = [(v, val) for v, val in zip(xs, values) if val != 0]
+    total = sum(val for _, val in items)
+    if not items:
+        return [], 0
+    neg = sum(val for _, val in items if val < 0)
+    pos = sum(val for _, val in items if val > 0)
+    span = pos - neg  # sum of |values|
+    offset = -neg
+    # suffix[i] = bitmask of sums attainable from items[i:], bit = sum + offset
+    suffix = [0] * (len(items) + 1)
+    suffix[len(items)] = 1 << offset
+    for i in range(len(items) - 1, -1, -1):
+        val = items[i][1]
+        prev = suffix[i + 1]
+        suffix[i] = prev | (prev << val if val > 0 else prev >> -val)
+    raw = np.frombuffer(suffix[0].to_bytes((span + 8) // 8, "little"), dtype=np.uint8)
+    positions = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    sigmas = positions.astype(np.int64) - offset
+    devs = np.abs(2 * sigmas - total)
+    theta_abs = int(devs.min())
+    targets = {s for s in ((total + theta_abs) // 2, (total - theta_abs) // 2)
+               if 0 <= s + offset <= span and (suffix[0] >> (s + offset)) & 1}
+    # lexicographic reconstruction: prefer x2 (exclusion) in index order
+    chosen = []
+    partial = 0
+    for i, (v, val) in enumerate(items):
+        can_exclude = False
+        for s in targets:
+            rest = s - partial
+            p = rest + offset
+            if 0 <= p <= span and (suffix[i + 1] >> p) & 1:
+                can_exclude = True
+                break
+        if not can_exclude:
+            chosen.append(v)
+            partial += val
+    if partial not in targets:
+        raise AssertionError("subset-sum reconstruction drifted")
+    return chosen, 2 * partial - total

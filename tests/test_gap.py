@@ -2,16 +2,18 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import arc_list, vertex_stats
+from helpers import arc_list, reference_dp_min_gap, vertex_stats
 from judipart import mingap
 from judipart import (
+    EngineConfig,
     PartitionError,
-    StateLimitError,
     e_between,
     exact_min_gap,
     from_arc_list,
@@ -20,6 +22,8 @@ from judipart import (
     gen_skew_d4,
     mf_mb,
     min_gap_partition,
+    partition,
+    split_by_degree,
 )
 
 
@@ -126,17 +130,76 @@ def test_even_huge_set_reports_k_none():
     assert gr.g == 0 and gr.b == 0
 
 
-def test_limit_errors(monkeypatch):
+def test_large_x_with_inner_arcs_solves():
     D = gen_random_minout(30, 1, extra=30, seed=9)
     xs = list(range(26))
     assert e_between(D, xs, xs) > 0
-    gr = min_gap_partition(D, xs)  # large X with inner arcs still solves
+    gr = min_gap_partition(D, xs)
     assert abs(gap(D, gr.x1, gr.x2)) == gr.theta_abs_min
     assert gap(D, gr.x1, gr.x2) == gr.theta
-    E = from_arc_list(4, [(0, 2), (0, 3), (1, 2), (2, 1), (3, 1)])
-    monkeypatch.setattr(mingap, "MAX_TABLE_BITS", 1)
-    with pytest.raises(StateLimitError, match="bits exceeds MAX_TABLE_BITS"):
-        min_gap_partition(E, [0, 1])
+
+
+def tie_heavy_lists(k, rng):
+    """Value lists of length k whose minimum-gap partitions tie many ways."""
+    a = rng.randint(1, 9)
+    yield [a] * k
+    yield [-a] * k
+    yield [rng.choice((a, 2 * a)) for _ in range(k)]
+    yield [a * (-1) ** i for i in range(k)]
+    yield [rng.choice((-a, 0, a)) for _ in range(k)]
+    pairs = [rng.randint(1, 30) for _ in range(k // 2)]
+    yield [v for b in pairs for v in (b, -b)] + [a] * (k % 2)
+
+
+@pytest.mark.parametrize("k", range(61))
+def test_dp_matches_full_table_reference(k):
+    """Checkpointed DP against the full-suffix-table referee on every length
+    0-60, so every block boundary (1, 2, j^2, j^2 +- 1) is crossed."""
+    rng = random.Random(7000 + k)
+    lists = [[rng.randint(-lim, lim) for _ in range(k)]
+             for lim in (1, 3, 40, 2000) for _ in range(3)]
+    lists += [[rng.randint(0, 50) for _ in range(k)] for _ in range(2)]
+    lists += list(tie_heavy_lists(k, rng))
+    for values in lists:
+        xs = sorted(rng.sample(range(3 * k + 1), k))
+        assert mingap._dp_min_gap(xs, values) == reference_dp_min_gap(xs, values), values
+
+
+def hub_digraph(n, hubs, degree, seed):
+    """A gen_random_minout(n, 4) base plus `hubs` vertices 0.. with `degree`
+    extra out-arcs each to distinct random heads; repeated arcs merge."""
+    base = gen_random_minout(n, 4, seed=seed)
+    rng = np.random.default_rng(seed)
+    tails = np.repeat(np.arange(hubs), degree)
+    heads = np.concatenate([rng.choice(n, degree, replace=False)
+                            for _ in range(hubs)])
+    loop = tails == heads
+    codes = np.unique(np.concatenate([base.tails * n + base.heads,
+                                      tails[~loop] * n + heads[~loop]]))
+    return from_arc_list(n, np.column_stack(np.divmod(codes, n)))
+
+
+def test_hub_graph_beyond_full_table():
+    """|X| = 300 hubs: a full suffix table would need items x (span + 1) >
+    10^8 bits; the checkpointed DP solves it in a fraction of that."""
+    D = hub_digraph(20_000, 300, 1800, seed=1)
+    xs = split_by_degree(D).x
+    assert len(xs) == 300
+    tracemalloc.start()
+    try:
+        gr = min_gap_partition(D, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    to_y, from_y = gr.y_census
+    w = (to_y - from_y)[list(xs)]
+    table_bytes = np.count_nonzero(w) * (int(np.abs(w).sum()) + 1) // 8
+    assert table_bytes * 8 > 10 ** 8
+    assert peak < table_bytes / 3
+    assert abs(gap(D, gr.x1, gr.x2)) == gr.theta_abs_min
+    out = partition(D, EngineConfig(d=4))
+    assert out.x == xs
+    assert out.certificate.bundle.theta == gr.theta_abs_min
 
 
 @settings(max_examples=40, deadline=None)
