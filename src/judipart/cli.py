@@ -41,7 +41,15 @@ import numpy as np
 
 from . import __version__
 from .certify import build_certificate, render_text
-from .digraph import Digraph, load_edge_list, save_edge_list, min_outdegree, vertex_mask
+from .digraph import (
+    Digraph,
+    _data_lines,
+    _is_int64,
+    load_edge_list,
+    min_outdegree,
+    save_edge_list,
+    vertex_mask,
+)
 from .engine import (
     EngineConfig,
     partition as run_partition,
@@ -109,25 +117,24 @@ def _load_instance(args) -> tuple[Digraph, dict]:
 
 
 def _load_x(args, D: Digraph) -> tuple[int, ...]:
-    """X from --x-auto or --x-file (empty with neither), sorted."""
+    """X from --x-auto or --x-file (empty with neither), sorted. An x-file
+    line holds one id under the edge-list token rule: a decimal int64."""
     if args.x_auto:
         return split_by_degree(D).x
     xs = []
     path = args.x_file
     if path is not None:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    xs.append(int(line))
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: not a vertex id: {line!r}")
-                if not 0 <= xs[-1] < D.n:
-                    raise InputError(
-                        f"{path}:{lineno}: vertex {xs[-1]} out of range, n={D.n}"
-                    )
+            text = fh.read()
+        for lineno, line, tokens in _data_lines(text):
+            if len(tokens) != 1 or not _is_int64(tokens[0]):
+                data = line.split("#", 1)[0].strip()
+                raise InputError(f"{path}:{lineno}: not a vertex id: {data!r}")
+            xs.append(int(tokens[0]))
+            if not 0 <= xs[-1] < D.n:
+                raise InputError(
+                    f"{path}:{lineno}: vertex {xs[-1]} out of range, n={D.n}"
+                )
     return tuple(sorted(set(xs)))
 
 
@@ -137,17 +144,9 @@ def _complement(D: Digraph, xs) -> np.ndarray:
 
 
 def cmd_partition(args, D: Digraph) -> tuple[dict, dict, str]:
-    try:
-        sweep = tuple(float(s) for s in args.p_sweep.split(",") if s)
-    except ValueError as exc:  # the message quotes the token
-        raise InputError(f"--p-sweep: {exc}") from None
-    cfg = EngineConfig(
-        d=args.d, epsilon=args.eps, trials=args.trials, seed=args.seed,
-        p_sweep=sweep,
-    )
+    cfg = EngineConfig(d=args.d, epsilon=args.eps, trials=args.trials, seed=args.seed)
     out = run_partition(D, cfg)
-    config = {"d": cfg.d, "eps": cfg.epsilon, "trials": cfg.trials,
-              "seed": cfg.seed, "p_sweep": list(sweep)}
+    config = {"d": cfg.d, "eps": cfg.epsilon, "trials": cfg.trials, "seed": cfg.seed}
     lines = [
         f"n={D.n} m={D.m} d={out.d_configured} (actual min outdegree {out.d_actual})",
         f"best candidate={out.candidate_used} cut: e12={out.cut.e12} "
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="claimed min outdegree")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--p-sweep", default="", help="extra p values, comma separated")
     p.add_argument("--certify", action="store_true", help="print the full certificate")
     p.set_defaults(func=cmd_partition)
 

@@ -31,11 +31,11 @@ already sliced. The per-vertex state takes the width of the graph's adjacency
 two-vertex flip scores as the sum of its single flips plus a correction for
 the arcs joining the pair (Kernighan-Lin).
 
-Dense or degree-flat instances skip the split entirely: when m >= 8n/eps^2 or
-max degree <= eps^2 m / 4, a plain p = 1/2 random bipartition already
-concentrates, so the engine runs the empty-X candidate alone. The same
-shortcut triggers unconditionally once m >= 6272 n (the eps = 1/28 instance of
-the first branch).
+Dense or degree-flat instances skip the split entirely: when
+m >= 8n/max(eps, 1/28)^2 or max degree <= eps^2 m / 4, a plain p = 1/2 random
+bipartition already concentrates, so the engine runs the empty-X candidate
+alone (uniform_split_bound). The 1/28 floor makes m >= 6272 n enough for any
+eps.
 
 Every function takes X, or a candidate's parts x1 and x2, and derives
 Y = V - X itself; a GapResult carries its X (gr.x), so nothing takes X beside
@@ -51,26 +51,29 @@ rng.random((trials, |Y|)) < p, results are reproducible and independent of
 execution order, and a run with more trials only adds trials after the
 first ones (_trial_words draws them 64 at a time).
 
-Candidate labels and their p:
+Candidates: MINGAP is the gap solver's own (x1, x2) with p = 1/2. Each
+structured candidate is a row (label, lead, literal, p) of one table, placed
+by one rule (_place) with splus = outdeg - indeg: a lead vertex goes to x1
+when its splus > 0, or always when literal is set; any other X vertex goes
+to x1 when its splus < 0; the rest of X is x2. With huge in the gap
+solver's order, nonhuge = X - huge and k from the gap result:
 
-- MINGAP: the gap solver's own (x1, x2), p = 1/2
-- X1FWD: top-k huge and all non-huge forward, bottom k+1 huge backward, 1/2
-- X2SIGN: k same-sign huge among the top 2k-1 forward plus non-huge forward,
-  rest backward, p = (d-1)/(2d)
-- X3SIGN: the same selected set plus non-huge literally on side 1, rest
-  backward, p = (d-1)/(2d)
-- X4, X5 (d = 4, k = 1 only): p = 5/14 shapes; X5 sides with the huge vertex
-  carrying the most balanced arc mass toward Y
-- SINGLE-HUGE (|huge| = 1): the lone huge vertex forward, the rest of X
-  backward, p = 1/2
+- X1FWD: lead huge[:k] + nonhuge, p = 1/2
+- X2SIGN (k >= 1): lead sel + nonhuge, p = (d-1)/(2d), where sel is the
+  first k of the top 2k-1 huge with splus >= 0, or else the first k of
+  those with splus < 0
+- X3SIGN (k >= 1): lead sel + nonhuge, literal, p = (d-1)/(2d)
+- X4 (d = 4, k = 1): lead huge[0] + nonhuge, p = 5/14
+- X5 (d = 4, k = 1): lead vi + nonhuge, literal, p = 5/14, vi being the
+  huge vertex carrying the most balanced arc mass toward Y
+- SINGLE-HUGE (|huge| = 1): lead huge, p = 1/2
 
-"Forward" placement sends a vertex to side 1 when splus > 0 and side 2
-otherwise; "backward" mirrors it. Vertices with splus = 0 always sit on
-side 2.
+Vertices with splus = 0 sit on side 2 unless a literal row leads with them.
+The first candidate per (x1, p), in CANDIDATE_ORDER, is kept (_dedupe).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from zlib import crc32
@@ -108,7 +111,6 @@ class EngineConfig:
     epsilon: float = 0.01
     trials: int = 64
     seed: int = 0
-    p_sweep: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -119,9 +121,6 @@ class EngineConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        for p in self.p_sweep:
-            if not 0 <= p <= 0.5:
-                raise InputError(f"p_sweep values must lie in [0, 1/2], got {p}")
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,13 @@ class PartitionOutcome:
 
 
 def uniform_split_bound(n: int, m: int, max_deg: int, eps: float) -> bool:
-    """True when a p = 1/2 uniform split already concentrates: m >= 8n/eps^2
-    or max_deg <= eps^2 m / 4. Exact rational comparison on the float eps."""
+    """True when a p = 1/2 uniform split already concentrates:
+    m >= 8n / max(eps, 1/28)^2 or max_deg <= eps^2 m / 4. Exact rational
+    comparison on the float eps; the density branch alone takes the floor,
+    so m >= 6272 n is always enough."""
     e = Fraction(eps)
-    return m >= Fraction(8 * n) / (e * e) or max_deg <= e * e * m / 4
+    dense = max(e, Fraction(1, 28))
+    return m >= Fraction(8 * n) / (dense * dense) or max_deg <= e * e * m / 4
 
 
 def uniform_split_applicable(D: Digraph, cfg: EngineConfig) -> bool:
@@ -218,17 +220,15 @@ def mingap_candidate(gr: GapResult) -> CandidateXPartition:
     return CandidateXPartition("MINGAP", gr.x1, gr.x2, Fraction(1, 2))
 
 
-def _splus(D: Digraph, v: int) -> int:
-    return int(D.out_degrees[v] - D.in_degrees[v])
-
-
-def _place(D: Digraph, forward, backward, literal_x1=()) -> tuple[tuple, tuple]:
-    x1, x2 = set(literal_x1), set()
-    for v in forward:
-        (x1 if _splus(D, v) > 0 else x2).add(v)
-    for v in backward:
-        (x1 if _splus(D, v) < 0 else x2).add(v)
-    return tuple(sorted(x1)), tuple(sorted(x2))
+def _place(splus: dict[int, int], lead, literal: bool) -> tuple[tuple, tuple]:
+    """(x1, x2) of X = splus's keys, ascending: a lead vertex goes to x1 when
+    its splus > 0, or always when literal is set; any other vertex goes to
+    x1 when its splus < 0; the rest is x2."""
+    lead = set(lead)
+    x1, x2 = [], []
+    for v, s in splus.items():
+        (x1 if ((literal or s > 0) if v in lead else s < 0) else x2).append(v)
+    return tuple(x1), tuple(x2)
 
 
 def candidate_x_partitions(
@@ -236,47 +236,34 @@ def candidate_x_partitions(
 ) -> list[CandidateXPartition]:
     """Structured candidates for the given gap result (X is gr.x). They are
     keyed by the huge-vertex layout k, set when the huge count is odd; when
-    it is even (X = () included) the MINGAP candidate is the only one."""
+    it is even (X = () included) the MINGAP candidate is the only one. Each
+    is one row (label, lead, literal, p) placed by _place."""
     huge, k = gr.huge, gr.k
-    out = [mingap_candidate(gr)]
     if k is None:
-        return out
+        return [mingap_candidate(gr)]
+    xs = list(gr.x)
+    splus = dict(zip(xs, (D.out_degrees[xs] - D.in_degrees[xs]).tolist()))
     nonhuge = tuple(sorted(set(gr.x) - set(huge)))
-    d = cfg.d
-    p_sign = Fraction(d - 1, 2 * d)
-
-    fw = huge[:k] + nonhuge
-    bw = huge[k:]
-    out.append(CandidateXPartition("X1FWD", *_place(D, fw, bw), Fraction(1, 2)))
-
+    half, p_sign, p4 = Fraction(1, 2), Fraction(cfg.d - 1, 2 * cfg.d), Fraction(5, 14)
+    rows = [("X1FWD", huge[:k] + nonhuge, False, half)]
     if k >= 1:
         window = huge[: 2 * k - 1]
-        nonneg = [v for v in window if _splus(D, v) >= 0]
-        negs = [v for v in window if _splus(D, v) < 0]
+        nonneg = [v for v in window if splus[v] >= 0]
+        negs = [v for v in window if splus[v] < 0]
         sel = tuple((nonneg if len(nonneg) >= k else negs)[:k])
-        rest = tuple(v for v in huge if v not in set(sel))
-        out.append(
-            CandidateXPartition("X2SIGN", *_place(D, sel + nonhuge, rest), p_sign)
-        )
-        x1, x2 = _place(D, (), rest, literal_x1=sel + nonhuge)
-        out.append(CandidateXPartition("X3SIGN", x1, x2, p_sign))
-
-    if d == 4 and k == 1:
-        p4 = Fraction(5, 14)
-        out.append(
-            CandidateXPartition("X4", *_place(D, (huge[0],) + nonhuge, huge[1:]), p4)
-        )
+        rows += [("X2SIGN", sel + nonhuge, False, p_sign),
+                 ("X3SIGN", sel + nonhuge, True, p_sign)]
+    if cfg.d == 4 and k == 1:
         to_y, from_y = gr.y_census
         balanced = np.minimum(to_y, from_y)[list(huge)].tolist()
         vi = huge[max(range(len(huge)), key=lambda i: (balanced[i], -i))]
-        restv = tuple(v for v in huge if v != vi)
-        x1, x2 = _place(D, (), restv, literal_x1=(vi,) + nonhuge)
-        out.append(CandidateXPartition("X5", x1, x2, p4))
-
+        rows += [("X4", (huge[0],) + nonhuge, False, p4),
+                 ("X5", (vi,) + nonhuge, True, p4)]
     if len(huge) == 1:
-        x1, x2 = _place(D, (huge[0],), nonhuge)
-        out.append(CandidateXPartition("SINGLE-HUGE", x1, x2, Fraction(1, 2)))
-    return _dedupe(out)
+        rows.append(("SINGLE-HUGE", huge, False, half))
+    return _dedupe([mingap_candidate(gr)] + [
+        CandidateXPartition(label, *_place(splus, lead, literal), p)
+        for label, lead, literal, p in rows])
 
 
 def _dedupe(cands: list[CandidateXPartition]) -> list[CandidateXPartition]:
@@ -608,7 +595,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
             f"{d_actual}; proceeding, with both recorded"
         )
 
-    shortcut = uniform_split_applicable(D, cfg) or D.m >= 6272 * D.n
+    shortcut = uniform_split_applicable(D, cfg)
     if shortcut:
         xs, ys, threshold = (), np.arange(D.n), None
     else:
@@ -617,12 +604,6 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     gr = min_gap_partition(D, xs)
     cands = candidate_x_partitions(D, gr, cfg)
     huge_even = not shortcut and gr.k is None
-
-    if cfg.p_sweep:
-        cands = _dedupe(cands + [
-            replace(c, p=Fraction(pv).limit_denominator(10 ** 6))
-            for c in cands for pv in cfg.p_sweep
-        ])
 
     results = []
     for c in cands:

@@ -4,20 +4,23 @@ The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
 Digraph container itself. The references below are the earlier, plainer
 versions of the random-graph generator, the trial draws, the two search
-kernels and the min-gap subset-sum; the fast versions must reproduce them
-number for number.
+kernels, the min-gap subset-sum and the candidate X-partitions; the fast
+versions must reproduce them number for number.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from zlib import crc32
 
 import numpy as np
 
 from judipart import (
     Bipartition,
+    CandidateXPartition,
     Digraph,
+    EngineConfig,
     e_between,
     from_arc_list,
     gen_eulerian_complete,
@@ -26,6 +29,8 @@ from judipart import (
     gen_skew_d6,
     gen_star_triangle,
     gen_tight_union,
+    min_gap_partition,
+    mingap_candidate,
 )
 
 
@@ -118,6 +123,108 @@ def engine_corpus_50():
         out.append((gen_random_minout(n, d, extra=i % 7, seed=400 + i), d))
         i += 1
     return out
+
+
+def hub_digraph(n: int, hubs: int, seed: int):
+    """Outdegree-4 digraph whose first `hubs` vertices are fed by most of the
+    rest: each non-hub sends one arc to a random hub with probability 0.9, and
+    every vertex sends its remaining arcs to random non-hubs."""
+    rng = random.Random(seed)
+    arcs = []
+    for v in range(n):
+        outs = []
+        if v >= hubs and rng.random() < 0.9:
+            outs.append(rng.randrange(hubs))
+        while len(outs) < 4:
+            u = rng.randrange(hubs, n)
+            if u != v and u not in outs:
+                outs.append(u)
+        arcs.extend((v, u) for u in outs)
+    return from_arc_list(n, arcs)
+
+
+def hub_candidate_corpus(seeds: int = 100):
+    """(D, gap result, config) over hub graphs with n = 20..120 and 1..7 hubs:
+    X = the hubs, and the hubs plus two more vertices, each at d = 3, 4, 5."""
+    out = []
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        n, hubs = rng.randint(20, 120), rng.randint(1, 7)
+        D = hub_digraph(n, hubs, seed)
+        extra = rng.sample(range(hubs, n), 2)
+        for xs in (range(hubs), [*range(hubs), *extra]):
+            gr = min_gap_partition(D, xs)
+            out.extend((D, gr, EngineConfig(d=d)) for d in (3, 4, 5))
+    return out
+
+
+# --- the candidate X-partitions, one placement call per candidate -----------
+
+def _reference_splus(D: Digraph, v: int) -> int:
+    return int(D.out_degrees[v] - D.in_degrees[v])
+
+
+def _reference_place(D: Digraph, forward, backward, literal_x1=()) -> tuple[tuple, tuple]:
+    x1, x2 = set(literal_x1), set()
+    for v in forward:
+        (x1 if _reference_splus(D, v) > 0 else x2).add(v)
+    for v in backward:
+        (x1 if _reference_splus(D, v) < 0 else x2).add(v)
+    return tuple(sorted(x1)), tuple(sorted(x2))
+
+
+def reference_candidate_x_partitions(D: Digraph, gr, cfg) -> list[CandidateXPartition]:
+    """The candidates with each vertex placed "forward" (side 1 when
+    splus > 0), "backward" (side 1 when splus < 0) or literally on side 1,
+    one _reference_splus per vertex."""
+    huge, k = gr.huge, gr.k
+    out = [mingap_candidate(gr)]
+    if k is None:
+        return out
+    nonhuge = tuple(sorted(set(gr.x) - set(huge)))
+    d = cfg.d
+    p_sign = Fraction(d - 1, 2 * d)
+
+    fw = huge[:k] + nonhuge
+    bw = huge[k:]
+    out.append(CandidateXPartition("X1FWD", *_reference_place(D, fw, bw), Fraction(1, 2)))
+
+    if k >= 1:
+        window = huge[: 2 * k - 1]
+        nonneg = [v for v in window if _reference_splus(D, v) >= 0]
+        negs = [v for v in window if _reference_splus(D, v) < 0]
+        sel = tuple((nonneg if len(nonneg) >= k else negs)[:k])
+        rest = tuple(v for v in huge if v not in set(sel))
+        out.append(
+            CandidateXPartition("X2SIGN", *_reference_place(D, sel + nonhuge, rest), p_sign)
+        )
+        x1, x2 = _reference_place(D, (), rest, literal_x1=sel + nonhuge)
+        out.append(CandidateXPartition("X3SIGN", x1, x2, p_sign))
+
+    if d == 4 and k == 1:
+        p4 = Fraction(5, 14)
+        out.append(
+            CandidateXPartition("X4", *_reference_place(D, (huge[0],) + nonhuge, huge[1:]), p4)
+        )
+        to_y, from_y = gr.y_census
+        balanced = np.minimum(to_y, from_y)[list(huge)].tolist()
+        vi = huge[max(range(len(huge)), key=lambda i: (balanced[i], -i))]
+        restv = tuple(v for v in huge if v != vi)
+        x1, x2 = _reference_place(D, (), restv, literal_x1=(vi,) + nonhuge)
+        out.append(CandidateXPartition("X5", x1, x2, p4))
+
+    if len(huge) == 1:
+        x1, x2 = _reference_place(D, (huge[0],), nonhuge)
+        out.append(CandidateXPartition("SINGLE-HUGE", x1, x2, Fraction(1, 2)))
+    return _reference_dedupe(out)
+
+
+def _reference_dedupe(cands: list[CandidateXPartition]) -> list[CandidateXPartition]:
+    """The first candidate per (x1, p), in order."""
+    first: dict = {}
+    for c in cands:
+        first.setdefault((c.x1, c.p), c)
+    return list(first.values())
 
 
 # --- naive tight-component checker -----------------------------------------

@@ -123,7 +123,7 @@ def test_partition_json_record_and_determinism(tmp_path, capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["command"] == "partition"
     assert r1["version"] == __version__
-    assert r1["config"] == {"d": 4, "eps": 0.01, "trials": 8, "seed": 5, "p_sweep": []}
+    assert r1["config"] == {"d": 4, "eps": 0.01, "trials": 8, "seed": 5}
     assert r1["outcome"] == r2["outcome"]  # wall time lives outside outcome
     assert r1["outcome"]["cut"]["min"] <= r1["outcome"]["cut"]["e12"]
     assert "wall_time_s" in r1
@@ -365,22 +365,14 @@ def test_partition_of_an_empty_graph_exits_two(tmp_path, capsys):
     assert err == "error: cannot partition an empty graph\n"
 
 
-def test_partition_bad_p_sweep(tmp_path, capsys):
+def test_partition_p_sweep_flag_is_a_usage_error(tmp_path, capsys):
+    """Every candidate's p is fixed; there is no sweep over extra p values."""
     path = gen_instance(tmp_path, capsys)
-    rc, _, err = run(capsys, "partition", "--input", str(path), "--d", "4",
-                     "--p-sweep", "0.9")
-    assert rc == 2
-    rc, out, err = run(capsys, "partition", "--input", str(path), "--d", "4",
-                       "--p-sweep", "0.3,abc")
-    assert rc == 2 and out == "" and err.startswith("error: --p-sweep: ")
-    assert err.rstrip().endswith("'abc'")
-
-    rc2, out, _ = run(capsys, "partition", "--input", str(path), "--d", "4",
-                      "--trials", "4", "--seed", "0", "--p-sweep", "0.3,0.45",
-                      "--json")
-    assert rc2 == 0
-    labels = json.loads(out)["outcome"]["per_candidate"]
-    assert any(r["p"] == "3/10" for r in labels)
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--input", str(path), "--d", "4", "--p-sweep", "0.3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --p-sweep 0.3" in out.err
 
 
 def test_argparse_level_errors_exit_two(capsys):
@@ -412,6 +404,28 @@ def test_directory_in_place_of_a_file_exits_two(tmp_path, capsys, where):
     rc, out, err = run(capsys, "certify", "--input", str(paths["input"]), "--d", "4",
                        "--x-file", str(paths["x-file"]), "-o", str(paths["output"]))
     assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "0x1", "1.0", "1 2"])
+def test_x_file_ids_follow_the_edge_list_token_rule(tmp_path, capsys, token):
+    """An x-file id is a decimal int64 token, as in the edge list: no digit
+    separators, no non-ASCII digits, no hex, no float, one per line."""
+    path = gen_instance(tmp_path, capsys)
+    xfile = tmp_path / "x.txt"
+    xfile.write_text(f"0\n{token}  # a comment\n", encoding="utf-8")
+    rc, out, err = run(capsys, "gap", "--input", str(path), "--x-file", str(xfile))
+    assert rc == 2 and out == ""
+    assert err == f"error: {xfile}:2: not a vertex id: {token!r}\n"
+
+
+def test_x_file_accepts_a_sign_and_leading_zeros(tmp_path, capsys):
+    path = gen_instance(tmp_path, capsys)
+    xfile = tmp_path / "x.txt"
+    xfile.write_text("+2\n007\n\n# comment\n  3 # trailing\n")
+    rc, out, err = run(capsys, "gap", "--input", str(path), "--x-file", str(xfile),
+                       "--json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["outcome"]["x"] == [2, 3, 7]
 
 
 def test_x_file_not_utf8_names_its_line(tmp_path, capsys):

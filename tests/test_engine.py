@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import tracemalloc
 import warnings as _warnings
 from fractions import Fraction
@@ -49,6 +48,9 @@ from judipart import certify as certify_mod, digraph as digraph_mod, engine as e
 from judipart.engine import CANDIDATE_ORDER, _refine, _trial_stream, _trial_words
 
 from helpers import (
+    hub_candidate_corpus,
+    hub_digraph,
+    reference_candidate_x_partitions,
     reference_extension_trial_cuts,
     reference_local_improve,
     single_flip_cuts,
@@ -61,24 +63,6 @@ def cfg4(**kw):
 
 
 GOLDEN_OUTCOMES = Path(__file__).parent / "golden" / "partition_outcomes.json"
-
-
-def hub_digraph(n: int, hubs: int, seed: int):
-    """Outdegree-4 digraph whose first `hubs` vertices are fed by most of the
-    rest: each non-hub sends one arc to a random hub with probability 0.9, and
-    every vertex sends its remaining arcs to random non-hubs."""
-    rng = random.Random(seed)
-    arcs = []
-    for v in range(n):
-        outs = []
-        if v >= hubs and rng.random() < 0.9:
-            outs.append(rng.randrange(hubs))
-        while len(outs) < 4:
-            u = rng.randrange(hubs, n)
-            if u != v and u not in outs:
-                outs.append(u)
-        arcs.extend((v, u) for u in outs)
-    return from_arc_list(n, arcs)
 
 
 def golden_outcomes() -> dict:
@@ -94,10 +78,6 @@ def golden_outcomes() -> dict:
         "skew_d4_n60": (gen_skew_d4(60), cfg4(trials=16, seed=3)),
         "tight_union_d4x3_augment": (
             gen_tight_union(4, 3, augment=True), cfg4(trials=16, seed=5),
-        ),
-        # sweep variants duplicate base candidates: pins the de-duplication order
-        "skew_d4_n30_p_sweep": (
-            gen_skew_d4(30), cfg4(trials=8, seed=2, p_sweep=(0.3, 0.5)),
         ),
         "shortcut_m10n": (
             gen_random_minout(20, 10, seed=0),
@@ -123,8 +103,8 @@ def test_config_validation():
         EngineConfig(d=1, epsilon=1.5)
     with pytest.raises(InputError):
         EngineConfig(d=1, trials=0)
-    with pytest.raises(InputError):
-        EngineConfig(d=1, p_sweep=(0.7,))
+    with pytest.raises(TypeError):  # every candidate's p is fixed
+        EngineConfig(d=1, p_sweep=(0.3,))
     with pytest.raises(TypeError):  # the local search has no round cap
         EngineConfig(d=1, local_improve_rounds=10)
     with pytest.raises(TypeError):  # X is always degree >= n^(3/4)
@@ -171,8 +151,22 @@ def test_uniform_split_bound_cases():
     star = gen_star_triangle(30)
     assert not uniform_split_bound(star.n, star.m, 29, 0.1)
     assert uniform_split_bound(50, 60, 15, 1.0)            # max degree <= m/4
+    # the degree branch keeps eps itself, not the density branch's 1/28 floor
+    assert not uniform_split_bound(1000, 313600, 100, 0.01)
+    assert uniform_split_bound(1000, 313600, 7, 0.01)    # 7 <= 0.0001 m / 4
     assert uniform_split_applicable(gen_random_minout(20, 10, seed=0),
                                     EngineConfig(d=4, epsilon=0.9))
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_uniform_split_bound_density_floor(n):
+    """The density branch is m >= 8n / max(eps, 1/28)^2, exactly: 6272 n at
+    eps = 0.01 (below 1/28) and 8n / 0.05^2 = 3200 n at eps = 0.05. max_deg = m
+    keeps the degree branch out."""
+    for eps, per_n in ((0.01, 6272), (0.05, 3200)):
+        m = per_n * n
+        assert not uniform_split_bound(n, m - 1, m - 1, eps)
+        assert uniform_split_bound(n, m, m, eps)
 
 
 def k1_instance():
@@ -224,6 +218,32 @@ def test_even_huge_gives_mingap_alone_and_engine_flags_it():
     out = partition(D, EngineConfig(d=1, trials=16, seed=0))
     assert out.huge_even
     assert tuple(r.label for r in out.per_candidate) == ("MINGAP",)
+
+
+def test_candidates_match_the_forward_backward_reference():
+    """The one-rule table reproduces the per-vertex forward/backward placement
+    on a hub corpus that reaches every label, the `negs` branch of sel and a
+    candidate _dedupe drops."""
+    labels, negs, dropped = set(), 0, 0
+    for D, gr, cfg in hub_candidate_corpus():
+        got = candidate_x_partitions(D, gr, cfg)
+        assert got == reference_candidate_x_partitions(D, gr, cfg)
+        labels |= {c.label for c in got}
+        k, huge = gr.k, gr.huge
+        if k is None:
+            continue
+        splus = (D.out_degrees - D.in_degrees)[list(huge[: 2 * k - 1])]
+        negs += k >= 1 and int((splus >= 0).sum()) < k
+        rows = 2 + 2 * (k >= 1) + 2 * (cfg.d == 4 and k == 1) + (len(huge) == 1)
+        dropped += rows - len(got)
+    assert labels == set(CANDIDATE_ORDER)
+    assert negs > 0 and dropped > 0
+
+
+def test_golden_per_candidate_labels_follow_candidate_order():
+    for name, rec in json.loads(GOLDEN_OUTCOMES.read_text()).items():
+        labels = [r["label"] for r in rec["per_candidate"]]
+        assert labels == [c for c in CANDIDATE_ORDER if c in labels], name
 
 
 def test_extension_degenerate_cases():
@@ -496,15 +516,6 @@ def test_golden_outcomes_still_reproduce():
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], name
-
-
-def test_partition_p_sweep_adds_variants():
-    D = gen_skew_d4(30)
-    out = partition(D, cfg4(trials=8, seed=2, p_sweep=(0.3,)))
-    ps = {(r.label, r.p) for r in out.per_candidate}
-    assert any(p == Fraction(3, 10) for _, p in ps)
-    base = partition(D, cfg4(trials=8, seed=2))
-    assert out.cut.minval >= base.cut.minval - 0  # sweep only adds candidates
 
 
 def test_small_instances_track_oracle():
