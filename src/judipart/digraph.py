@@ -224,12 +224,19 @@ def split_masks(n: int, parts: Sequence[Iterable[int]], names: str) -> list[np.n
     return masks
 
 
+# arc_census takes _CENSUS_BLOCK arcs at a time, so its temporaries (a mask
+# and the selected int64 ends, 2.25 MiB) stay the same for any m
+_CENSUS_BLOCK = 1 << 18
+
+
 def arc_census(D: Digraph, in_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex (e(v, S), e(S, v)) for the vertex set S marked by in_s."""
-    return (
-        np.bincount(D.tails[in_s[D.heads]], minlength=D.n),
-        np.bincount(D.heads[in_s[D.tails]], minlength=D.n),
-    )
+    to_s, from_s = np.zeros(D.n, dtype=np.intp), np.zeros(D.n, dtype=np.intp)
+    for lo in range(0, D.m, _CENSUS_BLOCK):
+        tails, heads = D.tails[lo:lo + _CENSUS_BLOCK], D.heads[lo:lo + _CENSUS_BLOCK]
+        to_s += np.bincount(tails[in_s[heads]], minlength=D.n)
+        from_s += np.bincount(heads[in_s[tails]], minlength=D.n)
+    return to_s, from_s
 
 
 def e_between(D: Digraph, a: Iterable[int], b: Iterable[int]) -> int:

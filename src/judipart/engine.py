@@ -10,11 +10,13 @@ two-vertex flips), and keep the overall best. Every step ranks cuts by
 (min{e12, e21}, e12 + e21). A d above the minimum outdegree is reported in
 PartitionOutcome.warnings alone.
 
-A trial's cut is linear in its Y-assignment apart from the Y-Y arcs with both
-ends on side 1, so the trials are packed 64 to a word, one row of words per Y
-vertex, and every trial's (e12, e21) comes from bit counts over those rows
-(extension_trial_cuts); nothing of size trials x arcs or trials x |Y| is
-built.
+The trials are packed 64 to a word, one row of words per Y vertex. For each
+64 trials every vertex has one word, bit t set when it sits on side 1 in
+trial t: all ones on x1, zero on x2, its row of words on Y. Trial t's e12 is
+then the number of arcs whose tail & ~head word has bit t set, and e21 the
+same with the ends swapped: two per-bit counts over the arcs, taken a block
+at a time by byte-lane (SWAR) counting (extension_trial_cuts, _bit_counts).
+Nothing of size trials x arcs or trials x |Y| is built.
 
 The local search keeps every vertex's flip deltas (d12, d21), the change in
 (e12, e21) if it flipped alone. _flip_deltas derives them once from c[v], the
@@ -378,47 +380,29 @@ def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         best = local_improve(D, Bipartition(np.where(side1, 1, 2)), cfg)
 
 
-# _BITS[v, j] is bit j of the byte value v, little-endian as np.packbits packs
-_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
-# a bincount takes _ROW_BLOCK rows of one column: 2 MB of int64 codes
-_ROW_BLOCK = 1 << 15
+# the low bit of every byte lane of a uint64, and the 8 shifts that fill it
+_LANES = np.uint64(0x0101010101010101)
+_SHIFTS = np.arange(8, dtype=np.uint64)[:, None, None]
+# the arcs are counted _ARC_BLOCK at a time: the two cut words per arc and
+# their 8 shifted copies take 576 KiB for any m and trials
+_ARC_BLOCK = 1 << 12
 
 
-def _bit_sums(words: np.ndarray, weights=None, pairs=None) -> np.ndarray:
-    """Per trial t: how many rows of words (r x k, trial t at bit t % 64 of
-    column t // 64) have bit t set, or the sum of their weights; with
-    pairs = (rowof, tails, heads), counted instead over the rows
-    words[rowof[tails[i]]] & words[rowof[heads[i]]] of every arc i whose two
-    ends both have a row (rowof >= 0). Returns 64k int64 sums.
+def _bit_counts(x: np.ndarray) -> np.ndarray:
+    """Per bit b of the uint64 words x (r x L): how many of the L words in
+    each row have bit b set, as r x 64 int64 counts.
 
-    The rows, or the arcs, are taken _ROW_BLOCK at a time, and each block
-    gives one bincount per column over (byte position, byte value) codes,
-    then the bit table, so the codes and the pair rows stay at _ROW_BLOCK
-    entries for any r, m and trials."""
-    if pairs is not None:
-        rowof, tails, heads = pairs
-    rows = len(words) if pairs is None else len(tails)
-    sums = np.zeros((words.shape[1], 64))
-    for lo in range(0, rows, _ROW_BLOCK):
-        at = slice(lo, lo + _ROW_BLOCK)
-        if pairs is not None:
-            a, b = rowof[tails[at]], rowof[heads[at]]
-            both = (a >= 0) & (b >= 0)
-            a, b = a[both], b[both]
-        wt = None if weights is None else np.repeat(weights[at], 8)
-        for w in range(words.shape[1]):
-            col = words[:, w]
-            sums[w] += _block_bit_sums(col[at] if pairs is None else col[a] & col[b], wt)
-    # float64 sums of integers far below 2**53: exact
-    return sums.ravel().astype(np.int64)
-
-
-def _block_bit_sums(block: np.ndarray, wt) -> np.ndarray:
-    """The 64 per-bit counts (or weight sums) of one block of words, from one
-    bincount over (byte position, byte value) codes; the codes die here."""
-    codes = (block.view(np.uint8).reshape(-1, 8) + np.arange(0, 256 * 8, 256)).ravel()
-    counts = np.bincount(codes, weights=wt, minlength=256 * 8)
-    return (counts.reshape(8, 256) @ _BITS).ravel()
+    Byte-lane counting (Warren, Hacker's Delight, ch. 5): (x >> j) & 0x01..01
+    moves bit 8i + j of a word to the low bit of byte lane i, and a sum of at
+    most 255 such words cannot carry out of a lane, so np.add.reduceat over
+    groups of 255 words gives 8 lane counts per group and shift."""
+    lanes = x >> _SHIFTS  # shift j, row, word
+    lanes &= _LANES
+    # little-endian, so byte i of a group sum is lane i
+    groups = np.add.reduceat(lanes, np.arange(0, x.shape[1], 255), axis=2).astype(
+        "<u8", copy=False)
+    counts = groups.view(np.uint8).reshape(8, len(x), -1, 8).sum(axis=2, dtype=np.int64)
+    return counts.transpose(1, 2, 0).reshape(len(x), 64)  # bit 8i + j at lane i, shift j
 
 
 def extension_trial_cuts(
@@ -430,35 +414,35 @@ def extension_trial_cuts(
     Y = V - x1 - x2, plus the trials themselves packed as _trial_words does
     (one row of words per Y vertex in ascending order, bit set = side 1).
 
-    With a_t(y) = 1 when y sits on side 1 in trial t, each trial's cut is
-    linear in a_t apart from the Y-Y arcs with both ends on side 1:
-    e12_t = e(X1, V - X1) + sum_y a_t(y) w12(y) - both_t with
-    w12(y) = outdeg(y) - e(y, X1) - e(X1, y), and e21_t likewise with
-    e(V - X1, X1) and indeg(y). both_t is an AND of two rows of words per
-    Y-Y arc, and every per-trial sum is a bit count (_bit_sums); nothing of
-    size trials x arcs or trials x |Y| is built.
+    For each 64 trials every vertex gets one word, bit t set when it sits on
+    side 1 in trial t: all ones on x1, zero on x2, its row of words on Y.
+    Then e12_t is the number of arcs whose word tail & ~head has bit t set,
+    and e21_t the same with the ends swapped; the arcs are taken _ARC_BLOCK
+    at a time and counted by _bit_counts. Nothing of size trials x arcs or
+    trials x |Y| is built, and beside the words only one vertex word per
+    vertex and one block of arcs are held.
 
-    Raises TooLargeError when the words, or the 64 sums each column of them
-    yields, cannot be addressed."""
+    Raises TooLargeError when the words, or the 2 x 64 counts each column of
+    them yields, cannot be addressed."""
     side1x, in_x2 = split_masks(D.n, [cand.x1, cand.x2], "x1, x2")
     in_y = ~(side1x | in_x2)
     ys = np.flatnonzero(in_y)  # rows of words, ascending
-    if max(len(ys), 64) * -(-cfg.trials // 64) >= np.iinfo(np.intp).max // 8:
+    if max(len(ys), 128) * -(-cfg.trials // 64) >= np.iinfo(np.intp).max // 8:
         raise TooLargeError(
             f"{cfg.trials} trials over |Y| = {len(ys)} are too many to pack")
-    to_x1, from_x1 = arc_census(D, side1x)
-    deg_x1 = (to_x1 + from_x1)[ys]
-    rowof = np.full(D.n, -1, dtype=np.int64)
-    rowof[ys] = np.arange(len(ys))
 
     words = _trial_words(cand.label, float(cand.p), len(ys), cfg)
-    both_t = _bit_sums(words, pairs=(rowof, D.tails, D.heads))
-    s12 = _bit_sums(words, D.out_degrees[ys] - deg_x1)
-    s21 = _bit_sums(words, D.in_degrees[ys] - deg_x1)
-    outside = ~side1x
-    e12s = int(from_x1[outside].sum()) + s12 - both_t
-    e21s = int(to_x1[outside].sum()) + s21 - both_t
-    return e12s[: cfg.trials], e21s[: cfg.trials], words
+    counts = np.zeros((2, words.shape[1], 64), dtype=np.int64)  # e12, e21
+    vertex_word = np.zeros(D.n, dtype=np.uint64)
+    vertex_word[side1x] = ~np.uint64(0)
+    for w in range(words.shape[1]):
+        vertex_word[ys] = words[:, w]
+        for lo in range(0, D.m, _ARC_BLOCK):
+            tail = vertex_word[D.tails[lo:lo + _ARC_BLOCK]]
+            head = vertex_word[D.heads[lo:lo + _ARC_BLOCK]]
+            counts[:, w] += _bit_counts(np.stack((tail & ~head, head & ~tail)))
+    e12s, e21s = counts.reshape(2, -1)[:, : cfg.trials]
+    return e12s, e21s, words
 
 
 def extend_partition_randomized(

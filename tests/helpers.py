@@ -376,6 +376,13 @@ def unpack_trial_words(words: np.ndarray, trials: int) -> np.ndarray:
                      for t in range(trials)], dtype=bool)
 
 
+def reference_bit_counts(x: np.ndarray) -> np.ndarray:
+    """Per row of the uint64 words x (r x L), how many words have bit b set,
+    b = 0..63, one bit at a time by shift and mask."""
+    return np.array([[int(((row >> np.uint64(b)) & np.uint64(1)).sum()) for b in range(64)]
+                     for row in x], dtype=np.int64)
+
+
 def reference_extension_trial_cuts(D: Digraph, cand, cfg):
     """Per-trial (e12, e21) and the trial matrix over Y = V - x1 - x2, by
     gathering every arc's columns out of the trials x |Y| matrix."""

@@ -41,7 +41,7 @@ from judipart import (
     parse_edge_list,
     save_edge_list,
 )
-from judipart.digraph import index_dtype, stable_order
+from judipart.digraph import _CENSUS_BLOCK, arc_census, index_dtype, stable_order
 
 
 def arcs_strategy(max_n=10):
@@ -204,6 +204,19 @@ def test_e_between_matches_double_loop():
     assert e_between(D, [], b) == 0
     assert e_between(D, a, a) == sum(
         1 for u in a for v in a if u * D.n + v in codes)
+
+
+@pytest.mark.parametrize("m", [_CENSUS_BLOCK - 1, _CENSUS_BLOCK, _CENSUS_BLOCK + 1,
+                               2 * _CENSUS_BLOCK + 1])
+def test_arc_census_across_arc_blocks(m):
+    """The census taken a block of arcs at a time is the one-pass count."""
+    n = 2**15
+    D = gen_random_minout(n, m // n, extra=m % n, seed=m)
+    assert D.m == m
+    in_s = np.random.default_rng(m).random(n) < 0.3
+    to_s, from_s = arc_census(D, in_s)
+    assert to_s.tolist() == np.bincount(D.tails[in_s[D.heads]], minlength=n).tolist()
+    assert from_s.tolist() == np.bincount(D.heads[in_s[D.tails]], minlength=n).tolist()
 
 
 def test_float_vertex_ids_are_rejected():

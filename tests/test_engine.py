@@ -45,11 +45,19 @@ from judipart import (
     verify_record,
 )
 from judipart import certify as certify_mod, digraph as digraph_mod, engine as engine_mod, mingap
-from judipart.engine import CANDIDATE_ORDER, _refine, _trial_stream, _trial_words
+from judipart.engine import (
+    _ARC_BLOCK,
+    CANDIDATE_ORDER,
+    _bit_counts,
+    _refine,
+    _trial_stream,
+    _trial_words,
+)
 
 from helpers import (
     hub_candidate_corpus,
     hub_digraph,
+    reference_bit_counts,
     reference_candidate_x_partitions,
     reference_extension_trial_cuts,
     reference_local_improve,
@@ -356,13 +364,16 @@ def test_more_trials_only_add_trials():
 
 def test_trial_cut_memory_grows_only_by_the_packed_trials():
     """At 256 trials the trial cuts hold more only in the packed words
-    (|Y| x 8 bytes per 64 trials) and the per-trial sums, not a trials x |Y|
-    matrix or a per-trial copy of the Y-Y arcs. One arc per vertex, so the
-    trials, not the arcs, set the peak."""
+    (|Y| x 8 bytes per 64 trials) and the per-trial counts, not a trials x |Y|
+    matrix or a per-trial copy of the arcs. Twice the arcs, at fixed n and
+    trials, add less than a byte per vertex: the arcs are counted a block at
+    a time, and both graphs span several blocks."""
     D = gen_random_minout(50_000, 1, seed=2)
+    D2 = gen_random_minout(50_000, 1, extra=50_000, seed=2)
+    assert D2.m == 2 * D.m > 2 * _ARC_BLOCK
     cand = CandidateXPartition("MINGAP", (), (), Fraction(1, 2))  # Y = V
 
-    def peak(trials):
+    def peak(D, trials):
         cfg = EngineConfig(d=1, trials=trials, seed=0)
         tracemalloc.start()
         try:
@@ -372,9 +383,49 @@ def test_trial_cut_memory_grows_only_by_the_packed_trials():
             tracemalloc.stop()
 
     extension_trial_cuts(D, cand, EngineConfig(d=1, trials=1))  # one-time set-up, unmeasured
-    growth = peak(256) - peak(64)
+    growth = peak(D, 256) - peak(D, 64)
     packed = D.n * (256 - 64) // 8
     assert growth <= packed + 64 * 1024, (growth, packed)
+    growth = peak(D2, 64) - peak(D, 64)
+    assert growth <= D.n, growth
+
+
+@pytest.mark.parametrize("length", [1, 254, 255, 256, 511, _ARC_BLOCK - 1, _ARC_BLOCK,
+                                    _ARC_BLOCK + 1])
+def test_bit_counts_match_a_shift_and_mask_count(length):
+    """Groups of 255 words, and one more or one less, in every row of a
+    two-row block."""
+    rng = np.random.default_rng(length)
+    x = rng.integers(0, 2 ** 64, size=(2, length), dtype=np.uint64, endpoint=False)
+    x[1, ::3] = 0
+    got = _bit_counts(x)
+    assert got.dtype == np.int64 and got.shape == (2, 64)
+    assert np.array_equal(got, reference_bit_counts(x))
+
+
+def test_bit_counts_fill_a_byte_lane_to_255():
+    """255 all-ones words put exactly 255 in every byte lane; a word fewer or
+    more also counts exactly."""
+    for length in (254, 255, 256):
+        x = np.full((1, length), np.iinfo(np.uint64).max, dtype=np.uint64)
+        assert _bit_counts(x).tolist() == [[length] * 64]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-block-plus-1"])
+def test_extension_trial_cuts_across_the_arc_block(extra):
+    """m at and just above the arc block; 130 trials make three words, the
+    last one partial; x1 and x2 are both nonempty."""
+    n = _ARC_BLOCK // 4
+    D = gen_random_minout(n, 4, extra=extra, seed=5)
+    assert D.m == _ARC_BLOCK + extra
+    cand = CandidateXPartition("X4", tuple(range(0, 60, 4)), tuple(range(2, 90, 4)),
+                               Fraction(5, 14))
+    cfg = EngineConfig(d=4, trials=130, seed=3)
+    e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
+    assert words.shape == (n - len(cand.x1) - len(cand.x2), 3)
+    ref_e12, ref_e21, A = reference_extension_trial_cuts(D, cand, cfg)
+    assert np.array_equal(unpack_trial_words(words, cfg.trials), A)
+    assert e12s.tolist() == ref_e12.tolist() and e21s.tolist() == ref_e21.tolist()
 
 
 def test_trials_beyond_addressable_words_are_too_large():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import arc_list, reference_dp_min_gap, vertex_stats
 from judipart import mingap
+from judipart.digraph import _CENSUS_BLOCK
 from judipart import (
     EngineConfig,
     PartitionError,
@@ -200,6 +201,26 @@ def test_hub_graph_beyond_full_table():
     out = partition(D, EngineConfig(d=4))
     assert out.x == xs
     assert out.certificate.bundle.theta == gr.theta_abs_min
+
+
+def test_gap_stage_memory_does_not_follow_the_arcs():
+    """40 hubs of degree 25000 on n = 50000: m spans several census blocks,
+    yet the gap stage holds the census's one block of arcs (a mask and the
+    selected int64 ends, 9 bytes per arc of the block), a few n-sized count
+    arrays and the DP's bitsets, not an int64 per arc into Y (8 m bytes)."""
+    D = hub_digraph(50_000, 40, 25_000, seed=2)
+    assert D.m > 4 * _CENSUS_BLOCK
+    xs = split_by_degree(D).x
+    assert len(xs) == 40
+    min_gap_partition(D, xs)  # one-time set-up, unmeasured
+    tracemalloc.start()
+    try:
+        gr = min_gap_partition(D, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * _CENSUS_BLOCK + 48 * D.n + 2 * 1024 * 1024, peak
+    assert abs(gap(D, gr.x1, gr.x2)) == gr.theta_abs_min
 
 
 @settings(max_examples=40, deadline=None)
