@@ -37,8 +37,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .certify import build_certificate, render_text
 from .digraph import (
@@ -48,7 +46,6 @@ from .digraph import (
     load_edge_list,
     min_outdegree,
     save_edge_list,
-    vertex_mask,
 )
 from .engine import (
     EngineConfig,
@@ -138,11 +135,6 @@ def _load_x(args, D: Digraph) -> tuple[int, ...]:
     return tuple(sorted(set(xs)))
 
 
-def _complement(D: Digraph, xs) -> np.ndarray:
-    """Y = V - X as a sorted index array."""
-    return np.flatnonzero(~vertex_mask(D.n, xs, "X"))
-
-
 def cmd_partition(args, D: Digraph) -> tuple[dict, dict, str]:
     cfg = EngineConfig(d=args.d, epsilon=args.eps, trials=args.trials, seed=args.seed)
     out = run_partition(D, cfg)
@@ -207,28 +199,23 @@ def cmd_gap(args, D: Digraph) -> tuple[dict, dict, str]:
 
 
 def cmd_tight(args, D: Digraph) -> tuple[dict, dict, str]:
-    ys = _complement(D, _load_x(args, D))
-    tr = essential_tight_components(D, ys)
-    outcome = {
-        "tau": tr.tau,
-        "components": [list(c) for c in tr.components],
-        "tight": list(tr.tight_flags),
-        "essential": list(tr.essential_flags),
-    }
-    lines = [f"|Y|={len(ys)} components={len(tr.components)} tau={tr.tau}"]
-    for comp, tf, ef in list(zip(tr.components, tr.tight_flags, tr.essential_flags))[:20]:
+    tr = essential_tight_components(D, _load_x(args, D))
+    outcome = tr.to_jsonable()
+    comps = outcome["components"]
+    lines = [f"|Y|={sum(map(len, comps))} components={len(comps)} tau={tr.tau}"]
+    for comp, tf, ef in list(zip(comps, outcome["tight"], outcome["essential"]))[:20]:
         tag = "essential-tight" if ef else ("tight" if tf else "loose")
-        lines.append(f"  size={len(comp)} {tag}: {list(comp)[:12]}"
+        lines.append(f"  size={len(comp)} {tag}: {comp[:12]}"
                      + ("..." if len(comp) > 12 else ""))
-    if len(tr.components) > 20:
-        lines.append(f"  ... {len(tr.components) - 20} more")
+    if len(comps) > 20:
+        lines.append(f"  ... {len(comps) - 20} more")
     return {"x_auto": args.x_auto, "x_file": args.x_file}, outcome, "\n".join(lines)
 
 
 def cmd_certify(args, D: Digraph) -> tuple[dict, dict, str]:
     cfg = EngineConfig(d=args.d, epsilon=args.eps)
     gr = min_gap_partition(D, _load_x(args, D))
-    tr = essential_tight_components(D, _complement(D, gr.x))
+    tr = essential_tight_components(D, gr.x)
     cert = build_certificate(D, gr, tr, cfg)
     config = {"d": args.d, "eps": args.eps, "x_auto": args.x_auto,
               "x_file": args.x_file}

@@ -14,11 +14,11 @@ Conventions used across the package:
   not an integer in 0..n-1 (a float such as 2.5 included) with
   VertexOutOfRangeError.
 - The analysis splits V into X and Y = V - X. A function takes X (or its
-  parts x1, x2), never Y: it derives Y as the complement, so the two sets
-  cannot disagree. Parts are checked in one place, split_masks: a vertex
-  outside 0..n-1 or in two parts raises PartitionError. Every quantity the
-  analysis counts across a split reads from arc_census: the per-vertex
-  counts e(v, S) and e(S, v) of a set S.
+  parts x1, x2), never Y, tau's tight components included: it derives Y as
+  the complement, so the two sets cannot disagree. Parts are checked in one
+  place, split_masks: a vertex outside 0..n-1 or in two parts raises
+  PartitionError. Every quantity the analysis counts across a split reads
+  from arc_census: the per-vertex counts e(v, S) and e(S, v) of a set S.
 - A bipartition assigns every vertex side 1 or side 2; the two directed cut
   counts are e12 (side 1 -> side 2) and e21 (side 2 -> side 1).
 
@@ -249,8 +249,6 @@ def e_between(D: Digraph, a: Iterable[int], b: Iterable[int]) -> int:
 def max_degree(D: Digraph) -> int:
     if D.n == 0:
         raise EmptyGraphError("max degree of an empty graph is undefined")
-    if D.m == 0:
-        return 0
     return int((D.out_degrees + D.in_degrees).max())
 
 
@@ -308,8 +306,6 @@ def cut_counts(D: Digraph, P: Bipartition) -> CutValue:
     """Directed cut counts of a bipartition."""
     if P.n != D.n:
         raise PartitionError(f"bipartition covers {P.n} vertices, graph has {D.n}")
-    if D.m == 0:
-        return CutValue(0, 0, 0)
     ts = P.sides[D.tails]
     hs = P.sides[D.heads]
     e12 = int(np.count_nonzero((ts == 1) & (hs == 2)))

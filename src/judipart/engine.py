@@ -40,10 +40,9 @@ alone (uniform_split_bound). The 1/28 floor makes m >= 6272 n enough for any
 eps.
 
 Every function takes X, or a candidate's parts x1 and x2, and derives
-Y = V - X itself; a GapResult carries its X (gr.x), so nothing takes X beside
-one. X, which records hold, is a tuple; any integer sequence is accepted and
-checked (digraph.split_masks). Y appears as a sorted int64 index array only
-where tau needs it (DegreeSplit.y, essential_tight_components).
+Y = V - X itself, essential_tight_components included; a GapResult carries
+its X (gr.x), so nothing takes X beside one. X, which records hold, is a
+tuple; any integer sequence is accepted and checked (digraph.split_masks).
 
 Randomness contract: candidate labeled L draws all its trials from one
 stream, np.random.default_rng(np.random.SeedSequence((seed, crc32(L)))),
@@ -128,7 +127,6 @@ class EngineConfig:
 @dataclass(frozen=True)
 class DegreeSplit:
     x: tuple[int, ...]
-    y: np.ndarray  # sorted int64 ids
     threshold: float
 
 
@@ -214,8 +212,7 @@ def split_by_degree(D: Digraph) -> DegreeSplit:
     if D.n == 0:
         raise EmptyGraphError("cannot split an empty graph")
     in_x = D.degrees() >= isqrt(isqrt(D.n ** 3 - 1)) + 1
-    return DegreeSplit(x=tuple(np.flatnonzero(in_x).tolist()), y=np.flatnonzero(~in_x),
-                       threshold=float(D.n) ** 0.75)
+    return DegreeSplit(x=tuple(np.flatnonzero(in_x).tolist()), threshold=float(D.n) ** 0.75)
 
 
 def mingap_candidate(gr: GapResult) -> CandidateXPartition:
@@ -581,10 +578,10 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
 
     shortcut = uniform_split_applicable(D, cfg)
     if shortcut:
-        xs, ys, threshold = (), np.arange(D.n), None
+        xs, threshold = (), None
     else:
         sp = split_by_degree(D)
-        xs, ys, threshold = sp.x, sp.y, sp.threshold
+        xs, threshold = sp.x, sp.threshold
     gr = min_gap_partition(D, xs)
     cands = candidate_x_partitions(D, gr, cfg)
     huge_even = not shortcut and gr.k is None
@@ -596,7 +593,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
 
     cand, bip, cut = max(results, key=lambda r: _key(r[2].e12, r[2].e21))
 
-    tr = essential_tight_components(D, ys)
+    tr = essential_tight_components(D, gr.x)
     cert = certify_mod.build_certificate(
         D, gr, tr, cfg,
         candidates=[c for c, _, _ in results],

@@ -1,4 +1,4 @@
-"""Tight components of the digraph induced on a vertex set Y.
+"""Tight components of the digraph induced on Y = V - X.
 
 Work happens on the underlying undirected graph of D[Y]: anti-parallel arc
 pairs collapse to a single undirected edge. A connected component is *tight*
@@ -6,11 +6,11 @@ when every biconnected block of it is a complete graph on an odd number of
 vertices (isolated vertices and single vertices count, a lone edge K2 does
 not). A tight component is *essential* when none of its undirected edges came
 from an anti-parallel pair, i.e. the component's arcs inside Y are one-way.
-
-tau(Y) is the number of essential tight components; it is the quantity the
+tau(Y), the number of essential tight components, is the quantity the
 lower-bound certificates consume.
 
-essential_tight_components classifies every component in one numpy pass:
+essential_tight_components takes X, like every entry point, and classifies
+every component of D[Y] in one numpy pass:
 
 - The arcs inside Y collapse to sorted undirected codes lo * n + hi with
   np.unique; a code seen twice is an anti-parallel pair.
@@ -19,19 +19,18 @@ essential_tight_components classifies every component in one numpy pass:
   (np.minimum.at), then pointer jumping takes every label to its root, until
   no edge joins two roots (Shiloach and Vishkin 1982).
 - bincounts per component give its size, edge count, odd-degree vertices and
-  anti-parallel pairs; one stable radix sort of the component numbers
-  (digraph.stable_order, which also builds incidence()) groups the members.
+  anti-parallel pairs. The report keeps arrays; only to_jsonable lists members.
 
 Two lemmas settle most components without a DFS. In a tight component every
 block is an odd clique K_q, so every degree is a sum of even terms q - 1, and
 the vertex count 1 + sum(q - 1) over the blocks is odd. So a component with an
 odd-degree vertex or an even vertex count is not tight (parity filter). And a
 component on an odd number q of vertices with q(q - 1)/2 edges is one odd
-clique, so it is tight (odd-clique shortcut). Only the components that neither
-rule settles reach the block DFS, the edge-stack DFS of Hopcroft and Tarjan
-(1973), on an adjacency built for their vertices only. The DFS is iterative so
-that hundred-thousand-vertex components do not hit the recursion limit.
-It is the module's only classifier.
+clique, so it is tight (odd-clique shortcut); a single vertex is one. Only the
+components that neither rule settles reach the block DFS, the edge-stack DFS
+of Hopcroft and Tarjan (1973), on an adjacency built for their vertices only.
+The DFS is iterative so that hundred-thousand-vertex components do not hit the
+recursion limit. It is the module's only classifier.
 """
 from __future__ import annotations
 
@@ -39,21 +38,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, split_masks, stable_order
+from .digraph import Digraph, split_masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightReport:
-    components: tuple[tuple[int, ...], ...]
-    tight_flags: tuple[bool, ...]
-    essential_flags: tuple[bool, ...]
+    """components[c] is component c's smallest vertex, ascending;
+    component_of[v] is the index of v's component, -1 for v in X; the flags
+    are bool arrays over the components."""
+    components: np.ndarray
+    component_of: np.ndarray
+    tight_flags: np.ndarray
+    essential_flags: np.ndarray
     tau: int
 
+    def to_jsonable(self) -> dict:
+        """The tight record: tau, each component's sorted members, the flags."""
+        of = self.component_of
+        verts = np.flatnonzero(of >= 0)
+        members = verts[np.argsort(of[verts], kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(of[verts], minlength=self.components.size))
+        return {
+            "tau": self.tau,
+            "components": [members[s:e] for s, e in zip([0, *ends[:-1]], ends)],
+            "tight": self.tight_flags.tolist(),
+            "essential": self.essential_flags.tolist(),
+        }
 
-def _undirected(D: Digraph, y) -> tuple[np.ndarray, ...]:
-    """The vertices of Y, the undirected edges (lo, hi), lo < hi, of D[Y] in
-    sorted order, and a flag per edge that is set for an anti-parallel pair."""
-    (inside,) = split_masks(D.n, [y], "Y")
+
+def _undirected(D: Digraph, x) -> tuple[np.ndarray, ...]:
+    """The vertices of Y = V - X, the undirected edges (lo, hi), lo < hi, of
+    D[Y] in sorted order, and a flag per edge that is set for an anti-parallel
+    pair."""
+    inside = ~split_masks(D.n, [x], "X")[0]
     keep = inside[D.tails] & inside[D.heads]
     t = D.tails[keep].astype(np.int64, copy=False)
     h = D.heads[keep].astype(np.int64, copy=False)
@@ -73,11 +90,9 @@ def _adjacency(verts, lo: np.ndarray, hi: np.ndarray) -> dict[int, list[int]]:
 
 
 def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Components of the graph on verts with edges (lo, hi).
-
-    Returns the component index of every vertex (indexed by vertex; only the
-    entries of verts mean anything), the component sizes, and the components
-    as sorted vertex tuples, numbered in order of their smallest vertex."""
+    """Components of the graph on verts with edges (lo, hi), numbered in order
+    of their smallest vertex: those smallest vertices, ascending, and the
+    component index of every vertex, -1 off verts."""
     label = np.arange(n)
     while True:
         a, b = label[lo], label[hi]
@@ -89,26 +104,19 @@ def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         while not np.array_equal(jumped, label):
             label, jumped = jumped, jumped[jumped]
     # a label never exceeds its vertex and roots hook only under smaller
-    # roots, so each root is the smallest vertex of its component
+    # roots, so each root is the smallest vertex of its component; a vertex
+    # off verts touches no edge, so its label is itself, ranked -1
     roots = verts[label[verts] == verts]
-    rank = np.zeros(n, dtype=np.int64)
+    rank = np.full(n, -1, dtype=np.int64)
     rank[roots] = np.arange(roots.size)
-    comp = rank[label]
-    of_vert = comp[verts]
-    sizes = np.bincount(of_vert, minlength=roots.size)
-    members = verts[stable_order(of_vert, roots.size)].tolist()
-    ends = np.cumsum(sizes).tolist()
-    comps = tuple(tuple(members[s:e]) for s, e in zip([0] + ends[:-1], ends))
-    return comp, sizes, comps
+    return roots, rank[label]
 
 
 def _blocks_with_edges(
-    adj: dict[int, list[int]], comp
+    adj: dict[int, list[int]], root: int
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Biconnected blocks of one component as (vertices, edge count) pairs."""
-    comp = list(comp)
-    if len(comp) == 1:
-        return [((comp[0],), 0)]
+    """Biconnected blocks of root's component, which has an edge, as
+    (vertices, edge count) pairs."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     counter = 0
@@ -122,13 +130,8 @@ def _blocks_with_edges(
             edges.append(e)
             if e == (u, v):
                 break
-        verts: set[int] = set()
-        for a, b in edges:
-            verts.add(a)
-            verts.add(b)
-        out.append((tuple(sorted(verts)), len(edges)))
+        out.append((tuple(sorted({w for e in edges for w in e})), len(edges)))
 
-    root = comp[0]
     # frames: (vertex, parent, iterator over neighbors)
     disc[root] = low[root] = counter
     counter += 1
@@ -171,11 +174,13 @@ def _odd_cliques(blocks_with_edges) -> bool:
                for vs, e in blocks_with_edges)
 
 
-def essential_tight_components(D: Digraph, y) -> TightReport:
-    """Classify the components of D[Y]; tau counts the essential tight ones."""
-    verts, lo, hi, anti = _undirected(D, y)
-    comp, sizes, comps = _components(D.n, verts, lo, hi)
-    k = len(comps)
+def essential_tight_components(D: Digraph, x) -> TightReport:
+    """Classify the components of D[Y], Y = V - X; tau counts the essential
+    tight ones."""
+    verts, lo, hi, anti = _undirected(D, x)
+    roots, comp = _components(D.n, verts, lo, hi)
+    k = roots.size
+    sizes = np.bincount(comp[verts], minlength=k)
     of_edge = comp[lo]
     edges = np.bincount(of_edge, minlength=k)
     degree = np.bincount(lo, minlength=D.n) + np.bincount(hi, minlength=D.n)
@@ -187,12 +192,7 @@ def essential_tight_components(D: Digraph, y) -> TightReport:
     if left.any():
         sel = left[of_edge]
         adj = _adjacency(verts[left[comp[verts]]].tolist(), lo[sel], hi[sel])
-        for c in np.flatnonzero(left).tolist():
-            tight[c] = _odd_cliques(_blocks_with_edges(adj, comps[c]))
+        for c, root in zip(np.flatnonzero(left).tolist(), roots[left].tolist()):
+            tight[c] = _odd_cliques(_blocks_with_edges(adj, root))
     essential = tight & (np.bincount(of_edge[anti], minlength=k) == 0)
-    return TightReport(
-        components=comps,
-        tight_flags=tuple(tight.tolist()),
-        essential_flags=tuple(essential.tolist()),
-        tau=int(np.count_nonzero(essential)),
-    )
+    return TightReport(roots, comp, tight, essential, int(np.count_nonzero(essential)))

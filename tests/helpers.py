@@ -314,8 +314,8 @@ def naive_tight(adj: dict[int, set[int]], comp) -> bool:
     return True
 
 
-def naive_tight_report(D: Digraph, ys):
-    """(components, tight flags, essential flags, tau) by brute force."""
+def naive_tight_report(D: Digraph, ys) -> dict:
+    """The tight record (TightReport.to_jsonable) of D[ys] by brute force."""
     adj = naive_underlying(D, ys)
     comps = naive_components(adj)
     codes = arc_codes(D)
@@ -330,7 +330,14 @@ def naive_tight_report(D: Digraph, ys):
         )
         tight.append(t)
         essential.append(t and not anti)
-    return comps, tuple(tight), tuple(essential), sum(essential)
+    return {"tau": sum(essential), "components": [list(c) for c in comps],
+            "tight": tight, "essential": essential}
+
+
+def complement(n: int, vs) -> list[int]:
+    """V - vs, ascending: the X whose Y is vs."""
+    vs = set(vs)
+    return [v for v in range(n) if v not in vs]
 
 
 # --- generator and engine kernel references ---------------------------------

@@ -42,15 +42,10 @@ GOLDEN = Path(__file__).parent / "golden" / "skew_d4_n20_checks.json"
 
 def bundle_for(D, d, x=None):
     cfg = EngineConfig(d=d)
-    if x is None:
-        sp = split_by_degree(D)
-        xs, ys = sp.x, sp.y
-    else:
-        xs = tuple(sorted(x))
-        ys = tuple(sorted(set(range(D.n)) - set(xs)))
+    xs = split_by_degree(D).x if x is None else tuple(sorted(x))
     gr = min_gap_partition(D, xs)
-    tr = essential_tight_components(D, ys)
-    return compute_bundle(D, gr, tr, cfg), xs, ys, gr, tr, cfg
+    tr = essential_tight_components(D, xs)
+    return compute_bundle(D, gr, tr, cfg), xs, gr, tr, cfg
 
 
 def test_golden_vector_still_reproduces():
@@ -75,7 +70,7 @@ def test_golden_vector_still_reproduces():
 
 def test_every_check_recomputes_from_stored_strings():
     D = gen_skew_d6(60, seed=2)
-    bundle, xs, ys, gr, tr, cfg = bundle_for(D, 6)
+    bundle, xs, gr, tr, cfg = bundle_for(D, 6)
     cert = build_certificate(D, gr, tr, cfg)
     assert cert.checks
     for c in cert.checks:
@@ -124,7 +119,7 @@ def k1_bundle():
 
 
 def test_candidate_forms_and_d4k1_disjunction():
-    D, (bundle, xs, ys, gr, tr, cfg) = k1_bundle()
+    D, (bundle, xs, gr, tr, cfg) = k1_bundle()
     recs = {r.check_id: r for r in check_candidate_forms(bundle)}
     for rid in ("form1-neg", "form2-lower", "form3-upper",
                 "d4k1-alt-a", "d4k1-alt-b1", "d4k1-alt-b2",
@@ -170,7 +165,7 @@ def test_huge_regimes_tau_bound_gating():
 
 def test_f_plus_h_equals_m_at_half_when_x_arc_free():
     D = gen_skew_d6(60, seed=3)
-    bundle, xs, ys, gr, tr, cfg = bundle_for(D, 6)
+    bundle, xs, gr, tr, cfg = bundle_for(D, 6)
     assert bundle.e_x == 0
     for mask in range(4):
         x1 = tuple(v for v in xs if mask >> v & 1)
@@ -198,7 +193,7 @@ def test_certificate_scores_and_render():
 
 def test_bundle_quantities_are_definitional():
     D = gen_skew_d6(30, seed=9)
-    bundle, xs, ys, gr, tr, cfg = bundle_for(D, 6, x=(0, 1, 2))
+    bundle, xs, gr, tr, cfg = bundle_for(D, 6, x=(0, 1, 2))
     assert bundle.n == D.n and bundle.m == D.m
     assert bundle.m1 + bundle.m2 + bundle.e_x == D.m
     assert bundle.theta == gr.theta_abs_min
@@ -216,7 +211,7 @@ def test_bundle_counts_arcs_across_gr_x_and_its_complement():
     for x in ((0, 1, 2), (0, 1, 2, 3, 4), split_by_degree(D).x):
         gr = min_gap_partition(D, x)
         y = sorted(set(range(D.n)) - set(gr.x))
-        bundle = compute_bundle(D, gr, essential_tight_components(D, y), cfg)
+        bundle = compute_bundle(D, gr, essential_tight_components(D, gr.x), cfg)
         assert bundle.m1 == e_between(D, gr.x, y) + e_between(D, y, gr.x)
         assert bundle.m2 == e_between(D, y, y)
         assert bundle.e_x == e_between(D, gr.x, gr.x)
@@ -225,7 +220,7 @@ def test_bundle_counts_arcs_across_gr_x_and_its_complement():
 
 def test_certificate_refuses_a_candidate_not_splitting_gr_x():
     D = gen_skew_d4(20)
-    bundle, xs, ys, gr, tr, cfg = bundle_for(D, 4)
+    bundle, xs, gr, tr, cfg = bundle_for(D, 4)
     assert gr.x == tuple(range(5))
     ok = CandidateXPartition("T", (4,), (0, 1, 2, 3), Fraction(1, 2))
     assert len(build_certificate(D, gr, tr, cfg, candidates=[ok]).fh_values) == 1

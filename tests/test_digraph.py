@@ -14,6 +14,7 @@ from helpers import arc_codes, vertex_stats
 from judipart import (
     Bipartition,
     CandidateXPartition,
+    CutValue,
     DuplicateArcError,
     EdgeListParseError,
     LoopArcError,
@@ -253,6 +254,14 @@ def test_bipartition_and_cut_counts():
         cut_counts(D, Bipartition([1, 2]))
 
 
+def test_arcless_graph_has_zero_cut_and_max_degree():
+    D = from_arc_list(5, [])
+    for side1 in ([], [0, 3], range(5)):
+        cut = cut_counts(D, Bipartition.from_side1(5, side1))
+        assert cut == CutValue(0, 0, 0) and type(cut.e12) is int
+    assert max_degree(D) == 0 and type(max_degree(D)) is int
+
+
 def test_edge_list_round_trip(tmp_path):
     D = gen_random_minout(12, 2, extra=4, seed=8)
     text = format_edge_list(D)
@@ -380,7 +389,7 @@ BAD_SPLITS = {
 }
 SPLIT_D = from_arc_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 3), (3, 0)])
 SPLIT_GR = min_gap_partition(SPLIT_D, (3, 4))
-SPLIT_TR = essential_tight_components(SPLIT_D, (0, 1, 2))
+SPLIT_TR = essential_tight_components(SPLIT_D, (3, 4))
 SPLIT_CFG = EngineConfig(d=1, trials=4)
 ONE_SET = ("out_of_range", "negative", "non_integer")
 TWO_PARTS = ONE_SET + ("overlap",)

@@ -125,7 +125,7 @@ def test_split_by_degree_cases():
     # force degree exactly 2 everywhere: a big directed cycle
     cyc = from_arc_list(100, [(i, (i + 1) % 100) for i in range(100)])
     sp = split_by_degree(cyc)
-    assert sp.x == () and len(sp.y) == 100
+    assert sp.x == ()
     assert sp.threshold == pytest.approx(100 ** 0.75)
 
     skew = gen_skew_d4(200)
@@ -749,6 +749,26 @@ def test_outcomes_at_scale_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, trials)
 
 
+# sha256 of the tight record (TightReport.to_jsonable, json with sorted keys)
+# with X from split_by_degree
+TIGHT_DIGESTS = {
+    "tight-union": "a10ae4a600feb8dbc7357ea717daa3ad02e63edf6c4da366dafea5fc94a520d7",
+    "random": "92b8a8069e65bc255634663e653d848be4308e82138ca3c00b9e4d4fbfac7d4f",
+}
+
+
+def test_tight_records_at_scale_are_pinned():
+    graphs = {
+        "tight-union": gen_tight_union(4, 5000, augment=True),
+        "random": gen_random_minout(50000, 4, extra=50000, seed=1),
+    }
+    for name, digest in TIGHT_DIGESTS.items():
+        D = graphs[name]
+        rec = essential_tight_components(D, split_by_degree(D).x).to_jsonable()
+        text = json.dumps(rec, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
 def test_single_flip_cuts_helper_counts_each_flip():
     D = gen_random_minout(12, 2, extra=10, seed=5)
     P = Bipartition(np.random.default_rng(6).integers(1, 3, size=12).astype(np.uint8))
@@ -794,18 +814,17 @@ def vertex_set_forms(vs):
 def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
     cfg = cfg4(trials=16, seed=44)
     sp = split_by_degree(D)
-    assert sp.x and sp.y.dtype == np.int64
-    assert sp.y.tolist() == sorted(set(range(D.n)) - set(sp.x))
+    assert sp.x
     gr = min_gap_partition(D, sp.x)
-    tr = essential_tight_components(D, sp.y)
 
     def results(x, x1, x2):
         g = min_gap_partition(D, x)
+        tr = essential_tight_components(D, x)
         cand = CandidateXPartition("MINGAP", x1, x2, Fraction(5, 14))
         e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
         cert = build_certificate(D, g, tr, cfg, candidates=[cand])
         return (
-            g,
+            g, tr.to_jsonable(),
             e12s.tolist(), e21s.tolist(), words.tolist(),
             extend_partition_randomized(D, cand, cfg),
             json.dumps(cert.to_jsonable(), sort_keys=True),
@@ -818,7 +837,5 @@ def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
     assert ('"gap-le-ysize"' in expected[-1]) == (e_x == 0)
     for forms in zip(*map(vertex_set_forms, (sp.x, gr.x1, gr.x2))):
         assert results(*forms) == expected
-    for y in vertex_set_forms(sp.y.tolist()):
-        assert essential_tight_components(D, y) == tr
     json.dumps(partition(D, cfg).to_jsonable())  # a numpy scalar would raise
 

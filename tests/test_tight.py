@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import judipart.tight as tight_mod
-from helpers import naive_tight_report, naive_underlying, naive_blocks
+from helpers import complement, naive_tight_report, naive_underlying, naive_blocks
 from judipart import (
-    TightReport,
     essential_tight_components,
     from_arc_list,
     gen_eulerian_complete,
@@ -19,40 +18,50 @@ from judipart import (
 )
 
 
+def report(D, ys) -> dict:
+    """The tight record of D[ys], X being the complement of ys."""
+    return essential_tight_components(D, complement(D.n, ys)).to_jsonable()
+
+
 def all_tight(D, vs) -> bool:
     """Every underlying component of D[vs] is tight."""
-    return all(essential_tight_components(D, vs).tight_flags)
+    return all(report(D, vs)["tight"])
 
 
 def dfs_blocks(D, vs) -> list[tuple[int, ...]]:
     """Vertex sets of the blocks that the block DFS finds, run on each
-    underlying component of D[vs] with that component's adjacency."""
+    underlying component of D[vs] that has an edge, from its smallest vertex,
+    with that component's adjacency."""
     adj = {v: sorted(ws) for v, ws in naive_underlying(D, vs).items()}
-    return [verts for comp in essential_tight_components(D, vs).components
-            for verts, _ in tight_mod._blocks_with_edges(adj, comp)]
+    rep = essential_tight_components(D, complement(D.n, vs))
+    return [verts for root in rep.components.tolist() if adj[root]
+            for verts, _ in tight_mod._blocks_with_edges(adj, root)]
 
 
 def test_single_vertex_is_tight():
     D = from_arc_list(3, [(1, 2)])
-    rep = essential_tight_components(D, [0, 1, 2])
-    assert rep.components == ((0,), (1, 2))
-    assert rep.tight_flags == (True, False)  # a lone edge is an even clique
-    assert rep.tau == 1
+    rep = essential_tight_components(D, [])
+    # a single vertex is tight; a lone edge is an even clique
+    assert rep.to_jsonable() == {"tau": 1, "components": [[0], [1, 2]],
+                                 "tight": [True, False], "essential": [True, False]}
+    assert rep.components.tolist() == [0, 1]
+    assert rep.component_of.tolist() == [0, 1, 1]
+    assert rep.tight_flags.dtype == rep.essential_flags.dtype == bool
+    assert type(rep.tau) is int
 
 
 def test_triangle_variants():
     tri = [(0, 1), (1, 2), (2, 0)]
     D = from_arc_list(3, tri)
-    rep = essential_tight_components(D, range(3))
-    assert rep.tight_flags == (True,) and rep.essential_flags == (True,)
+    rep = report(D, range(3))
+    assert rep["tight"] == [True] and rep["essential"] == [True]
 
     # anti-parallel pair collapses in the underlying graph: still one tight
     # triangle, no longer essential
     E = from_arc_list(3, tri + [(1, 0)])
-    rep2 = essential_tight_components(E, range(3))
-    assert rep2.components == ((0, 1, 2),)
-    assert rep2.tight_flags == (True,) and rep2.essential_flags == (False,)
-    assert rep2.tau == 0
+    rep2 = report(E, range(3))
+    assert rep2 == {"tau": 0, "components": [[0, 1, 2]],
+                    "tight": [True], "essential": [False]}
 
 
 def test_four_cycle_and_pendant_are_not_tight():
@@ -75,7 +84,7 @@ def test_disconnected_sets_judge_every_component():
     assert not all_tight(D, (0, 1, 2, 3, 4))  # the edge 3-4 is an even clique
     assert dfs_blocks(D, (0, 1, 2, 3, 4)) == [(0, 1, 2), (3, 4)]
     assert all_tight(D, (0, 1, 2, 3))  # triangle plus an isolated vertex
-    assert dfs_blocks(D, (0, 1, 2, 3)) == [(0, 1, 2), (3,)]
+    assert dfs_blocks(D, (0, 1, 2, 3)) == [(0, 1, 2)]  # no DFS from vertex 3
     E = from_arc_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert all_tight(E, range(6))
     assert dfs_blocks(E, range(6)) == [(0, 1, 2), (3, 4, 5)]
@@ -89,28 +98,30 @@ def test_odd_cliques_are_tight():
 
 def test_tight_union_component_census():
     D = gen_tight_union(4, copies=3)
-    rep = essential_tight_components(D, range(D.n))
+    rep = essential_tight_components(D, ())
     assert len(rep.components) == 4  # three small cliques and one big one
-    assert all(rep.tight_flags)
-    assert all(rep.essential_flags)
+    assert rep.tight_flags.all()
+    assert rep.essential_flags.all()
     assert rep.tau == 4
 
 
 def test_tau_drops_by_one_with_an_anti_parallel_arc():
     D = from_arc_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    rep = essential_tight_components(D, range(6))
+    rep = essential_tight_components(D, ())
     assert rep.tau == 2
     E = from_arc_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 0)])
-    rep2 = essential_tight_components(E, range(6))
+    rep2 = essential_tight_components(E, ())
     assert rep2.tau == 1
-    assert rep2.tight_flags == (True, True)
+    assert rep2.tight_flags.tolist() == [True, True]
+    assert rep2.essential_flags.tolist() == [False, True]
 
 
 def test_restriction_to_y_subset():
     # arcs leaving Y are invisible to the component structure
     D = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 3)])
-    rep = essential_tight_components(D, [0, 1, 2])
-    assert rep.components == ((0, 1, 2),)
+    rep = essential_tight_components(D, [3, 4])
+    assert rep.to_jsonable()["components"] == [[0, 1, 2]]
+    assert rep.component_of.tolist() == [0, 0, 0, -1, -1]  # X has no component
     assert rep.tau == 1
 
 
@@ -123,12 +134,7 @@ def test_agrees_with_naive_checker_on_randoms():
             ys = sorted(rng.sample(range(n), rng.randint(1, n)))
         else:
             ys = list(range(n))
-        rep = essential_tight_components(D, ys)
-        comps, tight, essential, tau = naive_tight_report(D, ys)
-        assert rep.components == tuple(comps)
-        assert rep.tight_flags == tight
-        assert rep.essential_flags == essential
-        assert rep.tau == tau
+        assert report(D, ys) == naive_tight_report(D, ys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,13 +144,13 @@ def test_blocks_partition_the_edges(seed):
     ys = list(range(9))
     adj = naive_underlying(D, ys)
     total_edges = sum(len(v) for v in adj.values()) // 2
-    rep = essential_tight_components(D, ys)
     got = 0
-    for comp in rep.components:
+    for comp in report(D, ys)["components"]:
         for verts, ecount in naive_blocks(adj, comp):
             got += ecount
         bl = dfs_blocks(D, comp)
-        naive_sets = sorted(tuple(v) for v, _ in naive_blocks(adj, comp))
+        # the DFS runs on components with an edge; a lone vertex is no block of it
+        naive_sets = sorted(tuple(v) for v, e in naive_blocks(adj, comp) if e)
         assert sorted(tuple(sorted(b)) for b in bl) == naive_sets
     assert got == total_edges
 
@@ -201,9 +207,7 @@ def glued_pieces(draw):
 @given(glued_pieces())
 def test_agrees_with_naive_checker_on_glued_cliques_and_cycles(case):
     D, ys = case
-    rep = essential_tight_components(D, ys)
-    comps, tight, essential, tau = naive_tight_report(D, ys)
-    assert rep == TightReport(tuple(comps), tight, essential, tau)
+    assert report(D, ys) == naive_tight_report(D, ys)
 
 
 def test_block_dfs_runs_only_where_no_lemma_decides(monkeypatch):
@@ -219,24 +223,24 @@ def test_block_dfs_runs_only_where_no_lemma_decides(monkeypatch):
     seen = []
     real = tight_mod._blocks_with_edges
 
-    def counting(adj, comp):
-        seen.append(tuple(comp))
-        return real(adj, comp)
+    def counting(adj, root):
+        seen.append(root)
+        return real(adj, root)
 
     monkeypatch.setattr(tight_mod, "_blocks_with_edges", counting)
-    rep = essential_tight_components(D, range(D.n))
-    assert rep.tight_flags == (True, False, False, False, False, True)
+    rep = essential_tight_components(D, ())
+    assert rep.tight_flags.tolist() == [True, False, False, False, False, True]
     assert rep.tau == 2
-    assert seen == [tuple(range(16, 21)), tuple(range(21, 26))]
+    assert seen == [16, 21]  # the DFS starts at C5's and the bowtie's smallest vertex
     seen.clear()
     union = gen_tight_union(4, copies=20)
-    assert essential_tight_components(union, range(union.n)).tau == 21
+    assert essential_tight_components(union, ()).tau == 21
     assert seen == []
 
 
 def _report_under(perm, n, arcs, ys):
     D = from_arc_list(n, [(perm[u], perm[v]) for u, v in arcs])
-    return essential_tight_components(D, [perm[v] for v in ys])
+    return report(D, [perm[v] for v in ys])
 
 
 @pytest.mark.parametrize("shape", ["path", "cycle"])
@@ -250,7 +254,7 @@ def test_large_path_and_cycle_reports_are_exact_under_relabelling(shape):
         arcs.append((n - 1, 0))
     identity = list(range(n))
     shuffled = random.Random(11).sample(identity, n)
-    whole = TightReport((tuple(identity),), (False,), (False,), 0)
+    whole = {"tau": 0, "components": [identity], "tight": [False], "essential": [False]}
     for perm in (identity, shuffled):
         assert _report_under(perm, n, arcs, identity) == whole
     if shape == "cycle":
@@ -261,7 +265,7 @@ def test_large_path_and_cycle_reports_are_exact_under_relabelling(shape):
     segments = [[1]] + [list(range(s, s + 997)) for s in range(3, n, 1000)]
     segments += [[s] for s in range(1001, n, 1000)]
     for perm in (identity, shuffled):
-        comps = sorted(tuple(sorted(perm[v] for v in seg)) for seg in segments)
-        flags = tuple(len(c) == 1 for c in comps)
-        assert _report_under(perm, n, arcs, ys) == TightReport(
-            tuple(comps), flags, flags, 100)
+        comps = sorted(sorted(perm[v] for v in seg) for seg in segments)
+        flags = [len(c) == 1 for c in comps]
+        assert _report_under(perm, n, arcs, ys) == {
+            "tau": 100, "components": comps, "tight": flags, "essential": flags}
