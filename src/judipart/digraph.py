@@ -230,13 +230,19 @@ _CENSUS_BLOCK = 1 << 18
 
 
 def arc_census(D: Digraph, in_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex (e(v, S), e(S, v)) for the vertex set S marked by in_s."""
+    """Per-vertex (e(v, S), e(S, v)) for the vertex set S marked by in_s,
+    counted against the smaller of S and V - S, as e(v, S) = outdeg(v) -
+    e(v, V - S) and e(S, v) = indeg(v) - e(V - S, v) when S is the larger:
+    for S = Y = V - X the bincounts then take only the arcs at X."""
+    flip = 2 * np.count_nonzero(in_s) > D.n
+    side = ~in_s if flip else in_s
     to_s, from_s = np.zeros(D.n, dtype=np.intp), np.zeros(D.n, dtype=np.intp)
     for lo in range(0, D.m, _CENSUS_BLOCK):
         tails, heads = D.tails[lo:lo + _CENSUS_BLOCK], D.heads[lo:lo + _CENSUS_BLOCK]
-        to_s += np.bincount(tails[in_s[heads]], minlength=D.n)
-        from_s += np.bincount(heads[in_s[tails]], minlength=D.n)
-    return to_s, from_s
+        # compress, not a boolean index: 3-4x faster on a mask of mixed bits
+        to_s += np.bincount(tails.compress(side[heads]), minlength=D.n)
+        from_s += np.bincount(heads.compress(side[tails]), minlength=D.n)
+    return (D.out_degrees - to_s, D.in_degrees - from_s) if flip else (to_s, from_s)
 
 
 def e_between(D: Digraph, a: Iterable[int], b: Iterable[int]) -> int:

@@ -9,15 +9,23 @@ from an anti-parallel pair, i.e. the component's arcs inside Y are one-way.
 tau(Y), the number of essential tight components, is the quantity the
 lower-bound certificates consume.
 
-essential_tight_components takes X, like every entry point, and classifies
-every component of D[Y] in one numpy pass:
+essential_tight_components takes X, like every entry point, and counts tau at
+once over the good vertices: those of Y with an even number of arcs to Y
+(arc_census), as every vertex of an essential tight component is (even degree,
+no anti-parallel pair). The count labels the graph on the good vertices alone;
+a good vertex with an arc to Y outside it is dead, so is every component with
+a dead vertex, and the live ones are whole components of D[Y]. On a random
+graph half of Y is not good and nearly every component dies. The report
+classifies all of D[Y] only when a field is first read (to_jsonable reads them
+all); partition and certify read tau alone. One numpy pass, _classify, serves
+both:
 
-- The arcs inside Y collapse to sorted undirected codes lo * n + hi with
-  np.unique; a code seen twice is an anti-parallel pair.
-- Components are labelled by their smallest vertex: across every edge whose
+- Components are labelled by their smallest vertex: across every arc whose
   ends have different roots the larger root hooks under the smaller one
   (np.minimum.at), then pointer jumping takes every label to its root, until
-  no edge joins two roots (Shiloach and Vishkin 1982).
+  no arc joins two roots (Shiloach and Vishkin 1982).
+- The arcs of the live components collapse to sorted undirected codes
+  lo * n + hi with np.unique; a code seen twice is an anti-parallel pair.
 - bincounts per component give its size, edge count, odd-degree vertices and
   anti-parallel pairs. The report keeps arrays; only to_jsonable lists members.
 
@@ -34,23 +42,31 @@ recursion limit. It is the module's only classifier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .digraph import Digraph, split_masks
+from .digraph import Digraph, arc_census, split_masks
 
 
 @dataclass(frozen=True, eq=False)
 class TightReport:
-    """components[c] is component c's smallest vertex, ascending;
-    component_of[v] is the index of v's component, -1 for v in X; the flags
-    are bool arrays over the components."""
-    components: np.ndarray
-    component_of: np.ndarray
-    tight_flags: np.ndarray
-    essential_flags: np.ndarray
+    """tau, and on first read: components[c], component c's smallest vertex,
+    ascending; component_of[v], the index of v's component, -1 for v in X; the
+    flags, bool arrays over the components."""
     tau: int
+    graph: Digraph = field(repr=False)
+    inside: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, ...]:
+        return _classify(self.graph.n, self.inside, *_arcs_within(self.graph, self.inside))
+
+    components = property(lambda self: self._classes[0])
+    component_of = property(lambda self: self._classes[1])
+    tight_flags = property(lambda self: self._classes[2])
+    essential_flags = property(lambda self: self._classes[3])
 
     def to_jsonable(self) -> dict:
         """The tight record: tau, each component's sorted members, the flags."""
@@ -66,19 +82,10 @@ class TightReport:
         }
 
 
-def _undirected(D: Digraph, x) -> tuple[np.ndarray, ...]:
-    """The vertices of Y = V - X, the undirected edges (lo, hi), lo < hi, of
-    D[Y] in sorted order, and a flag per edge that is set for an anti-parallel
-    pair."""
-    inside = ~split_masks(D.n, [x], "X")[0]
-    keep = inside[D.tails] & inside[D.heads]
-    t = D.tails[keep].astype(np.int64, copy=False)
-    h = D.heads[keep].astype(np.int64, copy=False)
-    codes, counts = np.unique(
-        np.minimum(t, h) * D.n + np.maximum(t, h), return_counts=True
-    )
-    lo, hi = np.divmod(codes, D.n)
-    return np.flatnonzero(inside), lo, hi, counts == 2
+def _arcs_within(D: Digraph, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads, as int64, of the arcs with both ends marked by within."""
+    keep = within[D.tails] & within[D.heads]
+    return tuple(a.compress(keep).astype(np.int64, copy=False) for a in (D.tails, D.heads))
 
 
 def _adjacency(verts, lo: np.ndarray, hi: np.ndarray) -> dict[int, list[int]]:
@@ -168,24 +175,27 @@ def _blocks_with_edges(
     return out
 
 
-def _odd_cliques(blocks_with_edges) -> bool:
-    """True when every (vertices, edge count) block is an odd complete graph."""
-    return all(len(vs) % 2 == 1 and e == len(vs) * (len(vs) - 1) // 2
-               for vs, e in blocks_with_edges)
-
-
-def essential_tight_components(D: Digraph, x) -> TightReport:
-    """Classify the components of D[Y], Y = V - X; tau counts the essential
-    tight ones."""
-    verts, lo, hi, anti = _undirected(D, x)
-    roots, comp = _components(D.n, verts, lo, hi)
+def _classify(n: int, within: np.ndarray, t: np.ndarray, h: np.ndarray,
+              dead: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The components of the graph on within with arcs (t, h): their smallest
+    vertices, the component of every vertex (-1 off within), the tight and
+    essential flags. One with a vertex marked by dead is left not tight."""
+    verts = np.flatnonzero(within)
+    roots, comp = _components(n, verts, t, h)
     k = roots.size
+    live = np.ones(k, dtype=bool)
+    if dead is not None:
+        live[comp[np.flatnonzero(dead)]] = False
+        keep = live[comp[t]]
+        t, h = t.compress(keep), h.compress(keep)
+    codes, counts = np.unique(np.minimum(t, h) * n + np.maximum(t, h), return_counts=True)
+    lo, hi = np.divmod(codes, n)
     sizes = np.bincount(comp[verts], minlength=k)
     of_edge = comp[lo]
     edges = np.bincount(of_edge, minlength=k)
-    degree = np.bincount(lo, minlength=D.n) + np.bincount(hi, minlength=D.n)
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     odd = np.bincount(comp[np.flatnonzero(degree & 1)], minlength=k)
-    maybe = (odd == 0) & (sizes % 2 == 1)  # the parity filter
+    maybe = live & (odd == 0) & (sizes % 2 == 1)  # the parity filter
     clique = edges == sizes * (sizes - 1) // 2
     tight = maybe & clique  # the odd-clique shortcut
     left = maybe & ~clique  # only the block DFS decides these
@@ -193,6 +203,26 @@ def essential_tight_components(D: Digraph, x) -> TightReport:
         sel = left[of_edge]
         adj = _adjacency(verts[left[comp[verts]]].tolist(), lo[sel], hi[sel])
         for c, root in zip(np.flatnonzero(left).tolist(), roots[left].tolist()):
-            tight[c] = _odd_cliques(_blocks_with_edges(adj, root))
-    essential = tight & (np.bincount(of_edge[anti], minlength=k) == 0)
-    return TightReport(roots, comp, tight, essential, int(np.count_nonzero(essential)))
+            tight[c] = all(len(vs) % 2 == 1 and e == len(vs) * (len(vs) - 1) // 2
+                           for vs, e in _blocks_with_edges(adj, root))
+    essential = tight & (np.bincount(of_edge[counts == 2], minlength=k) == 0)
+    return roots, comp, tight, essential
+
+
+def essential_tight_components(D: Digraph, x) -> TightReport:
+    """The report on the components of D[Y], Y = V - X, with tau, the number
+    of essential tight ones, counted over the good vertices alone."""
+    inside = ~split_masks(D.n, [x], "X")[0]
+    ydeg = np.add(*arc_census(D, inside))
+    good = inside & ((ydeg & 1) == 0)
+    t, h = _arcs_within(D, good)
+    dead = None
+    if np.count_nonzero(good) < np.count_nonzero(inside):
+        # a good vertex with fewer arcs to good vertices than to Y has an arc
+        # to a vertex of Y that is not good; an arc between two such dead
+        # vertices can only join components that die anyway
+        dead = good & (np.bincount(t, minlength=D.n) + np.bincount(h, minlength=D.n) < ydeg)
+        keep = ~(dead[t] & dead[h])
+        t, h = t.compress(keep), h.compress(keep)
+    tau = int(np.count_nonzero(_classify(D.n, good, t, h, dead)[3]))
+    return TightReport(tau, D, inside)

@@ -220,6 +220,22 @@ def test_arc_census_across_arc_blocks(m):
     assert from_s.tolist() == np.bincount(D.heads[in_s[D.tails]], minlength=n).tolist()
 
 
+def test_arc_census_on_either_side_of_half():
+    """S up to n/2 is counted directly, a larger S from its complement; both
+    give the per-vertex counts, with anti-parallel pairs and isolated vertices."""
+    n = 12
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (5, 6),
+            (6, 7), (7, 4), (8, 1), (2, 8), (9, 3)]  # 10 and 11 isolated
+    D = from_arc_list(n, arcs)
+    order = np.random.default_rng(5).permutation(n)
+    for size in (0, n // 2, n // 2 + 1, n):
+        in_s = np.zeros(n, dtype=bool)
+        in_s[order[:size]] = True
+        to_s, from_s = arc_census(D, in_s)
+        assert to_s.tolist() == [sum(u == v and in_s[w] for u, w in arcs) for v in range(n)]
+        assert from_s.tolist() == [sum(w == v and in_s[u] for u, w in arcs) for v in range(n)]
+
+
 def test_float_vertex_ids_are_rejected():
     D = from_arc_list(5, [(2, 3), (1, 2)])
     with pytest.raises(VertexOutOfRangeError):

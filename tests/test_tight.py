@@ -8,13 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import judipart.tight as tight_mod
-from helpers import complement, naive_tight_report, naive_underlying, naive_blocks
+from helpers import (
+    arc_list,
+    complement,
+    hub_digraph,
+    naive_blocks,
+    naive_tight_report,
+    naive_underlying,
+)
 from judipart import (
+    EngineConfig,
+    build_certificate,
     essential_tight_components,
     from_arc_list,
     gen_eulerian_complete,
     gen_random_minout,
     gen_tight_union,
+    min_gap_partition,
+    partition,
+    split_by_degree,
 )
 
 
@@ -229,9 +241,12 @@ def test_block_dfs_runs_only_where_no_lemma_decides(monkeypatch):
 
     monkeypatch.setattr(tight_mod, "_blocks_with_edges", counting)
     rep = essential_tight_components(D, ())
-    assert rep.tight_flags.tolist() == [True, False, False, False, False, True]
     assert rep.tau == 2
     assert seen == [16, 21]  # the DFS starts at C5's and the bowtie's smallest vertex
+    seen.clear()
+    # the full classification, made on the first read of a flag, runs the same DFS
+    assert rep.tight_flags.tolist() == [True, False, False, False, False, True]
+    assert seen == [16, 21]
     seen.clear()
     union = gen_tight_union(4, copies=20)
     assert essential_tight_components(union, ()).tau == 21
@@ -269,3 +284,111 @@ def test_large_path_and_cycle_reports_are_exact_under_relabelling(shape):
         flags = [len(c) == 1 for c in comps]
         assert _report_under(perm, n, arcs, ys) == {
             "tau": 100, "components": comps, "tight": flags, "essential": flags}
+
+
+# --- tau is counted over the good vertices alone ----------------------------
+
+def counted_tau(D, x, naive=True) -> int:
+    """tau as counted, read before anything classifies the components, after
+    checking it against the full classification and, when naive is set, the
+    brute-force one (which enumerates cycles: small sparse graphs only)."""
+    rep = essential_tight_components(D, x)
+    tau = rep.tau
+    assert "_classes" not in vars(rep)  # nothing classified yet
+    assert tau == int(rep.essential_flags.sum())
+    if naive:
+        assert tau == naive_tight_report(D, complement(D.n, x))["tau"]
+    return tau
+
+
+@st.composite
+def random_graph_and_x(draw):
+    """A random digraph on up to 9 vertices and 16 arcs, anti-parallel pairs
+    and isolated vertices allowed, with a random X."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
+    x = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    return from_arc_list(n, arcs), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graph_and_x())
+def test_counted_tau_is_the_full_count_on_random_graphs(case):
+    counted_tau(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 4), st.data())
+def test_counted_tau_on_tight_unions_with_anti_parallel_pairs(d, copies, data):
+    D = gen_tight_union(d, copies)
+    arcs = arc_list(D)
+    flipped = data.draw(st.lists(st.sampled_from(arcs), unique=True, max_size=4))
+    E = from_arc_list(D.n, arcs + [(v, u) for u, v in flipped])
+    x = data.draw(st.sampled_from([(), tuple(range(copies * (2 * d - 1), D.n))]))
+    assert counted_tau(E, x) <= counted_tau(D, x)
+
+
+def test_counted_tau_fixed_cases(monkeypatch):
+    seen = []
+    real = tight_mod._blocks_with_edges
+
+    def counting(adj, root):
+        seen.append(root)
+        return real(adj, root)
+
+    monkeypatch.setattr(tight_mod, "_blocks_with_edges", counting)
+    # a bowtie of one-way triangles: every vertex good, nothing dies, and
+    # neither lemma settles it, so the count reaches the block DFS
+    bowtie = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    assert essential_tight_components(bowtie, ()).tau == 1
+    assert seen == [0]
+    # the same with every arc anti-parallel: good, live, tight, not essential
+    both = from_arc_list(5, arc_list(bowtie) + [(v, u) for u, v in arc_list(bowtie)])
+    assert counted_tau(both, ()) == 0
+
+    # 300 triangles in a chain, every vertex of even degree, then one arc to
+    # a vertex of degree 1: only the far end is dead at first, and the
+    # labelling carries that to the whole chain
+    k = 300
+    chain = [(2 * i + a, 2 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (2, 0))]
+    n = 2 * k + 2
+    assert counted_tau(from_arc_list(n - 1, chain), (), naive=False) == 1
+    tail = from_arc_list(n, chain + [(2 * k, 2 * k + 1)])
+    assert counted_tau(tail, (), naive=False) == 0
+    # an X holding the odd end splits it off: the chain is one tight component
+    assert counted_tau(tail, [2 * k + 1], naive=False) == 1
+    # X through the chain leaves two pieces whose ends have odd degree in Y
+    assert counted_tau(tail, [k], naive=False) == 0
+    assert counted_tau(tail, [2 * k - 1], naive=False) == 0  # a K2 is cut off
+
+    isolated = from_arc_list(6, [(0, 1), (1, 2), (2, 0)])
+    assert counted_tau(isolated, ()) == 4
+    assert counted_tau(isolated, [0, 4]) == 2  # vertices 3 and 5; 1-2 is a K2
+    assert counted_tau(from_arc_list(0, []), ()) == 0
+    assert counted_tau(isolated, range(6)) == 0  # Y empty
+    rep = essential_tight_components(from_arc_list(0, []), ())
+    assert rep.to_jsonable() == {"tau": 0, "components": [], "tight": [], "essential": []}
+
+
+def test_partition_and_certificate_read_tau_alone(monkeypatch):
+    """Neither partition nor build_certificate classifies the components;
+    to_jsonable does, on first use."""
+    def refuse(self):
+        raise AssertionError("the full classification ran")
+
+    monkeypatch.setattr(tight_mod.TightReport, "_classes", property(refuse))
+    D = hub_digraph(73, 3, seed=44)
+    cfg = EngineConfig(d=4, trials=16, seed=44)
+    x = split_by_degree(D).x
+    assert x
+    out = partition(D, cfg)
+    tr = essential_tight_components(D, x)
+    cert = build_certificate(D, min_gap_partition(D, x), tr, cfg)
+    assert out.certificate.bundle.tau == cert.bundle.tau == tr.tau
+    with pytest.raises(AssertionError, match="classification ran"):
+        tr.to_jsonable()
+    monkeypatch.undo()
+    rec = tr.to_jsonable()
+    assert rec["tau"] == sum(rec["essential"]) == tr.tau
+    assert sum(map(len, rec["components"])) == D.n - len(x)
