@@ -165,8 +165,10 @@ def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digra
         raise VertexOutOfRangeError(
             f"arcs must hold integer vertex ids that fit in int64, got {arr.dtype}"
         )
-    bad = ((arr < 0) | (arr >= n)).any(axis=1)
-    if bad.any():
+    # min and max first: the per-row scan that names the first bad arc runs
+    # only when some id is out of range
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = ((arr < 0) | (arr >= n)).any(axis=1)
         u, v = arr[np.argmax(bad)].tolist()
         raise VertexOutOfRangeError(f"arc ({u}, {v}) out of range for n={n}")
     tails = arr[:, 0].astype(np.int64)
@@ -190,14 +192,15 @@ def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digra
 def vertex_mask(n: int, vs: Iterable[int], what: str) -> np.ndarray:
     """Membership mask over 0..n-1 of the vertex set vs (repeats allowed).
 
-    The ids keep their own type, so a float id is refused, not truncated."""
+    The ids keep their own type, so a float id is refused, not truncated;
+    an empty set of any type is the all-false mask."""
     idx = np.asarray(vs if isinstance(vs, (list, tuple, np.ndarray)) else list(vs))
+    if idx.size == 0:
+        return np.zeros(n, dtype=bool)
     if idx.dtype.kind not in "iu":
-        if idx.size:
-            raise VertexOutOfRangeError(
-                f"{what} contains non-integer vertex ids ({idx.dtype}), n={n}"
-            )
-        idx = idx.astype(np.int64)
+        raise VertexOutOfRangeError(
+            f"{what} contains non-integer vertex ids ({idx.dtype}), n={n}"
+        )
     bad = (idx < 0) | (idx >= n)
     if bad.any():
         v = int(idx[np.argmax(bad)])

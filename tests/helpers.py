@@ -550,3 +550,60 @@ def reference_dp_min_gap(xs, values):
     if partial not in targets:
         raise AssertionError("subset-sum reconstruction drifted")
     return chosen, 2 * partial - total
+
+
+def reference_max_min_cut(D: Digraph):
+    """The exhaustive max-min cut as one Gray-code walk: one vertex move per
+    step, (e12, e21) updated from the moved vertex's neighbours. Vertex 0
+    stays on side 1; the witness is the first optimum in walk order. Returns
+    (optimum, witness, evaluated)."""
+    n = D.n
+    out_adj = [D.out_neighbors(v).tolist() for v in range(n)]
+    in_adj = [D.in_neighbors(v).tolist() for v in range(n)]
+    side1 = [True] * n
+    e12 = e21 = 0
+    best = 0
+    best_sides = side1.copy()
+    total = 1 << (n - 1)
+    for i in range(1, total):
+        v = (i & -i).bit_length()
+        out1 = sum(1 for w in out_adj[v] if side1[w])
+        in1 = sum(1 for w in in_adj[v] if side1[w])
+        out2 = len(out_adj[v]) - out1
+        in2 = len(in_adj[v]) - in1
+        if side1[v]:
+            e12 += in1 - out2
+            e21 += out1 - in2
+        else:
+            e12 += out2 - in1
+            e21 += in2 - out1
+        side1[v] = not side1[v]
+        if min(e12, e21) > best:
+            best = min(e12, e21)
+            best_sides = side1.copy()
+    return best, Bipartition([1 if s else 2 for s in best_sides]), total
+
+
+def reference_min_gap(D: Digraph, x):
+    """The exhaustive min |gap| over partitions of X as one Gray-code walk
+    over X sorted ascending, each vertex's Y-imbalance taken from e_between.
+    Returns (theta_abs_min, theta, x1, x2, evaluated) for the first optimum
+    in walk order."""
+    xs = sorted(set(x))
+    ys = complement(D.n, xs)
+    k = len(xs)
+    w = [e_between(D, [v], ys) - e_between(D, ys, [v]) for v in xs]
+    in_x1 = [False] * k
+    sigma = -sum(w)  # all of X on side x2
+    best_sigma = sigma
+    best_mask = in_x1.copy()
+    for i in range(1, 1 << k):
+        j = (i & -i).bit_length() - 1
+        sigma += (2 * w[j]) * (-1 if in_x1[j] else 1)
+        in_x1[j] = not in_x1[j]
+        if abs(sigma) < abs(best_sigma):
+            best_sigma = sigma
+            best_mask = in_x1.copy()
+    x1 = tuple(v for v, inside in zip(xs, best_mask) if inside)
+    x2 = tuple(v for v, inside in zip(xs, best_mask) if not inside)
+    return abs(best_sigma), best_sigma, x1, x2, 1 << k

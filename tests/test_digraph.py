@@ -42,7 +42,13 @@ from judipart import (
     parse_edge_list,
     save_edge_list,
 )
-from judipart.digraph import _CENSUS_BLOCK, arc_census, index_dtype, stable_order
+from judipart.digraph import (
+    _CENSUS_BLOCK,
+    arc_census,
+    index_dtype,
+    stable_order,
+    vertex_mask,
+)
 
 
 def arcs_strategy(max_n=10):
@@ -148,6 +154,20 @@ def test_construction_rejects_bad_input():
         from_arc_list(-1, [])
 
 
+def test_out_of_range_error_names_the_first_bad_arc():
+    """The min/max screen finds that some id is out of range; the message
+    still names the first bad arc in arc order, not the one holding the
+    extreme id."""
+    arcs = [(0, 1), (1, 9), (2, 3), (-1, 2), (4, 7)]
+    for given in (arcs, np.array(arcs)):
+        with pytest.raises(VertexOutOfRangeError, match=r"^arc \(1, 9\) out of range for n=5$"):
+            from_arc_list(5, given)
+    with pytest.raises(VertexOutOfRangeError, match=r"^arc \(-1, 2\) out of range"):
+        from_arc_list(5, [(0, 1), (-1, 2), (1, 9)])
+    with pytest.raises(VertexOutOfRangeError, match=r"^arc \(0, 0\) out of range for n=0$"):
+        from_arc_list(0, [(0, 0)])
+
+
 def test_construction_refuses_non_integer_and_oversize_ids():
     with pytest.raises(VertexOutOfRangeError):
         from_arc_list(3, [(0.7, 1.9), (2, 0)])  # built the arc (0, 1)
@@ -249,6 +269,18 @@ def test_float_vertex_ids_are_rejected():
     assert e_between(D, (v for v in [1, 2]), range(2, 4)) == 2
     assert e_between(D, [], np.array([], dtype=np.int64)) == 0
     assert Bipartition.from_side1(5, np.array([1], dtype=np.uint8)).side1() == (1,)
+
+
+@pytest.mark.parametrize("empty", [(), [], np.array([], dtype=float), (v for v in ())],
+                         ids=["tuple", "list", "float-array", "generator"])
+def test_vertex_mask_of_an_empty_set(empty):
+    mask = vertex_mask(5, empty, "X")
+    assert mask.dtype == np.bool_ and mask.tolist() == [False] * 5
+    assert vertex_mask(0, [], "X").shape == (0,)
+    with pytest.raises(VertexOutOfRangeError, match="non-integer"):
+        vertex_mask(5, [2.5], "X")
+    with pytest.raises(VertexOutOfRangeError, match="non-integer"):
+        vertex_mask(5, np.array([2.5]), "X")
 
 
 def test_bipartition_and_cut_counts():

@@ -1,7 +1,10 @@
-"""Exhaustive oracles, cross-checked against an even dumber enumerator."""
+"""Exhaustive oracles, cross-checked against the plain Gray-code walk they
+replaced and an even dumber enumerator."""
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import judipart.oracle
+from helpers import reference_max_min_cut, reference_min_gap
 from judipart import (
     Bipartition,
     CutValue,
@@ -149,3 +153,89 @@ def test_optimum_survives_relabelling_and_arc_reversal():
         assert rev.optimum == res.optimum and rev.witness == res.witness
         c, r = cut_counts(D, res.witness), cut_counts(reversed_, rev.witness)
         assert (r.e12, r.e21) == (c.e21, c.e12)
+
+
+def oracle_corpus():
+    """317 graphs: 150 random d = 3 graphs at n = 10-13 (the bench's
+    small-oracle recipe at the low end of its n range), n = 1..7 without
+    arcs, 40 graphs rich in anti-parallel pairs and 120 sparse random ones."""
+    graphs = []
+    for i in range(150):
+        n = 10 + i % 4
+        extra = int(np.random.default_rng(i).integers(0, n + 1))
+        graphs.append(gen_random_minout(n, 3, extra=extra, seed=i))
+    graphs += [from_arc_list(n, []) for n in range(1, 8)]
+    for i in range(40):
+        rng = random.Random(i)
+        n = rng.randint(2, 11)
+        arcs = set()
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            arcs.add((u, v))
+            if rng.random() < 0.5:
+                arcs.add((v, u))
+        graphs.append(from_arc_list(n, sorted(arcs)))
+    for i in range(120):
+        rng = random.Random(1000 + i)
+        n = rng.randint(6, 12)
+        graphs.append(gen_random_minout(n, rng.randint(1, 2), extra=rng.randint(0, n), seed=i))
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def walked():
+    """Each corpus graph with the Gray walk's (optimum, witness, evaluated)."""
+    return [(D, reference_max_min_cut(D)) for D in oracle_corpus()]
+
+
+@pytest.fixture(scope="module")
+def gap_cases():
+    """The pinned skew-d4 case and 260 random X (empty and whole V
+    included) over the corpus, each with the Gray walk's result."""
+    rng = random.Random(5)
+    graphs = oracle_corpus()
+    cases = [(gen_skew_d4(20), list(range(5)))]
+    for i in range(260):
+        D = graphs[i % len(graphs)]
+        cases.append((D, rng.sample(range(D.n), rng.randint(0, min(D.n, 12)))))
+    return [(D, x, reference_min_gap(D, x)) for D, x in cases]
+
+
+# 3 bits: every graph of n >= 5 spans several blocks, n = 13 spans 512
+@pytest.mark.parametrize("block_bits", [judipart.oracle._BLOCK_BITS, 3])
+def test_max_min_cut_is_the_gray_walk(walked, block_bits, monkeypatch):
+    monkeypatch.setattr(judipart.oracle, "_BLOCK_BITS", block_bits)
+    assert len(walked) >= 300
+    assert any(D.n == 1 for D, _ in walked) and any(D.m == 0 for D, _ in walked)
+    for D, want in walked:
+        got = exact_max_min_cut(D)
+        assert (got.optimum, got.witness, got.evaluated) == want
+    for D, _ in walked[::10]:
+        assert exact_max_min_cut(D, check_every=5) == exact_max_min_cut(D)
+
+
+@pytest.mark.parametrize("block_bits", [judipart.oracle._BLOCK_BITS, 3])
+def test_min_gap_is_the_gray_walk(gap_cases, block_bits, monkeypatch):
+    monkeypatch.setattr(judipart.oracle, "_BLOCK_BITS", block_bits)
+    assert gap_cases[0][2][2] == (1,)  # the pinned skew-d4 witness
+    for D, x, want in gap_cases:
+        got = exact_min_gap(D, x)
+        assert (got.theta_abs_min, got.theta, got.x1, got.x2, got.evaluated) == want
+
+
+def test_n24_outcome_and_one_block_of_memory():
+    """n = 24 (2^23 states in 128 blocks) reproduces the witness the Gray
+    walk found, and the sweep's traced peak at n = 22 stays far below the
+    2^21 states it scores."""
+    res = exact_max_min_cut(gen_random_minout(24, 3, seed=1))
+    assert (res.optimum, res.evaluated) == (27, 2**23)
+    assert res.witness.side1() == (0, 3, 4, 5, 6, 7, 11, 15, 16, 19, 21, 22)
+    D = gen_random_minout(22, 3, extra=22, seed=2)
+    tracemalloc.start()
+    try:
+        exact_max_min_cut(D)
+        exact_min_gap(D, range(22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
