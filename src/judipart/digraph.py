@@ -99,14 +99,6 @@ class Digraph:
         for arr in (self.tails, self.heads, self.out_degrees, self.in_degrees):
             arr.setflags(write=False)
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        indptr, ends = self.incidence()
-        return ends[indptr[v]:indptr[v] + self.out_degrees[v]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        indptr, ends = self.incidence()
-        return ends[indptr[v] + self.out_degrees[v]:indptr[v + 1]]
-
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, ends): ends[indptr[v]:indptr[v + 1]] holds the other end of
         every arc at v, out-arcs first, then in-arcs, each in arc order, so an
@@ -125,9 +117,6 @@ class Digraph:
                 arr.setflags(write=False)
             self._incidence = indptr, ends
         return self._incidence
-
-    def degree(self, v: int) -> int:
-        return int(self.out_degrees[v] + self.in_degrees[v])
 
     def degrees(self) -> np.ndarray:
         return self.out_degrees + self.in_degrees
@@ -292,12 +281,6 @@ class Bipartition:
 
     def side1(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.sides == 1).tolist())
-
-    def side2(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.sides == 2).tolist())
-
-    def flipped(self) -> "Bipartition":
-        return Bipartition(np.where(self.sides == 1, 2, 1).astype(np.uint8))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bipartition):

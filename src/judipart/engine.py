@@ -19,19 +19,22 @@ at a time by byte-lane (SWAR) counting (extension_trial_cuts, _bit_counts).
 Nothing of size trials x arcs or trials x |Y| is built.
 
 The local search keeps every vertex's flip deltas (d12, d21), the change in
-(e12, e21) if it flipped alone. _flip_deltas derives them once from c[v], the
-number of arcs, either way, between v and side 1, and v's degrees. After that
-a flip moves them only at the flipped vertex, which negates both, and at the
-other ends of its arcs (Fiduccia-Mattheyses gain bookkeeping). A round screens
-every vertex in one vectorized pass, ranks the screened ones by one integer
-code (a 16-bit radix sort when it fits), keeps those that rank above every
-screened neighbour (Luby's independent set), and flips the best prefix of
-them in rank order. No arc joins two of them, so their deltas add exactly, and
-the neighbours' deltas catch up in two scatters over the arcs the round has
-already sliced. The per-vertex state takes the width of the graph's adjacency
-(int32 unless 2m or n reaches 2^31). Rounds run until nothing is screened. A
-two-vertex flip scores as the sum of its single flips plus a correction for
-the arcs joining the pair (Kernighan-Lin).
+(e12, e21) if it flipped alone. _flip_state derives them, with the cut, from
+one arc_census of side 1: c[v], the number of arcs, either way, between v and
+side 1, and v's degrees give the deltas. After that a flip moves them only at
+the flipped vertex, which negates both, and at the other ends of its arcs
+(Fiduccia-Mattheyses gain bookkeeping). A round screens every vertex in one
+vectorized pass, ranks the screened ones by one integer code (a 16-bit radix
+sort when it fits), keeps those that rank above every screened neighbour
+(Luby's independent set), and flips the best prefix of them in rank order. No
+arc joins two of them, so their deltas add exactly, and the neighbours' deltas
+catch up in two scatters over the arcs the round has already sliced. The
+per-vertex state takes the width of the graph's adjacency (int32 unless 2m or
+n reaches 2^31). Rounds run until nothing is screened. A two-vertex flip
+scores as the sum of its single flips plus a correction for the arcs joining
+the pair (Kernighan-Lin), from the same _flip_state. The best trial and the
+best prefix of a round are both the first entry with the largest (min cut,
+total cut) (_first_best).
 
 Dense or degree-flat instances skip the split entirely: when
 m >= 8n/max(eps, 1/28)^2 or max degree <= eps^2 m / 4, a plain p = 1/2 random
@@ -334,11 +337,27 @@ def _beats(a, b):
     return (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
 
 
-def _flip_deltas(s, c, outdeg, indeg):
-    """Change in (e12, e21) when a vertex flips; s = +1 on side 1, -1 on side 2,
-    c = the number of arcs, either way, between the vertex and side 1.
-    Elementwise on arrays and on scalars."""
-    return s * (c - outdeg), s * (c - indeg)
+def _first_best(e12, e21) -> int:
+    """The index of the first entry of the arrays with the largest
+    (min cut, total cut)."""
+    low = np.minimum(e12, e21)
+    return int(np.where(low == low.max(), e12 + e21, -1).argmax())
+
+
+def _flip_state(D: Digraph, side1: np.ndarray):
+    """(sgn, d12, d21, e12, e21) of the bipartition with side 1 marked by
+    side1: sgn = +1 on side 1, -1 on side 2; (d12, d21), the change in
+    (e12, e21) if a vertex flipped alone, sgn * (c - outdeg) and
+    sgn * (c - indeg) with c the number of arcs, either way, between the
+    vertex and side 1; and the cut now, as ints. One arc_census gives all of
+    it; the arrays have the dtype of D.incidence()."""
+    dtype = D.incidence()[0].dtype
+    out1, in1 = arc_census(D, side1)
+    c = out1 + in1
+    sgn = np.where(side1, 1, -1).astype(dtype)
+    d12 = (sgn * (c - D.out_degrees)).astype(dtype)
+    d21 = (sgn * (c - D.in_degrees)).astype(dtype)
+    return sgn, d12, d21, int(in1[~side1].sum()), int(out1[~side1].sum())
 
 
 def _refine(D: Digraph, bip: Bipartition, cfg: EngineConfig) -> Bipartition:
@@ -362,14 +381,11 @@ def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     best = P
     while True:
         side1 = best.sides == 1
-        s = np.where(side1, 1, -1)
-        out1, in1 = arc_census(D, side1)
-        d12, d21 = _flip_deltas(s, out1 + in1, D.out_degrees, D.in_degrees)
-        c = cut_counts(D, best)
+        s, d12, d21, c12, c21 = _flip_state(D, side1)
         corr = np.outer(s, s) * joined
-        e12 = c.e12 + d12[:, None] + d12 - corr  # cut after flipping u and v
-        e21 = c.e21 + d21[:, None] + d21 - corr
-        improving = upper & _beats(_key(e12, e21), _key(c.e12, c.e21))
+        e12 = c12 + d12[:, None] + d12 - corr  # cut after flipping u and v
+        e21 = c21 + d21[:, None] + d21 - corr
+        improving = upper & _beats(_key(e12, e21), _key(c12, c21))
         if not improving.any():
             return best
         u, v = divmod(int(np.argmax(improving)), D.n)
@@ -450,9 +466,7 @@ def extend_partition_randomized(
     """Best-of-trials random extension of (x1, x2) over Y = V - x1 - x2 with
     P(side 1) = p, polished by _refine."""
     e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
-    mins, totals = _key(e12s, e21s)
-    # the first trial with the largest (min, total)
-    best = int(np.argmax(np.where(mins == mins.max(), totals, -1)))
+    best = _first_best(e12s, e21s)
     sides = np.zeros(D.n, dtype=np.uint8)
     sides[list(cand.x1)] = 1
     sides[list(cand.x2)] = 2
@@ -498,13 +512,7 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         return Bipartition(P.sides)
     indptr, ends = D.incidence()
     dtype = indptr.dtype
-    side1 = P.sides == 1
-    out1, in1 = arc_census(D, side1)
-    on2 = ~side1
-    e12, e21 = int(in1[on2].sum()), int(out1[on2].sum())  # the cut now
-    sgn = np.where(side1, 1, -1).astype(dtype)
-    d12, d21 = (d.astype(dtype) for d in
-                _flip_deltas(sgn, out1 + in1, D.out_degrees, D.in_degrees))
+    sgn, d12, d21, e12, e21 = _flip_state(D, P.sides == 1)
     degree = D.degrees()
     rank = np.full(D.n, D.n, dtype=dtype)  # a screened vertex's rank in its round, else n
     while True:
@@ -528,9 +536,7 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         kept = order[kept_rank]
         sum12 = d12[kept].astype(np.int64).cumsum() + e12
         sum21 = d21[kept].astype(np.int64).cumsum() + e21
-        # the first prefix with the best (min, total)
-        pmin = np.minimum(sum12, sum21)
-        j = np.where(pmin == pmin.max(), sum12 + sum21, -1).argmax()
+        j = _first_best(sum12, sum21)
         e12, e21 = int(sum12[j]), int(sum21[j])
         # the runs of ranks 0..kept_rank[j] hold every flip's arcs; an arc of
         # a vertex that is not kept moves nothing

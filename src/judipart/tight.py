@@ -37,8 +37,10 @@ component on an odd number q of vertices with q(q - 1)/2 edges is one odd
 clique, so it is tight (odd-clique shortcut); a single vertex is one. Only the
 components that neither rule settles reach the block DFS, the edge-stack DFS
 of Hopcroft and Tarjan (1973), on an adjacency built for their vertices only.
-The DFS is iterative so that hundred-thousand-vertex components do not hit the
-recursion limit. It is the module's only classifier.
+It answers yes or no, judging each block as it comes off the edge stack and
+stopping at the first one that is not an odd clique. The DFS is iterative so
+that hundred-thousand-vertex components do not hit the recursion limit. It is
+the module's only classifier.
 """
 from __future__ import annotations
 
@@ -119,29 +121,15 @@ def _components(n: int, verts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return roots, rank[label]
 
 
-def _blocks_with_edges(
-    adj: dict[int, list[int]], root: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Biconnected blocks of root's component, which has an edge, as
-    (vertices, edge count) pairs."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    counter = 0
+def _blocks_are_odd_cliques(adj: dict[int, list[int]], root: int) -> bool:
+    """Whether every biconnected block of root's component, which has an
+    edge, is an odd clique. Each block is judged as it comes off the edge
+    stack, and the DFS stops at the first one that is not."""
+    disc = {root: 0}
+    low = {root: 0}
     edge_stack: list[tuple[int, int]] = []
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def pop_block(u: int, v: int) -> None:
-        edges = []
-        while True:
-            e = edge_stack.pop()
-            edges.append(e)
-            if e == (u, v):
-                break
-        out.append((tuple(sorted({w for e in edges for w in e})), len(edges)))
-
+    at: dict[int, int] = {}  # where the tree edge into a vertex sits on edge_stack
     # frames: (vertex, parent, iterator over neighbors)
-    disc[root] = low[root] = counter
-    counter += 1
     frames = [(root, -1, iter(adj[root]))]
     while frames:
         u, parent, it = frames[-1]
@@ -153,8 +141,8 @@ def _blocks_with_edges(
                 frames[-1] = (u, -1, it)
                 continue
             if v not in disc:
-                disc[v] = low[v] = counter
-                counter += 1
+                disc[v] = low[v] = len(disc)  # discovery order
+                at[v] = len(edge_stack)
                 edge_stack.append((u, v))
                 frames.append((v, u, iter(adj[v])))
                 advanced = True
@@ -171,8 +159,13 @@ def _blocks_with_edges(
             if low[u] < low[pu]:
                 low[pu] = low[u]
             if low[u] >= disc[pu]:
-                pop_block(pu, u)
-    return out
+                # u's tree edge and every edge above it form one block
+                block = edge_stack[at[u]:]
+                del edge_stack[at[u]:]
+                q = len({w for e in block for w in e})
+                if q % 2 == 0 or len(block) != q * (q - 1) // 2:
+                    return False
+    return True
 
 
 def _classify(n: int, within: np.ndarray, t: np.ndarray, h: np.ndarray,
@@ -203,8 +196,7 @@ def _classify(n: int, within: np.ndarray, t: np.ndarray, h: np.ndarray,
         sel = left[of_edge]
         adj = _adjacency(verts[left[comp[verts]]].tolist(), lo[sel], hi[sel])
         for c, root in zip(np.flatnonzero(left).tolist(), roots[left].tolist()):
-            tight[c] = all(len(vs) % 2 == 1 and e == len(vs) * (len(vs) - 1) // 2
-                           for vs, e in _blocks_with_edges(adj, root))
+            tight[c] = _blocks_are_odd_cliques(adj, root)
     essential = tight & (np.bincount(of_edge[counts == 2], minlength=k) == 0)
     return roots, comp, tight, essential
 

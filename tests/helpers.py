@@ -554,34 +554,37 @@ def reference_dp_min_gap(xs, values):
 
 def reference_max_min_cut(D: Digraph):
     """The exhaustive max-min cut as one Gray-code walk: one vertex move per
-    step, (e12, e21) updated from the moved vertex's neighbours. Vertex 0
-    stays on side 1; the witness is the first optimum in walk order. Returns
-    (optimum, witness, evaluated)."""
+    step, (e12, e21) updated from the moved vertex's neighbours, whose
+    bitmasks come from the arc list alone. Vertex 0 stays on side 1; the
+    witness is the first optimum in walk order. Returns (optimum, witness,
+    evaluated)."""
     n = D.n
-    out_adj = [D.out_neighbors(v).tolist() for v in range(n)]
-    in_adj = [D.in_neighbors(v).tolist() for v in range(n)]
-    side1 = [True] * n
+    out_mask, in_mask = [0] * n, [0] * n
+    for u, v in zip(D.tails.tolist(), D.heads.tolist()):
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    side1 = (1 << n) - 1  # bit v set: v on side 1
     e12 = e21 = 0
     best = 0
-    best_sides = side1.copy()
+    best_sides = side1
     total = 1 << (n - 1)
     for i in range(1, total):
         v = (i & -i).bit_length()
-        out1 = sum(1 for w in out_adj[v] if side1[w])
-        in1 = sum(1 for w in in_adj[v] if side1[w])
-        out2 = len(out_adj[v]) - out1
-        in2 = len(in_adj[v]) - in1
-        if side1[v]:
+        out1 = (out_mask[v] & side1).bit_count()
+        in1 = (in_mask[v] & side1).bit_count()
+        out2 = out_mask[v].bit_count() - out1
+        in2 = in_mask[v].bit_count() - in1
+        if side1 >> v & 1:
             e12 += in1 - out2
             e21 += out1 - in2
         else:
             e12 += out2 - in1
             e21 += in2 - out1
-        side1[v] = not side1[v]
+        side1 ^= 1 << v
         if min(e12, e21) > best:
             best = min(e12, e21)
-            best_sides = side1.copy()
-    return best, Bipartition([1 if s else 2 for s in best_sides]), total
+            best_sides = side1
+    return best, Bipartition([2 - (best_sides >> v & 1) for v in range(n)]), total
 
 
 def reference_min_gap(D: Digraph, x):

@@ -197,7 +197,8 @@ def test_bundle_quantities_are_definitional():
     assert bundle.n == D.n and bundle.m == D.m
     assert bundle.m1 + bundle.m2 + bundle.e_x == D.m
     assert bundle.theta == gr.theta_abs_min
-    assert bundle.deltas == tuple(D.degree(v) - 2 * min(int(D.out_degrees[v]),
+    deg = D.degrees()
+    assert bundle.deltas == tuple(int(deg[v]) - 2 * min(int(D.out_degrees[v]),
                                                         int(D.in_degrees[v]))
                                   for v in gr.huge)
     assert bundle.g == gr.g and bundle.b == gr.b

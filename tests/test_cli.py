@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import judipart
 from judipart import (
     __version__,
     cli,
@@ -453,3 +458,11 @@ def test_trials_beyond_addressable_words_exit_three(tmp_path, capsys):
     assert rc == 3 and out == ""
     assert err.startswith("limit exceeded: ") and "too many to pack" in err
     assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """python -m judipart is the same command line, from a checkout too."""
+    env = dict(os.environ, PYTHONPATH=str(Path(judipart.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "judipart", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")

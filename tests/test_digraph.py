@@ -63,15 +63,16 @@ def test_basic_construction():
     assert D.n == 4 and D.m == 4
     assert D.out_degrees.tolist() == [1, 1, 1, 1]
     assert D.in_degrees.tolist() == [2, 1, 1, 0]
-    assert sorted(D.out_neighbors(0)) == [1]
-    assert sorted(D.in_neighbors(0)) == [2, 3]
-    assert D.degree(0) == 3
+    indptr, ends = D.incidence()
+    assert ends[indptr[0]:indptr[1]].tolist() == [1, 2, 3]  # out, then in
+    assert D.degrees().tolist() == [3, 2, 2, 1]
     assert arc_codes(D) == {0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 3 * 4 + 0}
 
 
 def assert_adjacency_matches_arc_scan(D):
-    """incidence(), out_neighbors and in_neighbors against per-vertex lists
-    built by scanning the arcs in order."""
+    """incidence() against per-vertex lists built by scanning the arcs in
+    order: each vertex's slice holds its out-neighbours, then its
+    in-neighbours."""
     outs = [[] for _ in range(D.n)]
     ins = [[] for _ in range(D.n)]
     for u, v in zip(D.tails.tolist(), D.heads.tolist()):
@@ -83,8 +84,9 @@ def assert_adjacency_matches_arc_scan(D):
     assert indptr.tolist() == np.cumsum([0] + sizes).tolist()
     assert ends.tolist() == [w for o, i in zip(outs, ins) for w in o + i]
     for v in range(D.n):
-        assert D.out_neighbors(v).tolist() == outs[v]
-        assert D.in_neighbors(v).tolist() == ins[v]
+        split = indptr[v] + D.out_degrees[v]
+        assert ends[indptr[v]:split].tolist() == outs[v]
+        assert ends[split:indptr[v + 1]].tolist() == ins[v]
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,12 +288,11 @@ def test_vertex_mask_of_an_empty_set(empty):
 def test_bipartition_and_cut_counts():
     D = from_arc_list(4, [(0, 1), (1, 0), (2, 3), (0, 3)])
     P = Bipartition.from_side1(4, [0, 2])
-    assert P.side1() == (0, 2) and P.side2() == (1, 3)
+    assert P.side1() == (0, 2) and P.sides.tolist() == [1, 2, 1, 2]
     c = cut_counts(D, P)
     # arcs 0->1 (1->2 sides), 2->3 (1->2), 0->3 (1->2), 1->0 (2->1)
     assert (c.e12, c.e21, c.minval) == (3, 1, 1)
-    f = P.flipped()
-    cf = cut_counts(D, f)
+    cf = cut_counts(D, Bipartition(3 - P.sides))
     assert (cf.e12, cf.e21) == (1, 3)
     with pytest.raises(PartitionError):
         Bipartition([1, 3])
@@ -409,9 +410,10 @@ def test_cut_decomposition(data, mask):
     side1 = [v for v in range(n) if mask >> v & 1]
     P = Bipartition.from_side1(n, side1)
     c = cut_counts(D, P)
-    within = e_between(D, side1, side1) + e_between(D, P.side2(), P.side2())
+    side2 = [v for v in range(n) if v not in side1]
+    within = e_between(D, side1, side1) + e_between(D, side2, side2)
     assert c.e12 + c.e21 + within == D.m
-    assert c.e12 == e_between(D, side1, P.side2())
+    assert c.e12 == e_between(D, side1, side2)
     assert c.minval == min(c.e12, c.e21)
 
 

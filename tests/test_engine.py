@@ -45,6 +45,7 @@ from judipart import (
     verify_record,
 )
 from judipart import certify as certify_mod, digraph as digraph_mod, engine as engine_mod, mingap
+from judipart import tight as tight_mod
 from judipart.engine import (
     _ARC_BLOCK,
     CANDIDATE_ORDER,
@@ -148,7 +149,7 @@ def test_split_by_degree_threshold_boundary(n):
         assert t == k ** 3
     arcs = [(0, v) for v in range(2, t + 2)] + [(1, v) for v in range(2, t + 1)]
     D = from_arc_list(n, arcs)
-    assert D.degree(0) == t and D.degree(1) == t - 1
+    assert D.degrees()[:2].tolist() == [t, t - 1]
     sp = split_by_degree(D)
     assert sp.x == (0,)
     assert sp.threshold == float(n) ** 0.75
@@ -542,23 +543,27 @@ def test_partition_deterministic():
 
 def test_partition_counts_the_y_arcs_once(monkeypatch):
     """min_gap_partition counts the arcs of Y = V - X once; the X5 candidate
-    and the certificate's bundle and f/h scores read that census."""
+    and the certificate's bundle and f/h scores read that census, and tau's
+    count over the good vertices takes the one other pass over Y."""
     D = hub_digraph(73, 3, seed=44)
     cfg = cfg4(trials=16, seed=44)
     in_y = np.ones(D.n, dtype=bool)
     in_y[list(split_by_degree(D).x)] = False
     real, over_y = engine_mod.arc_census, []
 
-    def counting(D_, in_s):
-        over_y.append(np.array_equal(in_s, in_y))
-        return real(D_, in_s)
+    def counting(name):
+        def census(D_, in_s):
+            if np.array_equal(in_s, in_y):
+                over_y.append(name)
+            return real(D_, in_s)
+        return census
 
-    for mod in (mingap, engine_mod, certify_mod):
-        monkeypatch.setattr(mod, "arc_census", counting, raising=False)
+    for mod in (mingap, engine_mod, certify_mod, tight_mod):
+        monkeypatch.setattr(mod, "arc_census", counting(mod.__name__), raising=False)
     out = partition(D, cfg)
     assert {"X4", "X5"} <= {r.label for r in out.per_candidate}
     assert len(out.certificate.fh_values) == len(out.per_candidate)
-    assert sum(over_y) == 1
+    assert over_y == ["judipart.mingap", "judipart.tight"]
 
 
 def test_golden_outcomes_still_reproduce():

@@ -13,6 +13,8 @@ from helpers import (
     complement,
     hub_digraph,
     naive_blocks,
+    naive_components,
+    naive_tight,
     naive_tight_report,
     naive_underlying,
 )
@@ -40,14 +42,18 @@ def all_tight(D, vs) -> bool:
     return all(report(D, vs)["tight"])
 
 
-def dfs_blocks(D, vs) -> list[tuple[int, ...]]:
-    """Vertex sets of the blocks that the block DFS finds, run on each
-    underlying component of D[vs] that has an edge, from its smallest vertex,
-    with that component's adjacency."""
-    adj = {v: sorted(ws) for v, ws in naive_underlying(D, vs).items()}
+def dfs_answers(D, vs) -> list[bool]:
+    """The block test's answer on each underlying component of D[vs] that has
+    an edge, run from its smallest vertex with the adjacency of D[vs], after
+    checking it against naive_tight on the same components."""
+    naive = naive_underlying(D, vs)
+    adj = {v: sorted(ws) for v, ws in naive.items()}
     rep = essential_tight_components(D, complement(D.n, vs))
-    return [verts for root in rep.components.tolist() if adj[root]
-            for verts, _ in tight_mod._blocks_with_edges(adj, root)]
+    got = [tight_mod._blocks_are_odd_cliques(adj, root)
+           for root in rep.components.tolist() if adj[root]]
+    assert got == [naive_tight(naive, comp) for comp in naive_components(naive)
+                   if len(comp) > 1]
+    return got
 
 
 def test_single_vertex_is_tight():
@@ -81,25 +87,43 @@ def test_four_cycle_and_pendant_are_not_tight():
     assert not all_tight(C4, (0, 1, 2, 3))
     pend = from_arc_list(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     assert not all_tight(pend, (0, 1, 2, 3))
-    assert sorted(map(sorted, dfs_blocks(pend, (0, 1, 2, 3)))) == [[0, 1, 2], [2, 3]]
+    assert dfs_answers(pend, (0, 1, 2, 3)) == [False]  # the K2 2-3 is popped first
 
 
 def test_two_triangles_sharing_a_vertex():
     D = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    bl = sorted(map(sorted, dfs_blocks(D, (0, 1, 2, 3, 4))))
-    assert bl == [[0, 1, 2], [2, 3, 4]]
+    assert dfs_answers(D, (0, 1, 2, 3, 4)) == [True]
     assert all_tight(D, (0, 1, 2, 3, 4))
 
 
 def test_disconnected_sets_judge_every_component():
     D = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
     assert not all_tight(D, (0, 1, 2, 3, 4))  # the edge 3-4 is an even clique
-    assert dfs_blocks(D, (0, 1, 2, 3, 4)) == [(0, 1, 2), (3, 4)]
+    assert dfs_answers(D, (0, 1, 2, 3, 4)) == [True, False]
     assert all_tight(D, (0, 1, 2, 3))  # triangle plus an isolated vertex
-    assert dfs_blocks(D, (0, 1, 2, 3)) == [(0, 1, 2)]  # no DFS from vertex 3
+    assert dfs_answers(D, (0, 1, 2, 3)) == [True]  # no DFS from vertex 3
     E = from_arc_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert all_tight(E, range(6))
-    assert dfs_blocks(E, range(6)) == [(0, 1, 2), (3, 4, 5)]
+    assert dfs_answers(E, range(6)) == [True, True]
+
+
+def test_block_test_stops_at_the_first_block_that_is_no_odd_clique():
+    # vertex 0 joins a C5, whose block comes off the edge stack first, to a
+    # triangle, an odd clique; parity and size leave the component to the DFS
+    D = from_arc_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                          (0, 5), (5, 6), (6, 0)])
+    assert dfs_answers(D, range(7)) == [False]
+    assert report(D, range(7)) == naive_tight_report(D, range(7))
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, v):
+            read.append(v)
+            return super().__getitem__(v)
+
+    adj = Recording((v, sorted(ws)) for v, ws in naive_underlying(D, range(7)).items())
+    assert not tight_mod._blocks_are_odd_cliques(adj, 0)
+    assert sorted(read) == [0, 1, 2, 3, 4]  # the triangle's 5 and 6 are never entered
 
 
 def test_odd_cliques_are_tight():
@@ -160,10 +184,8 @@ def test_blocks_partition_the_edges(seed):
     for comp in report(D, ys)["components"]:
         for verts, ecount in naive_blocks(adj, comp):
             got += ecount
-        bl = dfs_blocks(D, comp)
-        # the DFS runs on components with an edge; a lone vertex is no block of it
-        naive_sets = sorted(tuple(v) for v, e in naive_blocks(adj, comp) if e)
-        assert sorted(tuple(sorted(b)) for b in bl) == naive_sets
+        # the DFS runs on components with an edge
+        assert dfs_answers(D, comp) == ([naive_tight(adj, comp)] if len(comp) > 1 else [])
     assert got == total_edges
 
 
@@ -211,7 +233,7 @@ def glued_pieces(draw):
     elif ymode == "empty":
         ys = []
     else:
-        ys = [v for v in range(n) if D.degree(v) == 0]
+        ys = [v for v, k in enumerate(D.degrees().tolist()) if k == 0]
     return D, ys
 
 
@@ -233,13 +255,13 @@ def test_block_dfs_runs_only_where_no_lemma_decides(monkeypatch):
     }
     D = from_arc_list(26, [arc for arcs in pieces.values() for arc in arcs])
     seen = []
-    real = tight_mod._blocks_with_edges
+    real = tight_mod._blocks_are_odd_cliques
 
     def counting(adj, root):
         seen.append(root)
         return real(adj, root)
 
-    monkeypatch.setattr(tight_mod, "_blocks_with_edges", counting)
+    monkeypatch.setattr(tight_mod, "_blocks_are_odd_cliques", counting)
     rep = essential_tight_components(D, ())
     assert rep.tau == 2
     assert seen == [16, 21]  # the DFS starts at C5's and the bowtie's smallest vertex
@@ -331,13 +353,13 @@ def test_counted_tau_on_tight_unions_with_anti_parallel_pairs(d, copies, data):
 
 def test_counted_tau_fixed_cases(monkeypatch):
     seen = []
-    real = tight_mod._blocks_with_edges
+    real = tight_mod._blocks_are_odd_cliques
 
     def counting(adj, root):
         seen.append(root)
         return real(adj, root)
 
-    monkeypatch.setattr(tight_mod, "_blocks_with_edges", counting)
+    monkeypatch.setattr(tight_mod, "_blocks_are_odd_cliques", counting)
     # a bowtie of one-way triangles: every vertex good, nothing dies, and
     # neither lemma settles it, so the count reaches the block DFS
     bowtie = from_arc_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
