@@ -14,9 +14,10 @@ dropped and flagged in metadata; the one bound that leans on o(n) in an
 essential way also ships a slack variant that allows a fixed additive
 n/1000.
 
-The checks are diagnostic, not a proof: on instances that do admit a good
-partition, the contradiction chain must break somewhere, and the certificate
-shows where.
+The min-gap bounds, the candidate forms and the d = 4 chain each hold in one
+regime and raise NotApplicableError outside it. The checks are diagnostic,
+not a proof: on instances that do admit a good partition, the contradiction
+chain must break somewhere, and the certificate shows where.
 """
 from __future__ import annotations
 
@@ -218,20 +219,15 @@ def check_gap_dichotomy(bundle: QuantityBundle) -> list[CheckRecord]:
     return out
 
 
-def _delta1(bundle: QuantityBundle, j: int) -> tuple[Fraction, bool]:
-    """1-based delta_j; out-of-range terms contribute 0 and are reported."""
-    if 1 <= j <= len(bundle.deltas):
-        return Fraction(bundle.deltas[j - 1]), False
-    return Fraction(0), True
-
-
 def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
     """The three general-d inequalities of the candidate analysis, plus the
-    d=4, k=1 disjunction and its tau-refined bound."""
+    d=4, k=1 disjunction and its tau-refined bound. They need |huge| = 2k + 1,
+    so delta_0, at k = 0, is the one term that can be missing."""
     d, k = bundle.d, bundle.k
-    if k is None:
+    if k is None or len(bundle.deltas) != 2 * k + 1:
         raise NotApplicableError(
-            f"candidate forms need an odd huge count, got {len(bundle.deltas)}"
+            f"candidate forms need |huge| = 2k + 1, got |huge| = "
+            f"{len(bundle.deltas)}, k = {k}"
         )
     g, b, m2, n = bundle.g, bundle.b, bundle.m2, bundle.n
     lead = sum(bundle.deltas[:k])
@@ -242,15 +238,13 @@ def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
              d * (lead + g) - (d - 1) * tail + b + Fraction(m2, 2), "<", 0,
              k=k),
     ]
-    # mid window j = k..2k-1 and outer terms j < k plus j = 2k, 2k+1 (1-based)
-    s_mid = sum(bundle.deltas[k - 1: 2 * k - 1]) if k >= 1 else 0
-    d2k, drop1 = _delta1(bundle, 2 * k)
-    d2k1, drop2 = _delta1(bundle, 2 * k + 1)
-    s_out = sum(bundle.deltas[: max(k - 1, 0)]) + d2k + d2k1
-    dropped = [j for j, dr in ((2 * k, drop1), (2 * k + 1, drop2)) if dr]
+    # mid window j = k..2k-1 (1-based); the outer terms j < k and j = 2k,
+    # 2k+1 are all the others
+    s_mid = sum(bundle.deltas[k - 1: 2 * k - 1])
+    s_out = lead + tail - s_mid
     meta = {"k": k}
-    if dropped:
-        meta["dropped_terms"] = ",".join(f"delta_{j}" for j in dropped)
+    if k == 0:
+        meta["dropped_terms"] = "delta_0"
     if d >= 2:  # the S_mid coefficient divides by d - 1
         out.append(
             _rec("form2-lower",
@@ -274,7 +268,7 @@ def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
              **meta)
     )
     if d == 4 and k == 1:
-        d1, d2, d3 = (Fraction(x) for x in bundle.deltas[:3])
+        d1, d2, d3 = (Fraction(x) for x in bundle.deltas)
         a_val = 2 * d2 + 2 * d3 - 3 * d1 - 3 * g - b + Fraction(3 * m2, 14)
         b1_val = 6 * d1 - 3 * d2 - 3 * d3 + 2 * g - b + Fraction(3 * m2, 14)
         b2_val = (6 * d3 - 3 * d1 - 3 * d2 - 3 * g + Fraction(b, 3)
@@ -288,24 +282,18 @@ def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
         rb2 = _rec("d4k1-alt-b2",
                    "6*delta_3 - 3*delta_1 - 3*delta_2 - 3g + b/3 + 3*m2/14 < 0",
                    b2_val, "<", 0)
-        disj = ra.holds or (rb1.holds and rb2.holds)
-        out.extend([ra, rb1, rb2])
-        out.append(CheckRecord(
-            check_id="d4k1-disjunction",
-            statement="d4k1-alt-a holds, or both d4k1-alt-b1 and d4k1-alt-b2 hold",
-            lhs="1" if disj else "0",
-            rhs="1",
-            comparison="==",
-            holds=disj,
-            meta={"a": str(ra.holds), "b1": str(rb1.holds), "b2": str(rb2.holds)},
-        ))
-        out.append(
+        out += [
+            ra, rb1, rb2,
+            _rec("d4k1-disjunction",
+                 "d4k1-alt-a holds, or both d4k1-alt-b1 and d4k1-alt-b2 hold",
+                 int(ra.holds or (rb1.holds and rb2.holds)), "==", 1,
+                 a=ra.holds, b1=rb1.holds, b2=rb2.holds),
             _rec("d4k1-tau-bound",
                  "b < 3*delta_2 + 3*delta_3 - 4*delta_1 - 4g - m2/2 - 7(n-tau)/4",
                  b, "<",
                  3 * d2 + 3 * d3 - 4 * d1 - 4 * g - Fraction(m2, 2)
-                 - Fraction(7 * (n - bundle.tau), 4))
-        )
+                 - Fraction(7 * (n - bundle.tau), 4)),
+        ]
     return out
 
 
@@ -333,28 +321,21 @@ def check_d4_chain(bundle: QuantityBundle) -> list[CheckRecord]:
     On instances admitting a good partition at least one step must fail;
     the chain pinpoints which. o(n)-carrying steps are flagged, and the one
     load-bearing such step also gets a slack variant allowing n/1000.
-    It evaluates on any three or more huge vertices (the first three); outside
-    d = 4, |huge| = 3 every record is tagged regime_mismatch, and
-    build_certificate runs it only inside that regime.
     """
-    if len(bundle.deltas) < 3:
+    if bundle.d != 4 or len(bundle.deltas) != 3:
         raise NotApplicableError(
-            f"chain needs three huge vertices, got {len(bundle.deltas)}"
+            f"chain needs d = 4 and three huge vertices, got d = {bundle.d}"
+            f" and {len(bundle.deltas)}"
         )
     F = Fraction
-    d1, d2, d3 = (F(x) for x in bundle.deltas[:3])
-    n, g, b, m2, tau = bundle.n, bundle.g, bundle.b, bundle.m2, bundle.tau
+    d1, d2, d3 = (F(x) for x in bundle.deltas)
+    n, g, b, m2 = bundle.n, bundle.g, bundle.b, bundle.m2
     t = 2 * d1 - d2 - d3
-    base_meta = {"t": t}
-    if bundle.d != 4 or len(bundle.deltas) != 3:
-        base_meta["regime_mismatch"] = (
-            f"d={bundle.d},huge={len(bundle.deltas)}"
-        )
 
     def rec(cid, stmt, lhs, cmp_, rhs, **extra):
-        return _rec(cid, stmt, lhs, cmp_, rhs, **base_meta, **extra)
+        return _rec(cid, stmt, lhs, cmp_, rhs, t=t, **extra)
 
-    out = [
+    return [
         rec("chain-01", "b >= 4n - 3*delta_1 - g - m2 + t",
             b, ">=", 4 * n - 3 * d1 - g - m2 + t, o_n="dropped"),
         rec("chain-02", "b > 7n + 3*m2 + 17g - 12*delta_1 + 18t",
@@ -399,7 +380,6 @@ def check_d4_chain(bundle: QuantityBundle) -> list[CheckRecord]:
         rec("chain-17", "3t + g < 0.084n",
             3 * t + g, "<", F("0.084") * n),
     ]
-    return out
 
 
 def build_certificate(

@@ -24,16 +24,18 @@ gap/tight/certify come from --x-file (one vertex id per line) or --x-auto
 (the engine's own split: total degree at least n^(3/4)); their records name
 both (config.x_auto, config.x_file).
 
-Exit codes: 0 success, 2 bad input, 3 resource limit exceeded. --json emits a
-RunRecord whose "outcome" object is byte-identical across reruns with the
-same inputs and seed. A --d above the instance's minimum outdegree is a
-"warning:" line of the partition text and an entry of outcome.warnings; a
-successful run writes nothing to stderr.
+Exit codes: 0 success, 1 stdout closed before the result was printed (the
+EPIPE convention; nothing goes to stderr), 2 bad input, 3 resource limit
+exceeded. --json emits a RunRecord whose "outcome" object is byte-identical
+across reruns with the same inputs and seed. A --d above the instance's
+minimum outdegree is a "warning:" line of the partition text and an entry of
+outcome.warnings; a successful run writes nothing to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -313,7 +315,14 @@ def main(argv=None) -> int:
         if getattr(args, "output", None):  # gen's -o is its instance
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        print(text if args.json else human)
+        try:
+            print(text if args.json else human, flush=True)
+        except BrokenPipeError:  # the reader closed the pipe; the run finished
+            # stdout to devnull, so the flush at interpreter exit stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

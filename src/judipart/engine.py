@@ -73,7 +73,8 @@ solver's order, nonhuge = X - huge and k from the gap result:
 - SINGLE-HUGE (|huge| = 1): lead huge, p = 1/2
 
 Vertices with splus = 0 sit on side 2 unless a literal row leads with them.
-The first candidate per (x1, p), in CANDIDATE_ORDER, is kept (_dedupe).
+The first candidate per (x1, p), in the table's row order (MINGAP, then
+the rows as listed above), is kept (_dedupe).
 """
 from __future__ import annotations
 
@@ -105,8 +106,6 @@ from .errors import (
 )
 from .mingap import GapResult, min_gap_partition
 from .tight import essential_tight_components
-
-CANDIDATE_ORDER = ("MINGAP", "X1FWD", "X2SIGN", "X3SIGN", "X4", "X5", "SINGLE-HUGE")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,10 @@ from judipart import (
     mingap_candidate,
 )
 
+# The candidate labels in the row order of the engine's candidate table,
+# which is also the order _dedupe keeps the first of.
+CANDIDATE_ORDER = ("MINGAP", "X1FWD", "X2SIGN", "X3SIGN", "X4", "X5", "SINGLE-HUGE")
+
 
 def arc_codes(D: Digraph) -> frozenset:
     """Set of tail * n + head codes of D's arcs."""

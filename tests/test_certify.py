@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,8 +60,6 @@ def test_golden_vector_still_reproduces():
                 "comparison": c.comparison, "holds": c.holds, "meta": c.meta}
 
     assert [rec(c) for c in out.certificate.checks] == want["engine_checks"]
-    bundle, *_ = bundle_for(D, 4)
-    assert [rec(c) for c in check_d4_chain(bundle)] == want["forced_chain"]
     got_fh = [
         {"label": s.label, "p": str(s.p), "f": str(s.f), "h": str(s.h)}
         for s in out.certificate.fh_values
@@ -139,18 +138,48 @@ def test_candidate_forms_and_d4k1_disjunction():
 
 
 def test_chain_gating_and_force():
-    D = gen_skew_d4(20)
-    bundle, *_ = bundle_for(D, 4)
-    forced = check_d4_chain(bundle)  # five huge vertices, not the strict regime
-    ids = [r.check_id for r in forced]
-    assert ids[0] == "chain-01" and "chain-05-slack" in ids
-    assert any(not r.holds for r in forced)
-    assert all(r.meta.get("regime_mismatch") for r in forced)
-    assert all(verify_record(r) for r in forced)
+    bundle, *_ = bundle_for(gen_skew_d4(20), 4)
+    assert len(bundle.deltas) == 5  # d = 4 but five huge vertices
+    with pytest.raises(NotApplicableError):
+        check_d4_chain(bundle)
 
     _, (kb, *_rest) = k1_bundle()
     in_regime = check_d4_chain(kb)
-    assert all("regime_mismatch" not in r.meta for r in in_regime)
+    ids = [r.check_id for r in in_regime]
+    assert ids[0] == "chain-01" and ids[-1] == "chain-17" and len(ids) == 18
+    assert "chain-05-slack" in ids
+    assert all(verify_record(r) for r in in_regime)
+    assert all(r.meta["t"] == "6" for r in in_regime)  # t = 2*7 - 5 - 3
+
+
+@pytest.mark.parametrize("change", [
+    {"deltas": (7,), "k": 0},                # d = 4, one huge vertex
+    {"deltas": (7, 5, 3, 2, 1), "k": 2},     # d = 4, five huge vertices
+    {"d": 3},                                # three huge vertices, d = 3
+    {"d": 5},                                # three huge vertices, d = 5
+])
+def test_chain_runs_only_in_its_regime(change):
+    _, (kb, *_rest) = k1_bundle()
+    with pytest.raises(NotApplicableError):
+        check_d4_chain(replace(kb, **change))
+
+
+def test_candidate_forms_drop_only_delta_0_at_k_0():
+    _, (kb, *_rest) = k1_bundle()
+    skew, *_ = bundle_for(gen_skew_d4(20), 4)
+    for bundle, want in ((replace(kb, deltas=(7,), k=0), "delta_0"),
+                         (kb, None), (skew, None)):
+        recs = {r.check_id: r for r in check_candidate_forms(bundle)}
+        for rid in ("form2-lower", "form3-upper"):
+            assert recs[rid].meta["k"] == str(bundle.k)
+            assert recs[rid].meta.get("dropped_terms") == want, (bundle.k, rid)
+
+
+def test_candidate_forms_refuse_a_huge_count_other_than_2k_plus_1():
+    _, (kb, *_rest) = k1_bundle()
+    for change in ({"deltas": (7, 5)}, {"k": 0}, {"k": 2}):
+        with pytest.raises(NotApplicableError):
+            check_candidate_forms(replace(kb, **change))
 
 
 def test_huge_regimes_tau_bound_gating():

@@ -48,7 +48,6 @@ from judipart import certify as certify_mod, digraph as digraph_mod, engine as e
 from judipart import tight as tight_mod
 from judipart.engine import (
     _ARC_BLOCK,
-    CANDIDATE_ORDER,
     _bit_counts,
     _refine,
     _trial_stream,
@@ -56,6 +55,7 @@ from judipart.engine import (
 )
 
 from helpers import (
+    CANDIDATE_ORDER,
     hub_candidate_corpus,
     hub_digraph,
     reference_bit_counts,
