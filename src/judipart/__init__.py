@@ -36,7 +36,6 @@ from .errors import (
     LoopArcError,
     NotApplicableError,
     PartitionError,
-    RegularityFailureError,
     TooLargeError,
     TooSmallError,
     VertexOutOfRangeError,
@@ -71,7 +70,6 @@ from .certify import (
 )
 from .engine import (
     CandidateXPartition,
-    DegreeSplit,
     EngineConfig,
     PartitionOutcome,
     candidate_x_partitions,

@@ -15,15 +15,19 @@ essential way also ships a slack variant that allows a fixed additive
 n/1000.
 
 The min-gap bounds, the candidate forms and the d = 4 chain each hold in one
-regime and raise NotApplicableError outside it. The checks are diagnostic,
-not a proof: on instances that do admit a good partition, the contradiction
-chain must break somewhere, and the certificate shows where.
+regime and raise NotApplicableError outside it; build_certificate runs every
+check and skips those that raise, so each regime is stated once, in its
+check. The checks are diagnostic, not a proof: on instances that do admit a
+good partition, the contradiction chain must break somewhere, and the
+certificate shows where.
 """
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -387,17 +391,15 @@ def build_certificate(
     candidates=(), flags=None,
 ) -> Certificate:
     """Bundle plus every in-regime check plus per-candidate f/h scores, for
-    X = gr.x and Y = V - X; every candidate must split gr.x."""
+    X = gr.x and Y = V - X; every candidate must split gr.x. Each check
+    states its own regime: one that raises NotApplicableError is skipped."""
     bundle = compute_bundle(D, gr, tr, cfg)
     checks: list[CheckRecord] = []
-    if bundle.e_x == 0:
-        checks.extend(check_min_gap_bounds(bundle, D.n - len(gr.x)))
-    checks.extend(check_gap_dichotomy(bundle))
-    if bundle.k is not None:
-        checks.extend(check_candidate_forms(bundle))
-    checks.extend(check_huge_regimes(bundle))
-    if bundle.d == 4 and len(bundle.deltas) == 3:
-        checks.extend(check_d4_chain(bundle))
+    for check in (partial(check_min_gap_bounds, ysize=D.n - len(gr.x)),
+                  check_gap_dichotomy, check_candidate_forms,
+                  check_huge_regimes, check_d4_chain):
+        with suppress(NotApplicableError):
+            checks += check(bundle)
     scores = []
     two = 2 * (2 * bundle.d - 1)
     x = set(gr.x)

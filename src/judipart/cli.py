@@ -10,10 +10,11 @@ One binary, six subcommands:
   gen        write a generated instance as an edge list (+ .props.json sidecar)
 
 One runner (main) does what every subcommand shares: it loads the instance,
-times the run, builds the record, serializes it once, prints it or the human
-text, writes it to -o, and maps errors to exit codes. A subcommand is a
-function (args, D) -> (config, outcome, human text); gen alone loads nothing,
-writes its instance and returns its own record input.
+times the run, builds the record, serializes it once, writes it to -o,
+prints it or the human text (or the version), and maps errors to exit
+codes. A subcommand is a function (args, D) -> (config, outcome, human
+text); gen alone loads nothing, writes its instance and returns its own
+record input.
 
 Instances come from --input FILE (edge-list format: header "n m", one "u v"
 line per arc, # comments) or --gen FAMILY with family parameters (--n, --q,
@@ -25,7 +26,8 @@ gap/tight/certify come from --x-file (one vertex id per line) or --x-auto
 both (config.x_auto, config.x_file).
 
 Exit codes: 0 success, 1 stdout closed before the result was printed (the
-EPIPE convention; nothing goes to stderr), 2 bad input, 3 resource limit
+EPIPE convention; nothing goes to stderr; --version prints through the same
+final print, so it exits 1 there too), 2 bad input, 3 resource limit
 exceeded. --json emits a RunRecord whose "outcome" object is byte-identical
 across reruns with the same inputs and seed. A --d above the instance's
 minimum outdegree is a "warning:" line of the partition text and an entry of
@@ -119,7 +121,7 @@ def _load_x(args, D: Digraph) -> tuple[int, ...]:
     """X from --x-auto or --x-file (empty with neither), sorted. An x-file
     line holds one id under the edge-list token rule: a decimal int64."""
     if args.x_auto:
-        return split_by_degree(D).x
+        return split_by_degree(D)
     xs = []
     path = args.x_file
     if path is not None:
@@ -248,12 +250,23 @@ def cmd_gen(args) -> tuple[dict, dict, dict, str]:
     return inp, {"output": args.instance}, props, human
 
 
+class _VersionRequested(Exception):
+    """--version stops the parse; main prints the version as it prints a
+    command's result."""
+
+
+class _VersionAction(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _VersionRequested
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="judipart",
         description="judicious bipartitions of digraphs with outdegree bounds",
     )
-    ap.add_argument("--version", action="version", version=__version__)
+    ap.add_argument("--version", action=_VersionAction, nargs=0,
+                    help="show program's version number and exit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", help="run the full partition engine")
@@ -294,29 +307,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _result(args) -> str:
+    """Run the command, build its record once, write it to -o, and return
+    what to print: the record with --json, else the human text."""
+    started = time.monotonic()
+    if args.command == "gen":
+        inp, config, outcome, human = cmd_gen(args)
+    else:
+        D, inp = _load_instance(args)
+        config, outcome, human = args.func(args, D)
+    text = json.dumps({
+        "command": args.command,
+        "input": inp,
+        "config": config,
+        "outcome": outcome,
+        "version": __version__,
+        "wall_time_s": round(time.monotonic() - started, 3),
+    }, sort_keys=True, indent=2)
+    if getattr(args, "output", None):  # gen's -o is its instance
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text if args.json else human
+
+
 def main(argv=None) -> int:
     """The one runner (see the module docstring)."""
-    args = build_parser().parse_args(argv)
     try:
-        started = time.monotonic()
-        if args.command == "gen":
-            inp, config, outcome, human = cmd_gen(args)
-        else:
-            D, inp = _load_instance(args)
-            config, outcome, human = args.func(args, D)
-        text = json.dumps({
-            "command": args.command,
-            "input": inp,
-            "config": config,
-            "outcome": outcome,
-            "version": __version__,
-            "wall_time_s": round(time.monotonic() - started, 3),
-        }, sort_keys=True, indent=2)
-        if getattr(args, "output", None):  # gen's -o is its instance
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
         try:
-            print(text if args.json else human, flush=True)
+            out = _result(build_parser().parse_args(argv))
+        except _VersionRequested:
+            out = __version__
+        try:
+            print(out, flush=True)
         except BrokenPipeError:  # the reader closed the pipe; the run finished
             # stdout to devnull, so the flush at interpreter exit stays quiet
             devnull = os.open(os.devnull, os.O_WRONLY)

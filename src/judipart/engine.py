@@ -32,9 +32,9 @@ catch up in two scatters over the arcs the round has already sliced. The
 per-vertex state takes the width of the graph's adjacency (int32 unless 2m or
 n reaches 2^31). Rounds run until nothing is screened. A two-vertex flip
 scores as the sum of its single flips plus a correction for the arcs joining
-the pair (Kernighan-Lin), from the same _flip_state. The best trial and the
-best prefix of a round are both the first entry with the largest (min cut,
-total cut) (_first_best).
+the pair (Kernighan-Lin), from the same _flip_state. The best trial, the
+best prefix of a round and the best candidate are all the first entry with
+the largest (min cut, total cut) (_first_best).
 
 Dense or degree-flat instances skip the split entirely: when
 m >= 8n/max(eps, 1/28)^2 or max degree <= eps^2 m / 4, a plain p = 1/2 random
@@ -127,12 +127,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class DegreeSplit:
-    x: tuple[int, ...]
-    threshold: float
-
-
-@dataclass(frozen=True)
 class CandidateXPartition:
     label: str
     x1: tuple[int, ...]
@@ -208,13 +202,13 @@ def uniform_split_applicable(D: Digraph, cfg: EngineConfig) -> bool:
     return uniform_split_bound(D.n, D.m, md, cfg.epsilon)
 
 
-def split_by_degree(D: Digraph) -> DegreeSplit:
-    """X = vertices of total degree >= n^(3/4), exactly: the least integer t
-    with t^4 >= n^3 is isqrt(isqrt(n^3 - 1)) + 1."""
+def split_by_degree(D: Digraph) -> tuple[int, ...]:
+    """X, ascending: the vertices of total degree >= n^(3/4), exactly (the
+    least integer t with t^4 >= n^3 is isqrt(isqrt(n^3 - 1)) + 1)."""
     if D.n == 0:
         raise EmptyGraphError("cannot split an empty graph")
     in_x = D.degrees() >= isqrt(isqrt(D.n ** 3 - 1)) + 1
-    return DegreeSplit(x=tuple(np.flatnonzero(in_x).tolist()), threshold=float(D.n) ** 0.75)
+    return tuple(np.flatnonzero(in_x).tolist())
 
 
 def mingap_candidate(gr: GapResult) -> CandidateXPartition:
@@ -359,13 +353,6 @@ def _flip_state(D: Digraph, side1: np.ndarray):
     return sgn, d12, d21, int(in1[~side1].sum()), int(out1[~side1].sum())
 
 
-def _refine(D: Digraph, bip: Bipartition, cfg: EngineConfig) -> Bipartition:
-    out = local_improve(D, bip, cfg)
-    if D.n <= _PAIR_LIMIT:
-        out = _pair_escape(D, out, cfg)
-    return out
-
-
 def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     """Flip two vertices at once to hop out of single-flip local optima.
 
@@ -463,7 +450,8 @@ def extend_partition_randomized(
     cfg: EngineConfig,
 ) -> Bipartition:
     """Best-of-trials random extension of (x1, x2) over Y = V - x1 - x2 with
-    P(side 1) = p, polished by _refine."""
+    P(side 1) = p, polished by local_improve and, when n <= _PAIR_LIMIT, by
+    _pair_escape."""
     e12s, e21s, words = extension_trial_cuts(D, cand, cfg)
     best = _first_best(e12s, e21s)
     sides = np.zeros(D.n, dtype=np.uint8)
@@ -471,7 +459,8 @@ def extend_partition_randomized(
     sides[list(cand.x2)] = 2
     on1 = (words[:, best // 64] >> best % 64) & 1  # Y, ascending, as the rows
     sides[sides == 0] = np.where(on1 == 1, 1, 2)
-    return _refine(D, Bipartition(sides), cfg)
+    out = local_improve(D, Bipartition(sides), cfg)
+    return _pair_escape(D, out, cfg) if D.n <= _PAIR_LIMIT else out
 
 
 def _arc_slices(indptr: np.ndarray, degree: np.ndarray,
@@ -582,11 +571,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
         )
 
     shortcut = uniform_split_applicable(D, cfg)
-    if shortcut:
-        xs, threshold = (), None
-    else:
-        sp = split_by_degree(D)
-        xs, threshold = sp.x, sp.threshold
+    xs = () if shortcut else split_by_degree(D)
     gr = min_gap_partition(D, xs)
     cands = candidate_x_partitions(D, gr, cfg)
     huge_even = not shortcut and gr.k is None
@@ -596,7 +581,8 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
         bip = extend_partition_randomized(D, c, cfg)
         results.append((c, bip, cut_counts(D, bip)))
 
-    cand, bip, cut = max(results, key=lambda r: _key(r[2].e12, r[2].e21))
+    cuts = np.array([(cv.e12, cv.e21) for _, _, cv in results])
+    cand, bip, cut = results[_first_best(cuts[:, 0], cuts[:, 1])]
 
     tr = essential_tight_components(D, gr.x)
     cert = certify_mod.build_certificate(
@@ -618,7 +604,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
         shortcut=shortcut,
         huge_even=huge_even,
         x=gr.x,
-        threshold=threshold,
+        threshold=None if shortcut else float(D.n) ** 0.75,
         per_candidate=tuple(CandidateRun(c.label, c.p, cv) for c, _, cv in results),
         warnings=tuple(warns),
     )

@@ -63,7 +63,8 @@ class IdentityViolationError(JudipartError):
     """A bookkeeping identity that must hold by construction failed."""
 
 
-# generators
+# generators (parameters only: each family's degree contract holds by
+# construction)
 
 class GenParamError(InputError):
     """Generator parameters are out of range or infeasible."""
@@ -79,7 +80,3 @@ class TooSmallError(GenParamError):
 
 class InfeasibleParamsError(GenParamError):
     """Parameter combination cannot produce a valid instance."""
-
-
-class RegularityFailureError(JudipartError):
-    """A generated instance failed its own degree post-condition."""

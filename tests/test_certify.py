@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from judipart import (
@@ -43,7 +44,7 @@ GOLDEN = Path(__file__).parent / "golden" / "skew_d4_n20_checks.json"
 
 def bundle_for(D, d, x=None):
     cfg = EngineConfig(d=d)
-    xs = split_by_degree(D).x if x is None else tuple(sorted(x))
+    xs = split_by_degree(D) if x is None else tuple(sorted(x))
     gr = min_gap_partition(D, xs)
     tr = essential_tight_components(D, xs)
     return compute_bundle(D, gr, tr, cfg), xs, gr, tr, cfg
@@ -182,6 +183,40 @@ def test_candidate_forms_refuse_a_huge_count_other_than_2k_plus_1():
             check_candidate_forms(replace(kb, **change))
 
 
+def test_certificate_runs_each_check_exactly_in_its_regime():
+    """On any X, empty and all of V included, build_certificate returns, and
+    each check's records appear exactly when its regime holds: the min-gap
+    bounds when e(X) = 0, the candidate forms when the huge count is odd (k
+    set), the chain at d = 4 with three huge vertices."""
+    rng = np.random.default_rng(7)
+    seen = set()
+    for i in range(40):
+        n = int(rng.integers(6, 17))
+        D = gen_random_minout(n, int(rng.integers(1, 4)),
+                              extra=int(rng.integers(0, 2 * n)), seed=i)
+        xs = [(), tuple(range(n))] + [
+            tuple(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.15, 0.3, 0.6)]
+        for x in xs:
+            gr = min_gap_partition(D, x)
+            tr = essential_tight_components(D, x)
+            for d in (2, 3, 4, 5):
+                cert = build_certificate(D, gr, tr, EngineConfig(d=d))
+                ids = [c.check_id for c in cert.checks]
+                regimes = (e_between(D, x, x) == 0, gr.k is not None,
+                           d == 4 and len(gr.huge) == 3)
+                present = (
+                    "gap-le-ysize" in ids and "residual-le-slack" in ids,
+                    any(c.startswith(("form", "d4k1-")) for c in ids),
+                    any(c.startswith("chain-") for c in ids),
+                )
+                assert present == regimes, (i, x, d, ids)
+                assert {"gap-above-ratio", "huge-odd", "huge-ge-d",
+                        "huge-single"} <= set(ids)
+                seen.add(regimes)
+    # each regime is met and missed somewhere in the corpus
+    assert [{r[j] for r in seen} for j in range(3)] == [{True, False}] * 3
+
+
 def test_huge_regimes_tau_bound_gating():
     D, (bundle, *_ ) = k1_bundle()
     recs = {r.check_id: r for r in check_huge_regimes(bundle)}
@@ -238,7 +273,7 @@ def test_bundle_quantities_are_definitional():
 def test_bundle_counts_arcs_across_gr_x_and_its_complement():
     D = gen_random_minout(60, 4, extra=60, seed=1)
     cfg = EngineConfig(d=4)
-    for x in ((0, 1, 2), (0, 1, 2, 3, 4), split_by_degree(D).x):
+    for x in ((0, 1, 2), (0, 1, 2, 3, 4), split_by_degree(D)):
         gr = min_gap_partition(D, x)
         y = sorted(set(range(D.n)) - set(gr.x))
         bundle = compute_bundle(D, gr, essential_tight_components(D, gr.x), cfg)

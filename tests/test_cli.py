@@ -470,15 +470,16 @@ def test_python_dash_m_runs_the_cli():
 
 def test_closed_stdout_exits_one_and_writes_no_error():
     """A reader that closed the pipe before the result was printed: exit 1,
-    Python's convention for EPIPE, and nothing on stderr."""
+    Python's convention for EPIPE, and nothing on stderr. --version prints
+    through the same final print."""
     env = dict(os.environ, PYTHONPATH=str(Path(judipart.__file__).parents[1]))
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "judipart", "partition", "--gen", "eulerian",
-             "--q", "7", "--d", "3", "--json"],
-            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(w)
-    assert (done.returncode, done.stderr) == (1, b"")
+    for argv in (["partition", "--gen", "eulerian", "--q", "7", "--d", "3", "--json"],
+                 ["--version"]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run([sys.executable, "-m", "judipart", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert (done.returncode, done.stderr) == (1, b""), argv

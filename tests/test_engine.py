@@ -49,7 +49,7 @@ from judipart import tight as tight_mod
 from judipart.engine import (
     _ARC_BLOCK,
     _bit_counts,
-    _refine,
+    _pair_escape,
     _trial_stream,
     _trial_words,
 )
@@ -125,17 +125,14 @@ def test_split_by_degree_cases():
     flat = gen_random_minout(100, 1, seed=0)  # degrees far below 100^0.75
     # force degree exactly 2 everywhere: a big directed cycle
     cyc = from_arc_list(100, [(i, (i + 1) % 100) for i in range(100)])
-    sp = split_by_degree(cyc)
-    assert sp.x == ()
-    assert sp.threshold == pytest.approx(100 ** 0.75)
+    assert split_by_degree(cyc) == ()
+    assert partition(cyc, EngineConfig(d=1, trials=1)).threshold == pytest.approx(100 ** 0.75)
 
     skew = gen_skew_d4(200)
-    sp2 = split_by_degree(skew)
-    assert sp2.x == (0, 1, 2, 3, 4)
+    assert split_by_degree(skew) == (0, 1, 2, 3, 4)
 
     star = gen_star_triangle(40)
-    sp3 = split_by_degree(star)
-    assert sp3.x == (0,)
+    assert split_by_degree(star) == (0,)
     assert flat.n == 100  # keep the unused generator honest
 
 
@@ -150,9 +147,10 @@ def test_split_by_degree_threshold_boundary(n):
     arcs = [(0, v) for v in range(2, t + 2)] + [(1, v) for v in range(2, t + 1)]
     D = from_arc_list(n, arcs)
     assert D.degrees()[:2].tolist() == [t, t - 1]
-    sp = split_by_degree(D)
-    assert sp.x == (0,)
-    assert sp.threshold == float(n) ** 0.75
+    assert split_by_degree(D) == (0,)
+    out = partition(D, EngineConfig(d=1, trials=1))
+    assert not out.shortcut and out.x == (0,)
+    assert out.threshold == float(n) ** 0.75
 
 
 def test_uniform_split_bound_cases():
@@ -548,7 +546,7 @@ def test_partition_counts_the_y_arcs_once(monkeypatch):
     D = hub_digraph(73, 3, seed=44)
     cfg = cfg4(trials=16, seed=44)
     in_y = np.ones(D.n, dtype=bool)
-    in_y[list(split_by_degree(D).x)] = False
+    in_y[list(split_by_degree(D))] = False
     real, over_y = engine_mod.arc_census, []
 
     def counting(name):
@@ -639,8 +637,10 @@ def test_extension_trial_cuts_match_each_materialised_trial(data):
     # tie often
     best = max(range(cfg.trials),
                key=lambda t: (min(e12s[t], e21s[t]), e12s[t] + e21s[t]))
-    # and the extension polishes exactly that trial
-    assert extend_partition_randomized(D, cand, cfg) == _refine(D, trial_sides[best], cfg)
+    # and the extension polishes exactly that trial: single flips, then pair
+    # flips (n <= 30 here, below the pair scan's limit)
+    polished = _pair_escape(D, local_improve(D, trial_sides[best], cfg), cfg)
+    assert extend_partition_randomized(D, cand, cfg) == polished
 
 
 @settings(max_examples=150, deadline=None)
@@ -769,7 +769,7 @@ def test_tight_records_at_scale_are_pinned():
     }
     for name, digest in TIGHT_DIGESTS.items():
         D = graphs[name]
-        rec = essential_tight_components(D, split_by_degree(D).x).to_jsonable()
+        rec = essential_tight_components(D, split_by_degree(D)).to_jsonable()
         text = json.dumps(rec, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
@@ -818,9 +818,9 @@ def vertex_set_forms(vs):
 ])
 def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
     cfg = cfg4(trials=16, seed=44)
-    sp = split_by_degree(D)
-    assert sp.x
-    gr = min_gap_partition(D, sp.x)
+    xs = split_by_degree(D)
+    assert xs
+    gr = min_gap_partition(D, xs)
 
     def results(x, x1, x2):
         g = min_gap_partition(D, x)
@@ -835,12 +835,12 @@ def test_results_do_not_depend_on_the_form_of_a_vertex_set(D, e_x):
             json.dumps(cert.to_jsonable(), sort_keys=True),
         )
 
-    expected = results(sp.x, gr.x1, gr.x2)
+    expected = results(xs, gr.x1, gr.x2)
     assert expected[0] == gr
-    assert e_between(D, sp.x, sp.x) == e_x
+    assert e_between(D, xs, xs) == e_x
     # with e(X) = 0 the certificate counts |Y|, which a repeated id must not move
     assert ('"gap-le-ysize"' in expected[-1]) == (e_x == 0)
-    for forms in zip(*map(vertex_set_forms, (sp.x, gr.x1, gr.x2))):
+    for forms in zip(*map(vertex_set_forms, (xs, gr.x1, gr.x2))):
         assert results(*forms) == expected
     json.dumps(partition(D, cfg).to_jsonable())  # a numpy scalar would raise
 

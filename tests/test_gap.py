@@ -184,7 +184,7 @@ def test_hub_graph_beyond_full_table():
     """|X| = 300 hubs: a full suffix table would need items x (span + 1) >
     10^8 bits; the checkpointed DP solves it in a fraction of that."""
     D = hub_digraph(20_000, 300, 1800, seed=1)
-    xs = split_by_degree(D).x
+    xs = split_by_degree(D)
     assert len(xs) == 300
     tracemalloc.start()
     try:
@@ -210,7 +210,7 @@ def test_gap_stage_memory_does_not_follow_the_arcs():
     arrays and the DP's bitsets, not an int64 per arc into Y (8 m bytes)."""
     D = hub_digraph(50_000, 40, 25_000, seed=2)
     assert D.m > 4 * _CENSUS_BLOCK
-    xs = split_by_degree(D).x
+    xs = split_by_degree(D)
     assert len(xs) == 40
     min_gap_partition(D, xs)  # one-time set-up, unmeasured
     tracemalloc.start()

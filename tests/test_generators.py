@@ -115,6 +115,16 @@ def test_skew_d6():
         gen_skew_d6(60, seed=-1)
 
 
+@pytest.mark.parametrize("n", [30, 31, 47, 200])
+@pytest.mark.parametrize("seed", [0, 1, 9])
+def test_skew_d6_degree_contract(n, seed):
+    """m = 6n and every outdegree is 6, by construction."""
+    D = gen_skew_d6(n, seed=seed)
+    assert D.m == 6 * n
+    assert min_outdegree(D) == 6
+    assert D.out_degrees.tolist() == [6] * n
+
+
 def test_random_minout():
     D = gen_random_minout(50, 3, extra=20, seed=1)
     assert D.n == 50 and D.m == 50 * 3 + 20

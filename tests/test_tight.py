@@ -402,7 +402,7 @@ def test_partition_and_certificate_read_tau_alone(monkeypatch):
     monkeypatch.setattr(tight_mod.TightReport, "_classes", property(refuse))
     D = hub_digraph(73, 3, seed=44)
     cfg = EngineConfig(d=4, trials=16, seed=44)
-    x = split_by_degree(D).x
+    x = split_by_degree(D)
     assert x
     out = partition(D, cfg)
     tr = essential_tight_components(D, x)
