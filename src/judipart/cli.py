@@ -26,12 +26,12 @@ gap/tight/certify come from --x-file (one vertex id per line) or --x-auto
 both (config.x_auto, config.x_file).
 
 Exit codes: 0 success, 1 stdout closed before the result was printed (the
-EPIPE convention; nothing goes to stderr; --version prints through the same
-final print, so it exits 1 there too), 2 bad input, 3 resource limit
-exceeded. --json emits a RunRecord whose "outcome" object is byte-identical
-across reruns with the same inputs and seed. A --d above the instance's
-minimum outdegree is a "warning:" line of the partition text and an entry of
-outcome.warnings; a successful run writes nothing to stderr.
+EPIPE convention; nothing goes to stderr; --help and --version print through
+the same final print, so they exit 1 there too), 2 bad input, 3 resource
+limit exceeded. --json emits a RunRecord whose "outcome" object is
+byte-identical across reruns with the same inputs and seed. A --d above the
+instance's minimum outdegree is a "warning:" line of the partition text and
+an entry of outcome.warnings; a successful run writes nothing to stderr.
 """
 from __future__ import annotations
 
@@ -250,24 +250,32 @@ def cmd_gen(args) -> tuple[dict, dict, dict, str]:
     return inp, {"output": args.instance}, props, human
 
 
-class _VersionRequested(Exception):
-    """--version stops the parse; main prints the version as it prints a
-    command's result."""
+class _Printed(Exception):
+    """--help or --version stops the parse; main prints the text as it
+    prints a command's result."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every judipart parser: its help goes to main's final print, which adds
+    back the newline taken off here."""
+
+    def print_help(self, file=None):
+        raise _Printed(self.format_help().removesuffix("\n"))
 
 
 class _VersionAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
-        raise _VersionRequested
+        raise _Printed(__version__)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="judipart",
         description="judicious bipartitions of digraphs with outdegree bounds",
     )
     ap.add_argument("--version", action=_VersionAction, nargs=0,
                     help="show program's version number and exit")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("partition", help="run the full partition engine")
     _add_input_args(p)
@@ -335,8 +343,8 @@ def main(argv=None) -> int:
     try:
         try:
             out = _result(build_parser().parse_args(argv))
-        except _VersionRequested:
-            out = __version__
+        except _Printed as printed:
+            out = str(printed)
         try:
             print(out, flush=True)
         except BrokenPipeError:  # the reader closed the pipe; the run finished

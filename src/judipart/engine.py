@@ -10,7 +10,7 @@ two-vertex flips), and keep the overall best. Every step ranks cuts by
 (min{e12, e21}, e12 + e21). A d above the minimum outdegree is reported in
 PartitionOutcome.warnings alone.
 
-The trials are packed 64 to a word, one row of words per Y vertex. For each
+The trials are drawn 64 to a word, one row of words per Y vertex. For each
 64 trials every vertex has one word, bit t set when it sits on side 1 in
 trial t: all ones on x1, zero on x2, its row of words on Y. Trial t's e12 is
 then the number of arcs whose tail & ~head word has bit t set, and e21 the
@@ -47,13 +47,16 @@ Y = V - X itself, essential_tight_components included; a GapResult carries
 its X (gr.x), so nothing takes X beside one. X, which records hold, is a
 tuple; any integer sequence is accepted and checked (digraph.split_masks).
 
-Randomness contract: candidate labeled L draws all its trials from one
-stream, np.random.default_rng(np.random.SeedSequence((seed, crc32(L)))),
-trial-major: trial t is the t-th block of |Y| draws, Y vertex i (ascending)
-going to side 1 when its draw is below p. So the trials are exactly
-rng.random((trials, |Y|)) < p, results are reproducible and independent of
-execution order, and a run with more trials only adds trials after the
-first ones (_trial_words draws them 64 at a time).
+Randomness contract: candidate labeled L draws all its trials from the raw
+64-bit words of one stream, np.random.PCG64(SeedSequence((seed, crc32(L)))).
+Each 64 trials are one bitsliced draw (Knuth and Yao): every lane starts
+undecided; for each binary digit of p up to the last 1 (at most 53), one raw
+word per Y vertex (ascending) is read, and an undecided lane whose raw bit is
+0 takes the digit (1 = side 1). Lanes left undecided are on side 2; p = 0
+and p = 1 read nothing. So each trial bit is independently Bernoulli(p) to
+within 2^-53, results are reproducible and independent of execution order,
+and, as a draw stops only once all 64 lanes are decided, a run with more
+trials only adds trials after the first ones.
 
 Candidates: MINGAP is the gap solver's own (x1, x2) with p = 1/2. Each
 structured candidate is a row (label, lead, literal, p) of one table, placed
@@ -269,48 +272,42 @@ def _dedupe(cands: list[CandidateXPartition]) -> list[CandidateXPartition]:
     return list(first.values())
 
 
-# The trials are drawn _DRAW_BLOCK floats at a time and packed _PACK_COLS Y
-# vertices at a time, so the float64 block (256 kB) and the transposed bool
-# block (256 kB) stay the same size for any |Y| and trials.
-_DRAW_BLOCK = 1 << 15
-_PACK_COLS = 1 << 12
+_ONES = ~np.uint64(0)
 
 
-def _trial_stream(label: str, seed: int) -> np.random.Generator:
+def _trial_stream(label: str, seed: int) -> np.random.PCG64:
     """Candidate label's one stream under engine seed: a PCG64 seeded by
     SeedSequence((seed, crc32(label))), the whole seed as entropy."""
     tag = crc32(label.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence((seed, tag)))
+    return np.random.PCG64(np.random.SeedSequence((seed, tag)))
 
 
-def _trial_words(label: str, p: float, ysize: int, cfg: EngineConfig) -> np.ndarray:
+def _trial_words(label: str, p: Fraction, ysize: int, cfg: EngineConfig) -> np.ndarray:
     """Bit t % 64 of words[i, t // 64] is 1 when Y vertex i sits on side 1 in
-    trial t: the (ysize, ceil(trials / 64)) uint64 packing of
-    np.random.default_rng(SeedSequence((cfg.seed, crc32(label)))).random(
-    (cfg.trials, ysize)) < p, bits past the last trial 0.
-
-    The trials are drawn in order, 64 at a time. A chunk's rows x ysize
-    booleans fill from _DRAW_BLOCK-float draws (the stream is continuous, so
-    the block size does not change the bits), then each _PACK_COLS columns
-    are transposed and packed into one little-endian word per Y vertex.
-    Columns are contiguous (Fortran order), one per 64 trials."""
-    words = np.zeros((ysize, -(-cfg.trials // 64)), dtype="<u8", order="F")
-    rng = _trial_stream(label, cfg.seed)
-    chunk = np.empty(min(64, cfg.trials) * ysize, dtype=bool)
-    floats = np.empty(min(_DRAW_BLOCK, chunk.size))
-    for w in range(words.shape[1] if ysize else 0):
-        rows = min(64, cfg.trials - 64 * w)
-        flat = chunk[: rows * ysize]
-        for lo in range(0, flat.size, _DRAW_BLOCK):
-            block = floats[: min(_DRAW_BLOCK, flat.size - lo)]
-            rng.random(out=block)
-            np.less(block, p, out=flat[lo:lo + block.size])
-        bits = flat.reshape(rows, ysize)
-        dest = words[:, w].view(np.uint8).reshape(ysize, 8)
-        for lo in range(0, ysize, _PACK_COLS):
-            dest[lo:lo + _PACK_COLS, : -(-rows // 8)] = np.packbits(
-                np.ascontiguousarray(bits[:, lo:lo + _PACK_COLS].T), axis=1,
-                bitorder="little")
+    trial t: a (ysize, ceil(trials / 64)) uint64 array, columns contiguous
+    (Fortran order), bits past the last trial 0. Each column is one
+    bitsliced draw from _trial_stream(label, cfg.seed) under the randomness
+    contract: per binary digit of p, one raw word per Y vertex, and an
+    undecided lane whose raw bit is 0 takes the digit. It stops once its 64
+    lanes are decided, so the words it reads do not depend on trials."""
+    words = np.full((ysize, -(-cfg.trials // 64)), _ONES if p >= 1 else 0,
+                    dtype=np.uint64, order="F")
+    # p's digits up to the last 1, by integer arithmetic: none for p = 0 or 1
+    digits = format((p.numerator << 53) // p.denominator % (1 << 53), "053b").rstrip("0")
+    bitgen = _trial_stream(label, cfg.seed)
+    undecided = np.empty(ysize, dtype=np.uint64)
+    for col in words.T:
+        undecided.fill(_ONES)
+        for digit in digits:
+            if digit == "1":  # every undecided lane to side 1 ...
+                col |= undecided
+            undecided &= bitgen.random_raw(ysize)
+            if digit == "1":  # ... but those still undecided, back to 0
+                col ^= undecided
+            if not np.count_nonzero(undecided):
+                break
+    if cfg.trials % 64:
+        words[:, -1] &= np.uint64((1 << cfg.trials % 64) - 1)
     return words
 
 
@@ -410,7 +407,7 @@ def extension_trial_cuts(
     cfg: EngineConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (e12, e21) for cfg.trials independent assignments of
-    Y = V - x1 - x2, plus the trials themselves packed as _trial_words does
+    Y = V - x1 - x2, plus the trials themselves as _trial_words draws them
     (one row of words per Y vertex in ascending order, bit set = side 1).
 
     For each 64 trials every vertex gets one word, bit t set when it sits on
@@ -430,10 +427,10 @@ def extension_trial_cuts(
         raise TooLargeError(
             f"{cfg.trials} trials over |Y| = {len(ys)} are too many to pack")
 
-    words = _trial_words(cand.label, float(cand.p), len(ys), cfg)
+    words = _trial_words(cand.label, cand.p, len(ys), cfg)
     counts = np.zeros((2, words.shape[1], 64), dtype=np.int64)  # e12, e21
     vertex_word = np.zeros(D.n, dtype=np.uint64)
-    vertex_word[side1x] = ~np.uint64(0)
+    vertex_word[side1x] = _ONES
     for w in range(words.shape[1]):
         vertex_word[ys] = words[:, w]
         for lo in range(0, D.m, _ARC_BLOCK):

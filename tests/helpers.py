@@ -370,13 +370,41 @@ def reference_gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -
     return from_arc_list(n, np.column_stack(np.divmod(codes, n)))
 
 
-def reference_trial_matrix(label: str, p: float, ysize: int, cfg) -> np.ndarray:
-    """The trials x ysize assignment matrix in one draw from the candidate's
-    one stream, (cfg.seed, crc32(label)): row t is the t-th block of ysize
-    draws."""
-    tag = crc32(label.encode("utf-8"))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
-    return rng.random((cfg.trials, ysize)) < p
+def reference_trial_matrix(label: str, p: Fraction, ysize: int, cfg) -> np.ndarray:
+    """The trials x ysize assignment matrix, lane by lane, from the raw words
+    of the candidate's one stream, PCG64(SeedSequence((cfg.seed,
+    crc32(label)))). p's binary digits come one Fraction doubling at a time,
+    53 of them, trailing zeros dropped.
+
+    Each block of 64 trials (lanes) starts with all its 64 x ysize lanes
+    undecided and, digit by digit, reads ysize raw words, Y vertex i's word
+    at index i. An undecided lane (i, t) whose bit t is 0 is decided: side 1
+    when the digit is 1. The block reads no more once no lane is undecided or
+    the digits run out; undecided lanes are then side 2. p = 1 reads nothing
+    and puts every lane on side 1."""
+    bitgen = np.random.PCG64(np.random.SeedSequence((cfg.seed, crc32(label.encode("utf-8")))))
+    side1 = np.full((cfg.trials, ysize), p == 1)
+    digits, rest = [], Fraction(p) % 1
+    for _ in range(53):
+        rest *= 2
+        digits.append(rest >= 1)
+        rest -= digits[-1]
+    while digits and not digits[-1]:
+        digits.pop()
+    for first in range(0, cfg.trials, 64) if digits else ():
+        undecided = [(i, t) for i in range(ysize) for t in range(64)]
+        for digit in digits:
+            if not undecided:
+                break
+            row = bitgen.random_raw(ysize).tolist()
+            still = []
+            for i, t in undecided:
+                if row[i] >> t & 1:
+                    still.append((i, t))
+                elif digit and first + t < cfg.trials:
+                    side1[first + t, i] = True
+            undecided = still
+    return side1
 
 
 def unpack_trial_words(words: np.ndarray, trials: int) -> np.ndarray:
@@ -416,7 +444,7 @@ def reference_extension_trial_cuts(D: Digraph, cand, cfg):
     cols21_yx = yindex[t[ty & ~hy & h1]]    # y -> x1, cut when y on side 2
     yy = ty & hy
     yy_t, yy_h = yindex[t[yy]], yindex[h[yy]]
-    A = reference_trial_matrix(cand.label, float(cand.p), len(ys), cfg)
+    A = reference_trial_matrix(cand.label, cand.p, len(ys), cfg)
     e12s = (
         const12
         + (~A[:, cols12_xy]).sum(axis=1)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, records, exit codes."""
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -468,13 +470,27 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["partition", "--help"]])
+def test_help_prints_the_argparse_text_and_exits_zero(capsys, argv):
+    """Help goes through main's final print: on an open stdout its text is
+    byte for byte what argparse's own print_help writes."""
+    parser = cli.build_parser()
+    if len(argv) > 1:
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[argv[0]]
+    want = io.StringIO()
+    argparse.ArgumentParser.print_help(parser, want)
+    assert run(capsys, *argv) == (0, want.getvalue(), "")
+
+
 def test_closed_stdout_exits_one_and_writes_no_error():
     """A reader that closed the pipe before the result was printed: exit 1,
-    Python's convention for EPIPE, and nothing on stderr. --version prints
-    through the same final print."""
+    Python's convention for EPIPE, and nothing on stderr. --help and
+    --version print through the same final print."""
     env = dict(os.environ, PYTHONPATH=str(Path(judipart.__file__).parents[1]))
     for argv in (["partition", "--gen", "eulerian", "--q", "7", "--d", "3", "--json"],
-                 ["--version"]):
+                 ["--version"], ["--help"], ["partition", "--help"]):
         r, w = os.pipe()
         os.close(r)
         try:

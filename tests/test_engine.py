@@ -62,6 +62,7 @@ from helpers import (
     reference_candidate_x_partitions,
     reference_extension_trial_cuts,
     reference_local_improve,
+    reference_trial_matrix,
     single_flip_cuts,
     unpack_trial_words,
 )
@@ -307,8 +308,11 @@ def test_trial_streams_reproducible_and_label_dependent():
     assert not np.array_equal(words1, extension_trial_cuts(D, other, cfg)[2])
 
 
-# 5000 draws per trial cross both the draw block and the packing block
-YSIZE_P = [(y, p) for y in (0, 1, 13, 1000, 5000) for p in (0.0, 5 / 14, 0.5)]
+# 1/3 and 5/14 never end in binary, so a column reads words until every lane
+# is decided; 3/8 and 1/2 end after 3 digits and 1; 0 and 1 read no words
+YSIZE_P = [(y, p) for y in (0, 1, 13, 1000, 5000)
+           for p in (Fraction(0), Fraction(1, 3), Fraction(3, 8), Fraction(5, 14),
+                     Fraction(1, 2), Fraction(1))]
 
 
 # one to five 32-bit seed words
@@ -317,9 +321,9 @@ STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100, 2 ** 130)
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_trial_matrix_matches_per_trial_streams(seed):
-    """The trial matrix the words pack is, trial by trial, the candidate's one
-    stream: trial t is the t-th block of |Y| draws of
-    default_rng(SeedSequence((seed, crc32(L)))), below p means side 1."""
+    """The trial matrix the words hold is, lane by lane, the candidate's one
+    stream of raw words, PCG64(SeedSequence((seed, crc32(L)))), compared
+    with p's binary digits; later columns start where earlier ones stopped."""
     i = 0
     for label in CANDIDATE_ORDER:
         for trials in (1, 7, 64, 65, 130):
@@ -328,26 +332,44 @@ def test_trial_matrix_matches_per_trial_streams(seed):
             cfg = EngineConfig(d=1, trials=trials, seed=seed)
             words = _trial_words(label, p, ysize, cfg)
             assert words.shape == (ysize, -(-trials // 64)) and words.dtype == np.uint64
-            want = (np.random.default_rng(np.random.SeedSequence(
-                (seed, crc32(label.encode("utf-8"))))).random((trials, ysize)) < p)
-            assert np.array_equal(unpack_trial_words(words, trials), want), (label, trials)
+            want = reference_trial_matrix(label, p, ysize, cfg)
+            assert np.array_equal(unpack_trial_words(words, trials), want), (label, trials, p)
             if trials % 64:  # bits past the last trial stay 0
                 assert not (words[:, -1] >> np.uint64(trials % 64)).any()
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(3, 8), Fraction(5, 14),
+                               Fraction(1, 2)], ids=str)
+def test_trial_bits_are_independent_bernoulli_p(p):
+    """2^20 lanes (|Y| = 2^14, 64 trials): the share on side 1 is p within
+    5 sigma, and disjoint pairs of neighbouring trials (t, t + 1) and of
+    neighbouring Y rows (i, i + 1) agree at the rate p^2 + (1 - p)^2 of
+    independent draws, within 5 sigma."""
+    A = unpack_trial_words(_trial_words("X2SIGN", p, 1 << 14, EngineConfig(d=1, seed=7)), 64)
+
+    def near(hits, rate):
+        rate = float(rate)
+        return abs(hits.mean() - rate) <= 5 * (rate * (1 - rate) / hits.size) ** 0.5
+
+    agree = p * p + (1 - p) * (1 - p)
+    assert near(A, p)
+    assert near(A[0::2] == A[1::2], agree)
+    assert near(A[:, 0::2] == A[:, 1::2], agree)
+
+
 @pytest.mark.parametrize("seed", STREAM_SEEDS + (2 ** 64 - 1, 2 ** 96))
 def test_pcg_states_equal_seeded_pcg64(seed):
-    """Each candidate's stream starts at the PCG64 state of
+    """Each candidate's stream is a PCG64 at the state of
     SeedSequence((seed, crc32(L))); every word of the seed counts, and the
     label keys the stream."""
     states = []
     for label in CANDIDATE_ORDER:
-        bitgen = _trial_stream(label, seed).bit_generator
+        bitgen = _trial_stream(label, seed)
         want = np.random.PCG64(np.random.SeedSequence((seed, crc32(label.encode("utf-8")))))
         assert isinstance(bitgen, np.random.PCG64) and bitgen.state == want.state
         states.append(bitgen.state["state"]["state"])
         if seed >= 2 ** 32:  # not cut to its low word
-            low = _trial_stream(label, seed % 2 ** 32).bit_generator.state
+            low = _trial_stream(label, seed % 2 ** 32).state
             assert low["state"]["state"] != states[-1]
     assert len(set(states)) == len(CANDIDATE_ORDER)
 
@@ -733,13 +755,14 @@ def test_local_improve_does_not_depend_on_the_index_width(monkeypatch):
 
 # sha256 of json.dumps(partition(D, EngineConfig(d=4, trials=t)).to_jsonable(),
 # sort_keys=True): larger than the golden instances, so the local search runs
-# many flips per round. The two random digests agree: its one candidate's best
-# trial is trial 15, and a run with more trials only adds trials.
+# many flips per round. Each graph's two digests differ: its one candidate's
+# best trial of 64 lies past the first 20 (trial 21 on the random graph, 51
+# on the tight union).
 SCALE_DIGESTS = {
-    ("random", 64): "3337d949aded9e5b43c9e32cd52ed330e53436aa23a7016849daa60608b731d8",
-    ("random", 20): "3337d949aded9e5b43c9e32cd52ed330e53436aa23a7016849daa60608b731d8",
-    ("tight-union", 64): "9270a298f5c7016edcc1cb81cf33300415a8184d1b53dabeb80a2e9e1df2cb36",
-    ("tight-union", 20): "bc2d01f6844e8a85314deee45f17908f3323e4dcf825531778f60ae5f10dc85d",
+    ("random", 64): "ebf1f407a25f70ba2d09236a701c1e6606133a72f6d7b1286f1fca0a5f18d6f3",
+    ("random", 20): "be1e8ca02b757ef4cf3872a16946528569cb73a278a93993355d7c5480191f0b",
+    ("tight-union", 64): "7a28ef6be87283424a757aceb278cdbd760e4c0428f7aba95c59309fbd18e96c",
+    ("tight-union", 20): "4f39e24d6e0bc45aacfda21fcd196f48ec659e5b8c00542dde2538b7fde16b29",
 }
 
 
