@@ -11,8 +11,8 @@ One binary, six subcommands:
 
 One runner (main) does what every subcommand shares: it loads the instance,
 times the run, builds the record, serializes it once, writes it to -o,
-prints it or the human text (or the version), and maps errors to exit
-codes. A subcommand is a function (args, D) -> (config, outcome, human
+prints it or the human text (or the help or version), and maps errors to
+exit codes. A subcommand is a function (args, D) -> (config, outcome, human
 text); gen alone loads nothing, writes its instance and returns its own
 record input.
 
@@ -26,16 +26,21 @@ gap/tight/certify come from --x-file (one vertex id per line) or --x-auto
 both (config.x_auto, config.x_file).
 
 Exit codes: 0 success, 1 stdout closed before the result was printed (the
-EPIPE convention; nothing goes to stderr; --help and --version print through
-the same final print, so they exit 1 there too), 2 bad input, 3 resource
-limit exceeded. --json emits a RunRecord whose "outcome" object is
-byte-identical across reruns with the same inputs and seed. A --d above the
-instance's minimum outdegree is a "warning:" line of the partition text and
-an entry of outcome.warnings; a successful run writes nothing to stderr.
+EPIPE convention; nothing goes to stderr), 2 bad input, 3 resource limit
+exceeded. --help and --version are argparse's own actions: main parses under
+contextlib.redirect_stdout, and on their exit 0 prints the captured text
+through the same final print, so they exit 1 on a closed stdout too.
+
+--json emits a RunRecord whose "outcome" object is byte-identical across
+reruns with the same inputs and seed. A --d above the instance's minimum
+outdegree is a "warning:" line of the partition text and an entry of
+outcome.warnings; a successful run writes nothing to stderr.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -250,32 +255,13 @@ def cmd_gen(args) -> tuple[dict, dict, dict, str]:
     return inp, {"output": args.instance}, props, human
 
 
-class _Printed(Exception):
-    """--help or --version stops the parse; main prints the text as it
-    prints a command's result."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Every judipart parser: its help goes to main's final print, which adds
-    back the newline taken off here."""
-
-    def print_help(self, file=None):
-        raise _Printed(self.format_help().removesuffix("\n"))
-
-
-class _VersionAction(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise _Printed(__version__)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
+    ap = argparse.ArgumentParser(
         prog="judipart",
         description="judicious bipartitions of digraphs with outdegree bounds",
     )
-    ap.add_argument("--version", action=_VersionAction, nargs=0,
-                    help="show program's version number and exit")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", help="run the full partition engine")
     _add_input_args(p)
@@ -342,9 +328,14 @@ def main(argv=None) -> int:
     """The one runner (see the module docstring)."""
     try:
         try:
-            out = _result(build_parser().parse_args(argv))
-        except _Printed as printed:
-            out = str(printed)
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                args = build_parser().parse_args(argv)
+        except SystemExit as stop:  # --help or --version; a usage error exits 2
+            if stop.code:
+                raise
+            out = printed.getvalue().removesuffix("\n")  # the final print adds it back
+        else:
+            out = _result(args)
         try:
             print(out, flush=True)
         except BrokenPipeError:  # the reader closed the pipe; the run finished
@@ -354,12 +345,9 @@ def main(argv=None) -> int:
             os.close(devnull)
             return 1
         return 0
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: a missing file, a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LimitError, MemoryError) as exc:
         print(f"limit exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except OSError as exc:  # a missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return 2

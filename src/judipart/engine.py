@@ -7,8 +7,9 @@ derive the structured candidate partitions keyed by the huge-vertex layout
 by independent random assignment (side 1 with probability p) across repeated
 trials, polish the best trial with single-vertex flips (and, when n <= 128,
 two-vertex flips), and keep the overall best. Every step ranks cuts by
-(min{e12, e21}, e12 + e21). A d above the minimum outdegree is reported in
-PartitionOutcome.warnings alone.
+(min{e12, e21}, e12 + e21), in one of two forms: _lift tests whether a move
+raises it, _first_best picks the first best of several cuts. A d above the
+minimum outdegree is reported in PartitionOutcome.warnings alone.
 
 The trials are drawn 64 to a word, one row of words per Y vertex. For each
 64 trials every vertex has one word, bit t set when it sits on side 1 in
@@ -24,17 +25,18 @@ one arc_census of side 1: c[v], the number of arcs, either way, between v and
 side 1, and v's degrees give the deltas. After that a flip moves them only at
 the flipped vertex, which negates both, and at the other ends of its arcs
 (Fiduccia-Mattheyses gain bookkeeping). A round screens every vertex in one
-vectorized pass, ranks the screened ones by one integer code (a 16-bit radix
-sort when it fits), keeps those that rank above every screened neighbour
-(Luby's independent set), and flips the best prefix of them in rank order. No
-arc joins two of them, so their deltas add exactly, and the neighbours' deltas
-catch up in two scatters over the arcs the round has already sliced. The
-per-vertex state takes the width of the graph's adjacency (int32 unless 2m or
-n reaches 2^31). Rounds run until nothing is screened. A two-vertex flip
-scores as the sum of its single flips plus a correction for the arcs joining
-the pair (Kernighan-Lin), from the same _flip_state. The best trial, the
-best prefix of a round and the best candidate are all the first entry with
-the largest (min cut, total cut) (_first_best).
+vectorized pass (_lift), ranks the screened ones by one integer code (a
+16-bit radix sort when it fits), keeps those that rank above every screened
+neighbour (Luby's independent set), and flips the best prefix of them in rank
+order. No arc joins two of them, so their deltas add exactly, and the
+neighbours' deltas catch up in two scatters over the arcs the round has
+already sliced. The per-vertex state takes the width of the graph's
+adjacency (int32 unless 2m or n reaches 2^31). Rounds run until nothing is
+screened. A two-vertex flip scores as the sum of its single flips plus a
+correction for the arcs joining the pair (Kernighan-Lin), from the same
+_flip_state, and is screened by the same _lift. The best trial, the best
+prefix of a round and the best candidate are all the first entry with the
+largest (min cut, total cut) (_first_best).
 
 Dense or degree-flat instances skip the split entirely: when
 m >= 8n/max(eps, 1/28)^2 or max degree <= eps^2 m / 4, a plain p = 1/2 random
@@ -314,17 +316,12 @@ def _trial_words(label: str, p: Fraction, ysize: int, cfg: EngineConfig) -> np.n
 _PAIR_LIMIT = 128  # the pair scan is an n x n pass; keep it off large graphs
 
 
-def _key(e12, e21):
-    """(min cut, total cut): the order every search step ranks cuts by.
-    Plain operators only, so it is cheap on scalars and elementwise on arrays;
-    compare array keys with _beats."""
-    total = e12 + e21
-    return (total - abs(e12 - e21)) // 2, total
-
-
-def _beats(a, b):
-    """Elementwise a > b for two _key values."""
-    return (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
+def _lift(d12, d21, e12, e21):
+    """(low, gain): the change in min cut and in total cut when a cut
+    (e12, e21) moves by (d12, d21), elementwise on delta arrays of any shape.
+    The move raises (min cut, total cut) when low + (gain > 0) > 0."""
+    lo, hi = (d12, d21) if e12 <= e21 else (d21, d12)
+    return np.minimum(lo, hi + abs(e12 - e21)), d12 + d21
 
 
 def _first_best(e12, e21) -> int:
@@ -353,22 +350,21 @@ def _flip_state(D: Digraph, side1: np.ndarray):
 def _pair_escape(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     """Flip two vertices at once to hop out of single-flip local optima.
 
-    Scores every pair u < v in one n x n pass, flips the first improving pair
+    Scores every pair u < v in one n x n pass (_lift on the pair's summed
+    deltas less the Kernighan-Lin correction), flips the first improving pair
     in row-major order, polishes with local_improve, and repeats until no pair
     improves. Every accepted move strictly raises (min cut, total cut), hence
     termination."""
     adj = np.zeros((D.n, D.n), dtype=np.int64)
     adj[D.tails, D.heads] = 1
     joined = adj + adj.T  # arcs between u and v, either direction
-    upper = np.triu(np.ones((D.n, D.n), dtype=bool), k=1)
     best = P
     while True:
         side1 = best.sides == 1
-        s, d12, d21, c12, c21 = _flip_state(D, side1)
-        corr = np.outer(s, s) * joined
-        e12 = c12 + d12[:, None] + d12 - corr  # cut after flipping u and v
-        e21 = c21 + d21[:, None] + d21 - corr
-        improving = upper & _beats(_key(e12, e21), _key(c12, c21))
+        s, d12, d21, e12, e21 = _flip_state(D, side1)
+        corr = np.outer(s, s) * joined  # the single-flip sum's error on arcs joining u, v
+        low, gain = _lift(d12[:, None] + d12 - corr, d21[:, None] + d21 - corr, e12, e21)
+        improving = np.triu(low + (gain > 0) > 0, k=1)
         if not improving.any():
             return best
         u, v = divmod(int(np.argmax(improving)), D.n)
@@ -476,15 +472,16 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     changes the search.
 
     A round screens every vertex: a vertex is screened when its flip alone
-    raises _key. The screened vertices are ranked by (new min, new total)
-    descending, then by index, through one code per vertex (_rank_order),
-    and a screened vertex is kept when it ranks above every screened
-    neighbour (Luby's independent-set step). No arc joins two kept vertices,
-    so flipping any of them moves (e12, e21) by exactly the sum of their
-    deltas. The round flips the first prefix, in rank order, whose summed
-    deltas give the best _key (the best-prefix step of deterministic parallel
-    refinement). The top vertex alone improves, so every round strictly
-    raises (min, total), which is at most m: the loop ends.
+    raises (min cut, total cut) (_lift). The screened vertices are ranked
+    by (new min, new total) descending, then by index, through one code per
+    vertex (_rank_order), and a screened vertex is kept when it ranks above
+    every screened neighbour (Luby's independent-set step). No arc joins two
+    kept vertices, so flipping any of them moves (e12, e21) by exactly the
+    sum of their deltas. The round flips the first prefix, in rank order,
+    whose summed deltas give the best (min, total) (_first_best; the
+    best-prefix step of deterministic parallel refinement). The top vertex
+    alone improves, so every round strictly raises (min, total), which is at
+    most m: the loop ends.
 
     Every vertex's flip deltas (d12, d21) are kept current from round to
     round: a flipped vertex negates both, and a neighbour u of a flipped v
@@ -493,18 +490,13 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     has the dtype of D.incidence(); the cut sums are int64."""
     if P.n != D.n:
         raise PartitionError("bipartition size mismatch")
-    if D.m == 0 or D.n == 0:
-        return Bipartition(P.sides)
     indptr, ends = D.incidence()
     dtype = indptr.dtype
     sgn, d12, d21, e12, e21 = _flip_state(D, P.sides == 1)
     degree = D.degrees()
     rank = np.full(D.n, D.n, dtype=dtype)  # a screened vertex's rank in its round, else n
     while True:
-        # each flip's new min cut, less the min now, and its change in the
-        # total cut; a flip raises (min, total) when low + (gain > 0) > 0
-        lo, hi = (d12, d21) if e12 <= e21 else (d21, d12)
-        low, gain = np.minimum(lo, hi + abs(e12 - e21)), d12 + d21
+        low, gain = _lift(d12, d21, e12, e21)
         screened = (low + (gain > 0) > 0).nonzero()[0]
         if not screened.size:
             break

@@ -9,23 +9,19 @@ few numpy passes and memory stays at one block whatever n is.
 
 They exist to judge the heuristic engine and the gap solver, so they stay
 independent of them: they read only n, the arc arrays and the degrees, and
-call no arc_census, no incidence() and no engine helper.
+call no arc_census, no incidence() and no engine helper. X is checked where
+every part is, by split_masks: a vertex id that is not an integer in
+0..n-1 raises PartitionError.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .digraph import Bipartition, Digraph, cut_counts
-from .errors import (
-    EmptyGraphError,
-    IdentityViolationError,
-    PartitionError,
-    TooLargeError,
-)
+from .digraph import Bipartition, Digraph, cut_counts, split_masks
+from .errors import EmptyGraphError, IdentityViolationError, TooLargeError
 
 # a block holds 2**_BLOCK_BITS states: a few int64 arrays of 512 KiB each
 _BLOCK_BITS = 16
@@ -158,18 +154,11 @@ def exact_min_gap(D: Digraph, x, limit: int = 24) -> OracleGapResult:
     a block is a table over its low bits plus one offset. Witness: first
     optimum in Gray-code order over X sorted ascending.
     """
-    try:
-        in_x = {operator.index(v) for v in x}
-    except TypeError:
-        raise PartitionError("X contains a vertex id that is not an integer") from None
-    xs = sorted(in_x)
-    if xs and not 0 <= xs[0] <= xs[-1] < D.n:
-        raise PartitionError(f"X contains a vertex outside 0..{D.n - 1}")
+    (inside,) = split_masks(D.n, [x], "X")
+    xs = np.flatnonzero(inside).tolist()
     k = len(xs)
     if k > limit:
         raise TooLargeError(f"|X|={k} exceeds oracle limit {limit}")
-    inside = np.zeros(D.n, dtype=bool)
-    inside[xs] = True
     to_y = inside[D.tails] & ~inside[D.heads]
     from_y = ~inside[D.tails] & inside[D.heads]
     w = (np.bincount(D.tails[to_y], minlength=D.n)

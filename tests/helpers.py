@@ -3,12 +3,13 @@
 The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
 Digraph container itself. The references below are the earlier, plainer
-versions of the random-graph generator, the trial draws, the two search
-kernels, the min-gap subset-sum and the candidate X-partitions; the fast
-versions must reproduce them number for number.
+versions of the random-graph generator, the trial draws, the search kernels
+(single flips and the pair escape), the min-gap subset-sum and the candidate
+X-partitions; the fast versions must reproduce them number for number.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from judipart import (
     CandidateXPartition,
     Digraph,
     EngineConfig,
+    cut_counts,
     e_between,
     from_arc_list,
     gen_eulerian_complete,
@@ -520,6 +522,30 @@ def reference_local_improve(D: Digraph, P: Bipartition):
         assert cut() == prefixes[best]
         assert key(*prefixes[best]) > here
         e12, e21 = prefixes[best]
+
+
+def reference_pair_escape(D: Digraph, P: Bipartition):
+    """Two-vertex flips by brute force: flip the first pair u < v, in
+    row-major order, whose two flips raise (min, total) as cut_counts
+    recounts it, polish with reference_local_improve, and repeat until no
+    pair raises. Returns the bipartition and the moves, each as
+    ((u, v), (min, total) before, (min, total) after the pair's flips)."""
+    def key(sides):
+        c = cut_counts(D, Bipartition(sides))
+        return c.minval, c.e12 + c.e21
+
+    sides, moves = P.sides.copy(), []
+    while True:
+        here = key(sides)
+        for u, v in itertools.combinations(range(D.n), 2):
+            trial = sides.copy()
+            trial[[u, v]] = 3 - trial[[u, v]]
+            if key(trial) > here:
+                moves.append(((u, v), here, key(trial)))
+                sides = reference_local_improve(D, Bipartition(trial))[0].sides.copy()
+                break
+        else:
+            return Bipartition(sides), moves
 
 
 def single_flip_cuts(D: Digraph, P: Bipartition):

@@ -470,10 +470,12 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["partition", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["partition", "--help"],
+                                  ["gen", "--help"]])
 def test_help_prints_the_argparse_text_and_exits_zero(capsys, argv):
     """Help goes through main's final print: on an open stdout its text is
-    byte for byte what argparse's own print_help writes."""
+    byte for byte what argparse's own print_help writes, gen's positional
+    FAMILY with its choices included."""
     parser = cli.build_parser()
     if len(argv) > 1:
         subparsers = next(a for a in parser._actions
@@ -490,7 +492,7 @@ def test_closed_stdout_exits_one_and_writes_no_error():
     --version print through the same final print."""
     env = dict(os.environ, PYTHONPATH=str(Path(judipart.__file__).parents[1]))
     for argv in (["partition", "--gen", "eulerian", "--q", "7", "--d", "3", "--json"],
-                 ["--version"], ["--help"], ["partition", "--help"]):
+                 ["--version"], ["--help"], ["partition", "--help"], ["gen", "--help"]):
         r, w = os.pipe()
         os.close(r)
         try:

@@ -62,6 +62,7 @@ from helpers import (
     reference_candidate_x_partitions,
     reference_extension_trial_cuts,
     reference_local_improve,
+    reference_pair_escape,
     reference_trial_matrix,
     single_flip_cuts,
     unpack_trial_words,
@@ -479,6 +480,35 @@ def test_local_improve_never_degrades():
         before = cut_counts(D, P).minval
         after = cut_counts(D, local_improve(D, P, cfg)).minval
         assert after >= before
+
+
+def test_local_improve_returns_an_arcless_graph_as_given():
+    """With no arc no flip moves the cut, so the sides come back unchanged,
+    n = 0 included."""
+    for n in (0, 1, 3):
+        D = from_arc_list(n, [])
+        for P in (Bipartition([1] * n), Bipartition([2] * n), Bipartition([1, 2, 1][:n])):
+            assert local_improve(D, P, EngineConfig(d=1)) == P
+
+
+def test_pair_escape_matches_the_brute_force_reference():
+    """From a single-flip optimum, _pair_escape makes the moves of the
+    brute-force reference: the first pair u < v, in row-major order, whose
+    two flips raise (min, total) by cut_counts, then a polish. Some of those
+    moves raise the total cut alone."""
+    cfg = EngineConfig(d=1)
+    moved = total_only = 0
+    for n in (8, 12, 16, 20, 24):
+        for d in (2, 3):
+            for seed in range(4):
+                rng = np.random.default_rng((n, d, seed))
+                D = gen_random_minout(n, d, extra=int(rng.integers(0, n + 1)), seed=seed)
+                start = local_improve(D, Bipartition(rng.integers(1, 3, size=n)), cfg)
+                want, moves = reference_pair_escape(D, start)
+                assert _pair_escape(D, start, cfg) == want, (n, d, seed)
+                moved += bool(moves)
+                total_only += any(after[0] == before[0] for _, before, after in moves)
+    assert moved >= 10 and total_only >= 5, (moved, total_only)
 
 
 def _flip_key(D, sides, *vs):
