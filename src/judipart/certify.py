@@ -6,13 +6,17 @@ Each check record is self-verifying: holds == (lhs <comparison> rhs), with
 lhs/rhs stored as exact rational strings, so a consumer can re-derive the
 verdict from the record alone.
 
-Decimal coefficients in the d=4 contradiction chain are the source's printed
-decimals taken as exact rationals (2.31 = 231/100 and so on); the fractional
-coefficients (79/8, 9/88, ...) are used as written. Inequalities that carry an
-o(n) allowance in their asymptotic form are evaluated with the allowance
-dropped and flagged in metadata; the one bound that leans on o(n) in an
-essential way also ships a slack variant that allows a fixed additive
-n/1000.
+Each arithmetic check is one row of _STATEMENTS, and its lhs and rhs are
+computed from the statement the record prints, compiled once per statement.
+The notation is the printed one: a decimal is exact (the d=4 chain's 2.31 is
+231/100), factors side by side multiply (7n, 2(2d-1)(k+1)), ^ is a power,
+every / divides exactly, and |huge|, |Y|, sum_{j<=k} delta_j and
+sum_{j>k} delta_j name quantities of the bundle. A statement is evaluated
+over integers with no builtins in scope, so a fractional coefficient (79/8,
+9/88, ...) is the exact ratio it prints. Inequalities that carry an o(n)
+allowance in their asymptotic form are evaluated with the allowance dropped
+and flagged in metadata; the one bound that leans on o(n) in an essential way
+also ships a slack variant that allows a fixed additive n/1000.
 
 The min-gap bounds, the candidate forms and the d = 4 chain each hold in one
 regime and raise NotApplicableError outside it; build_certificate runs every
@@ -23,11 +27,13 @@ certificate shows where.
 """
 from __future__ import annotations
 
+import ast
 import operator
+import re
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -45,6 +51,61 @@ _OPS = {
     ">=": operator.ge,
     "==": operator.eq,
 }
+
+# Every arithmetic check as check_id: (statement, meta); the chain's
+# t = 2*delta_1 - delta_2 - delta_3 and slack are named in check_d4_chain
+_STATEMENTS = {
+    "gap-le-ysize": ("theta <= |Y|", {}),
+    "residual-le-slack": ("g <= |Y| - theta", {}),
+    "gap-above-ratio": ("theta > m/(2d-1)", {}),
+    "tail-dominance": ("sum_{j>k} delta_j - sum_{j<=k} delta_j >= g + theta", {}),
+    "form1-neg": (
+        "d*(sum_{j<=k} delta_j + g) - (d-1)*sum_{j>k} delta_j + b + m2/2 < 0", {}),
+    "form2-lower": (
+        "b > ((d^2+2d-1)/(d-1))*S_mid - d*S_out + (d-1)*g + ((d-1)/(2d))*m2", {}),
+    "form3-upper": (
+        "b < (2(2d-1)(k+1)/(3d-1))*n + ((d^2-5d+2)/(3d-1))*S_out"
+        " - ((d^2+2d-1)/(3d-1))*S_mid + (d(d-1)/(3d-1))*g"
+        " - ((d-1)^2/(2d(3d-1)))*m2", {}),
+    "d4k1-alt-a": ("2*delta_2 + 2*delta_3 - 3*delta_1 - 3g - b + 3*m2/14 < 0", {}),
+    "d4k1-alt-b1": ("6*delta_1 - 3*delta_2 - 3*delta_3 + 2g - b + 3*m2/14 < 0", {}),
+    "d4k1-alt-b2": ("6*delta_3 - 3*delta_1 - 3*delta_2 - 3g + b/3 + 3*m2/14 < 0", {}),
+    "d4k1-tau-bound": (
+        "b < 3*delta_2 + 3*delta_3 - 4*delta_1 - 4g - m2/2 - 7(n-tau)/4", {}),
+    "huge-ge-d": ("|huge| >= d", {}),
+    "huge-single": ("|huge| == 1", {}),
+    "tau-bound": ("tau <= (n + 2g + 2b) / (2d - 2|huge| + 1)", {}),
+    "chain-01": ("b >= 4n - 3*delta_1 - g - m2 + t", {"o_n": "dropped"}),
+    "chain-02": ("b > 7n + 3*m2 + 17g - 12*delta_1 + 18t", {}),
+    "chain-03": ("b > 3g + 3*m2/8 - delta_1/3 + 4t", {}),
+    "chain-04": ("b < 28n/11 - 27*delta_1/11 + 12g/11 - 9*m2/88 + 2t/11", {}),
+    "chain-05": ("79*m2/8 + 23g > 16n - 6*delta_1 + 9t", {"o_n": "dropped"}),
+    "chain-05-slack": ("79*m2/8 + 23g > 16n - 6*delta_1 + 9t - slack*n",
+                       {"o_n": "slack-variant", "slack": _CHAIN_SLACK}),
+    "chain-06": ("273*m2/8 + 175g < 105*delta_1 - 49n - 196t", {}),
+    "chain-07": ("63*m2/4 + 63g < 84n - 70*delta_1 - 126t", {}),
+    "chain-08": ("m2 + 2.31g > n", {}),
+    "chain-09": ("1.806t + 0.759g < delta_1 - 0.829n", {}),
+    "chain-10": ("2.322t + 0.435g < 0.968n - delta_1", {}),
+    "chain-11": ("delta_1 > 0.829n", {}),
+    "chain-12": ("3t + g < 0.117n", {}),
+    "chain-13": ("b < 0.564n", {}),
+    "chain-14": ("b > 3*m2/14 + 2g + 3t", {}),
+    "chain-15": ("1.373t + 0.075g < 0.899n - delta_1", {}),
+    "chain-16": ("g + b + m2 > 1.3n", {"o_n": "dropped"}),
+    "chain-17": ("3t + g < 0.084n", {}),
+}
+_CHAIN = tuple(c for c in _STATEMENTS if c.startswith("chain-"))
+
+# the names the statements print for quantities _quantities computes
+_ALIASES = {
+    "sum_{j<=k} delta_j": "lead",
+    "sum_{j>k} delta_j": "tail",
+    "|huge|": "huge",
+    "|Y|": "Y",
+}
+_TOKEN = re.compile(r"\d+\.\d+|\d+|\w+|\S")
+_SCOPE = {"__builtins__": {}, "Fraction": Fraction}
 
 
 @dataclass(frozen=True)
@@ -136,6 +197,63 @@ def _rec(check_id: str, statement: str, lhs, comparison: str, rhs, **meta) -> Ch
     )
 
 
+@cache
+def _compile(statement: str):
+    """The (lhs code, comparison, rhs code) of a printed statement."""
+    for alias, name in _ALIASES.items():
+        statement = statement.replace(alias, name)
+    lhs, comparison, rhs = re.split(r"\s*([<>=]=|[<>])\s*", statement)
+    return _compile_side(lhs), comparison, _compile_side(rhs)
+
+
+def _compile_side(text: str):
+    """One side in Python syntax: a decimal becomes its exact ratio, `^`
+    becomes `**`, factors side by side get a `*`, and every `/` divides a
+    Fraction."""
+    tokens = []
+    for tok in _TOKEN.findall(text):
+        if tokens and re.fullmatch(r"[\w)][\w(]", tokens[-1][-1] + tok[0]):
+            tokens.append("*")
+        if "." in tok:
+            whole, frac = tok.split(".")
+            tok = f"({int(whole + frac)}/{10 ** len(frac)})"
+        tokens.append("**" if tok == "^" else tok)
+    tree = ast.parse(" ".join(tokens), mode="eval")
+    # walk queues a node's children before yielding it, so a division
+    # inside the wrapped left side is still reached
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            node.left = ast.Call(ast.Name("Fraction", ast.Load()), [node.left], [])
+    return compile(ast.fix_missing_locations(tree), "<statement>", "eval")
+
+
+def _evaluate(statement: str, q: dict) -> tuple:
+    """(lhs, comparison, rhs) of a statement over the named quantities q."""
+    lhs, comparison, rhs = _compile(statement)
+    return eval(lhs, _SCOPE, q), comparison, eval(rhs, _SCOPE, q)
+
+
+def _records(q: dict, *check_ids: str, **meta) -> list[CheckRecord]:
+    """The records of the named rows over q; meta comes before each row's
+    own."""
+    out = []
+    for check_id in check_ids:
+        statement, row_meta = _STATEMENTS[check_id]
+        out.append(_rec(check_id, statement, *_evaluate(statement, q), **meta, **row_meta))
+    return out
+
+
+def _quantities(bundle: QuantityBundle, **named) -> dict:
+    """The bundle under the names the statements print, plus named: |huge|,
+    delta_1, delta_2, ... and, with k set, the two delta sums."""
+    deltas, k = bundle.deltas, bundle.k
+    q = dict(vars(bundle), huge=len(deltas), **named)
+    q.update((f"delta_{j}", x) for j, x in enumerate(deltas, 1))
+    if k is not None:
+        q.update(lead=sum(deltas[:k]), tail=sum(deltas[k:]))
+    return q
+
+
 def verify_record(rec: CheckRecord) -> bool:
     """Recompute holds from the stored strings; True when consistent."""
     return _OPS[rec.comparison](Fraction(rec.lhs), Fraction(rec.rhs)) == rec.holds
@@ -196,30 +314,17 @@ def check_min_gap_bounds(bundle: QuantityBundle, ysize: int) -> list[CheckRecord
         raise NotApplicableError(
             f"min-gap bounds need e(X) = 0, got e(X) = {bundle.e_x}"
         )
-    return [
-        _rec("gap-le-ysize", "theta <= |Y|", bundle.theta, "<=", ysize),
-        _rec("residual-le-slack", "g <= |Y| - theta",
-             bundle.g, "<=", ysize - bundle.theta),
-    ]
+    return _records(_quantities(bundle, Y=ysize), "gap-le-ysize", "residual-le-slack")
 
 
 def check_gap_dichotomy(bundle: QuantityBundle) -> list[CheckRecord]:
     """Either the gap is small (p = 1/2 route succeeds) or the huge set is
     odd (k set) with a dominated head; three labeled checks."""
-    k = bundle.k
-    out = [
-        _rec("gap-above-ratio", "theta > m/(2d-1)",
-             bundle.theta, ">", Fraction(bundle.m, 2 * bundle.d - 1)),
-        _rec("huge-odd", "|huge| is odd", int(k is not None), "==", 1),
-    ]
-    if k is not None:
-        lead = sum(bundle.deltas[:k])
-        tail = sum(bundle.deltas[k:])
-        out.append(
-            _rec("tail-dominance",
-                 "sum_{j>k} delta_j - sum_{j<=k} delta_j >= g + theta",
-                 tail - lead, ">=", bundle.g + bundle.theta)
-        )
+    q = _quantities(bundle)
+    out = _records(q, "gap-above-ratio")
+    out.append(_rec("huge-odd", "|huge| is odd", int(bundle.k is not None), "==", 1))
+    if bundle.k is not None:
+        out += _records(q, "tail-dominance")
     return out
 
 
@@ -233,89 +338,38 @@ def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
             f"candidate forms need |huge| = 2k + 1, got |huge| = "
             f"{len(bundle.deltas)}, k = {k}"
         )
-    g, b, m2, n = bundle.g, bundle.b, bundle.m2, bundle.n
-    lead = sum(bundle.deltas[:k])
-    tail = sum(bundle.deltas[k:])
-    out = [
-        _rec("form1-neg",
-             "d*(sum_{j<=k} delta_j + g) - (d-1)*sum_{j>k} delta_j + b + m2/2 < 0",
-             d * (lead + g) - (d - 1) * tail + b + Fraction(m2, 2), "<", 0,
-             k=k),
-    ]
     # mid window j = k..2k-1 (1-based); the outer terms j < k and j = 2k,
     # 2k+1 are all the others
     s_mid = sum(bundle.deltas[k - 1: 2 * k - 1])
-    s_out = lead + tail - s_mid
+    q = _quantities(bundle, S_mid=s_mid, S_out=sum(bundle.deltas) - s_mid)
+    out = _records(q, "form1-neg", k=k)
     meta = {"k": k}
     if k == 0:
         meta["dropped_terms"] = "delta_0"
-    if d >= 2:  # the S_mid coefficient divides by d - 1
-        out.append(
-            _rec("form2-lower",
-                 "b > ((d^2+2d-1)/(d-1))*S_mid - d*S_out + (d-1)*g + ((d-1)/(2d))*m2",
-                 b, ">",
-                 Fraction(d * d + 2 * d - 1, d - 1) * s_mid - d * s_out
-                 + (d - 1) * g + Fraction(d - 1, 2 * d) * m2,
-                 **meta)
-        )
-    out.append(
-        _rec("form3-upper",
-             "b < (2(2d-1)(k+1)/(3d-1))*n + ((d^2-5d+2)/(3d-1))*S_out"
-             " - ((d^2+2d-1)/(3d-1))*S_mid + (d(d-1)/(3d-1))*g"
-             " - ((d-1)^2/(2d(3d-1)))*m2",
-             b, "<",
-             Fraction(2 * (2 * d - 1) * (k + 1), 3 * d - 1) * n
-             + Fraction(d * d - 5 * d + 2, 3 * d - 1) * s_out
-             - Fraction(d * d + 2 * d - 1, 3 * d - 1) * s_mid
-             + Fraction(d * (d - 1), 3 * d - 1) * g
-             - Fraction((d - 1) ** 2, 2 * d * (3 * d - 1)) * m2,
-             **meta)
-    )
+    # the S_mid coefficient of form2 divides by d - 1
+    ids = ("form2-lower", "form3-upper") if d >= 2 else ("form3-upper",)
+    out += _records(q, *ids, **meta)
     if d == 4 and k == 1:
-        d1, d2, d3 = (Fraction(x) for x in bundle.deltas)
-        a_val = 2 * d2 + 2 * d3 - 3 * d1 - 3 * g - b + Fraction(3 * m2, 14)
-        b1_val = 6 * d1 - 3 * d2 - 3 * d3 + 2 * g - b + Fraction(3 * m2, 14)
-        b2_val = (6 * d3 - 3 * d1 - 3 * d2 - 3 * g + Fraction(b, 3)
-                  + Fraction(3 * m2, 14))
-        ra = _rec("d4k1-alt-a",
-                  "2*delta_2 + 2*delta_3 - 3*delta_1 - 3g - b + 3*m2/14 < 0",
-                  a_val, "<", 0)
-        rb1 = _rec("d4k1-alt-b1",
-                   "6*delta_1 - 3*delta_2 - 3*delta_3 + 2g - b + 3*m2/14 < 0",
-                   b1_val, "<", 0)
-        rb2 = _rec("d4k1-alt-b2",
-                   "6*delta_3 - 3*delta_1 - 3*delta_2 - 3g + b/3 + 3*m2/14 < 0",
-                   b2_val, "<", 0)
+        ra, rb1, rb2, tau_bound = _records(
+            q, "d4k1-alt-a", "d4k1-alt-b1", "d4k1-alt-b2", "d4k1-tau-bound")
         out += [
             ra, rb1, rb2,
             _rec("d4k1-disjunction",
                  "d4k1-alt-a holds, or both d4k1-alt-b1 and d4k1-alt-b2 hold",
                  int(ra.holds or (rb1.holds and rb2.holds)), "==", 1,
                  a=ra.holds, b1=rb1.holds, b2=rb2.holds),
-            _rec("d4k1-tau-bound",
-                 "b < 3*delta_2 + 3*delta_3 - 4*delta_1 - 4g - m2/2 - 7(n-tau)/4",
-                 b, "<",
-                 3 * d2 + 3 * d3 - 4 * d1 - 4 * g - Fraction(m2, 2)
-                 - Fraction(7 * (n - bundle.tau), 4)),
+            tau_bound,
         ]
     return out
 
 
 def check_huge_regimes(bundle: QuantityBundle) -> list[CheckRecord]:
     """Which huge-count regime the instance falls into, plus the tau cap."""
-    hc = len(bundle.deltas)
-    out = [
-        _rec("huge-ge-d", "|huge| >= d", hc, ">=", bundle.d),
-        _rec("huge-single", "|huge| == 1", hc, "==", 1),
-    ]
-    denom = 2 * bundle.d - 2 * hc + 1
+    q = _quantities(bundle)
+    out = _records(q, "huge-ge-d", "huge-single")
+    denom = 2 * bundle.d - 2 * len(bundle.deltas) + 1
     if denom > 0:
-        out.append(
-            _rec("tau-bound", "tau <= (n + 2g + 2b) / (2d - 2|huge| + 1)",
-                 bundle.tau, "<=",
-                 Fraction(bundle.n + 2 * bundle.g + 2 * bundle.b, denom),
-                 denominator=denom)
-        )
+        out += _records(q, "tau-bound", denominator=denom)
     return out
 
 
@@ -331,59 +385,9 @@ def check_d4_chain(bundle: QuantityBundle) -> list[CheckRecord]:
             f"chain needs d = 4 and three huge vertices, got d = {bundle.d}"
             f" and {len(bundle.deltas)}"
         )
-    F = Fraction
-    d1, d2, d3 = (F(x) for x in bundle.deltas)
-    n, g, b, m2 = bundle.n, bundle.g, bundle.b, bundle.m2
+    d1, d2, d3 = bundle.deltas
     t = 2 * d1 - d2 - d3
-
-    def rec(cid, stmt, lhs, cmp_, rhs, **extra):
-        return _rec(cid, stmt, lhs, cmp_, rhs, t=t, **extra)
-
-    return [
-        rec("chain-01", "b >= 4n - 3*delta_1 - g - m2 + t",
-            b, ">=", 4 * n - 3 * d1 - g - m2 + t, o_n="dropped"),
-        rec("chain-02", "b > 7n + 3*m2 + 17g - 12*delta_1 + 18t",
-            b, ">", 7 * n + 3 * m2 + 17 * g - 12 * d1 + 18 * t),
-        rec("chain-03", "b > 3g + 3*m2/8 - delta_1/3 + 4t",
-            b, ">", 3 * g + F(3, 8) * m2 - F(1, 3) * d1 + 4 * t),
-        rec("chain-04",
-            "b < 28n/11 - 27*delta_1/11 + 12g/11 - 9*m2/88 + 2t/11",
-            b, "<",
-            F(28, 11) * n - F(27, 11) * d1 + F(12, 11) * g
-            - F(9, 88) * m2 + F(2, 11) * t),
-        rec("chain-05", "79*m2/8 + 23g > 16n - 6*delta_1 + 9t",
-            F(79, 8) * m2 + 23 * g, ">", 16 * n - 6 * d1 + 9 * t,
-            o_n="dropped"),
-        rec("chain-05-slack",
-            "79*m2/8 + 23g > 16n - 6*delta_1 + 9t - slack*n",
-            F(79, 8) * m2 + 23 * g, ">",
-            16 * n - 6 * d1 + 9 * t - _CHAIN_SLACK * n,
-            o_n="slack-variant", slack=_CHAIN_SLACK),
-        rec("chain-06", "273*m2/8 + 175g < 105*delta_1 - 49n - 196t",
-            F(273, 8) * m2 + 175 * g, "<", 105 * d1 - 49 * n - 196 * t),
-        rec("chain-07", "63*m2/4 + 63g < 84n - 70*delta_1 - 126t",
-            F(63, 4) * m2 + 63 * g, "<", 84 * n - 70 * d1 - 126 * t),
-        rec("chain-08", "m2 + 2.31g > n",
-            m2 + F("2.31") * g, ">", n),
-        rec("chain-09", "1.806t + 0.759g < delta_1 - 0.829n",
-            F("1.806") * t + F("0.759") * g, "<", d1 - F("0.829") * n),
-        rec("chain-10", "2.322t + 0.435g < 0.968n - delta_1",
-            F("2.322") * t + F("0.435") * g, "<", F("0.968") * n - d1),
-        rec("chain-11", "delta_1 > 0.829n",
-            d1, ">", F("0.829") * n),
-        rec("chain-12", "3t + g < 0.117n",
-            3 * t + g, "<", F("0.117") * n),
-        rec("chain-13", "b < 0.564n",
-            b, "<", F("0.564") * n),
-        rec("chain-14", "b > 3*m2/14 + 2g + 3t",
-            b, ">", F(3, 14) * m2 + 2 * g + 3 * t),
-        rec("chain-15", "1.373t + 0.075g < 0.899n - delta_1",
-            F("1.373") * t + F("0.075") * g, "<", F("0.899") * n - d1),
-        rec("chain-16", "g + b + m2 > 1.3n",
-            g + b + m2, ">", F("1.3") * n, o_n="dropped"),
-        rec("chain-17", "3t + g < 0.084n",
-            3 * t + g, "<", F("0.084") * n),
-    ]
+    return _records(_quantities(bundle, t=t, slack=_CHAIN_SLACK), *_CHAIN, t=t)
 
 
 def build_certificate(

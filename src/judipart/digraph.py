@@ -181,14 +181,20 @@ def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digra
 def vertex_mask(n: int, vs: Iterable[int], what: str) -> np.ndarray:
     """Membership mask over 0..n-1 of the vertex set vs (repeats allowed).
 
-    The ids keep their own type, so a float id is refused, not truncated;
-    an empty set of any type is the all-false mask."""
-    idx = np.asarray(vs if isinstance(vs, (list, tuple, np.ndarray)) else list(vs))
+    The ids keep their own type, so a float or bool id is refused, not
+    converted; an empty set of any type is the all-false mask."""
+    items = vs if isinstance(vs, (list, tuple, np.ndarray)) else list(vs)
+    idx = np.asarray(items)
     if idx.size == 0:
         return np.zeros(n, dtype=bool)
-    if idx.dtype.kind not in "iu":
+    dtype = idx.dtype
+    # asarray makes [3, True] an int array: look for the bool among the items
+    if not isinstance(items, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in items):
+        dtype = np.dtype(bool)
+    if dtype.kind not in "iu":
         raise VertexOutOfRangeError(
-            f"{what} contains non-integer vertex ids ({idx.dtype}), n={n}"
+            f"{what} contains non-integer vertex ids ({dtype}), n={n}"
         )
     bad = (idx < 0) | (idx >= n)
     if bad.any():

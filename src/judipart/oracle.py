@@ -20,8 +20,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .digraph import Bipartition, Digraph, cut_counts, split_masks
-from .errors import EmptyGraphError, IdentityViolationError, TooLargeError
+from .digraph import Bipartition, Digraph, split_masks
+from .errors import EmptyGraphError, TooLargeError
 
 # a block holds 2**_BLOCK_BITS states: a few int64 arrays of 512 KiB each
 _BLOCK_BITS = 16
@@ -52,9 +52,9 @@ def _doubling(weights: list[int]) -> np.ndarray:
     return table
 
 
-def _gray_blocks(bits: int) -> Iterator[tuple[int, int, np.ndarray]]:
+def _gray_blocks(bits: int) -> Iterator[tuple[int, np.ndarray]]:
     """The blocks of the Gray-code walk over the states below 2**bits, in
-    step order, as (first step, high, order).
+    step order, as (high, order).
 
     With L = min(bits, _BLOCK_BITS), block b covers the steps from b << L on.
     All its states share the high part s >> L = gray(b), and order[t] is the
@@ -65,7 +65,7 @@ def _gray_blocks(bits: int) -> Iterator[tuple[int, int, np.ndarray]]:
     gray = t ^ (t >> 1)
     orders = (gray, gray ^ ((1 << low_bits) >> 1))
     for b in range(1 << (bits - low_bits)):
-        yield b << low_bits, b ^ (b >> 1), orders[b & 1]
+        yield b ^ (b >> 1), orders[b & 1]
 
 
 def _sides(n: int, state: int) -> Bipartition:
@@ -73,7 +73,7 @@ def _sides(n: int, state: int) -> Bipartition:
     return Bipartition([1] + [2 if state >> j & 1 else 1 for j in range(n - 1)])
 
 
-def exact_max_min_cut(D: Digraph, limit: int = 24, check_every: int = 0) -> OracleResult:
+def exact_max_min_cut(D: Digraph, limit: int = 24) -> OracleResult:
     """Maximize min(e12, e21) over all bipartitions by exhaustive scan.
 
     Vertex 0 is pinned to side 1: swapping sides swaps e12 and e21, so the
@@ -81,10 +81,7 @@ def exact_max_min_cut(D: Digraph, limit: int = 24, check_every: int = 0) -> Orac
     state puts vertex j + 1 on side 2. With S the side-2 set,
     e12 = indeg(S) - e(S, S) and e21 = outdeg(S) - e(S, S); a block's low
     and high vertices each add their own such term, less the arcs between
-    them. The witness is the first optimum reached in Gray-code order. With
-    check_every > 0 the block's counts at every check_every-th step are
-    re-derived with cut_counts and any disagreement raises (used by the
-    self-check tests).
+    them. The witness is the first optimum reached in Gray-code order.
     """
     if D.n == 0:
         raise EmptyGraphError("cannot bipartition an empty graph")
@@ -113,7 +110,7 @@ def exact_max_min_cut(D: Digraph, limit: int = 24, check_every: int = 0) -> Orac
         low12[1 << j:2 << j] = low12[:1 << j] + (indeg[v] - joined)
         low21[1 << j:2 << j] = low21[:1 << j] + (outdeg[v] - joined)
     best, best_state = -1, 0
-    for first, high, order in _gray_blocks(bits):
+    for high, order in _gray_blocks(bits):
         high_state = high << low_bits
         hs = [v for v in range(low_bits + 1, n) if high_state & bit[v]]
         inner = sum((out_nb[v] & high_state).bit_count() for v in hs)
@@ -123,18 +120,6 @@ def exact_max_min_cut(D: Digraph, limit: int = 24, check_every: int = 0) -> Orac
         cross = _doubling([(out_nb[v] & high_state).bit_count()
                            + (in_nb[v] & high_state).bit_count()
                            for v in range(1, low_bits + 1)])
-        if check_every:
-            start = max(check_every, -(-first // check_every) * check_every)
-            for i in range(start, first + order.size, check_every):
-                low = int(order[i - first])
-                ours = (int(low12[low] - cross[low]) + base12,
-                        int(low21[low] - cross[low]) + base21)
-                fresh = cut_counts(D, _sides(n, low | high_state))
-                if (fresh.e12, fresh.e21) != ours:
-                    raise IdentityViolationError(
-                        f"block cut drifted at step {i}: "
-                        f"{ours} vs ({fresh.e12},{fresh.e21})"
-                    )
         value = np.minimum(low12 + base12, low21 + base21)
         value -= cross
         top = int(value.max())
@@ -166,7 +151,7 @@ def exact_min_gap(D: Digraph, x, limit: int = 24) -> OracleGapResult:
     low_bits = min(k, _BLOCK_BITS)
     low = _doubling([2 * wj for wj in w[:low_bits]]) - sum(w)  # the high part in x2
     best, best_state = None, 0
-    for _, high, order in _gray_blocks(k):
+    for high, order in _gray_blocks(k):
         key = np.abs(low + sum(2 * wj for j, wj in enumerate(w[low_bits:]) if high >> j & 1))
         top = int(key.min())
         if best is None or top < best:

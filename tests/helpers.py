@@ -668,3 +668,79 @@ def reference_min_gap(D: Digraph, x):
     x1 = tuple(v for v, inside in zip(xs, best_mask) if inside)
     x2 = tuple(v for v, inside in zip(xs, best_mask) if not inside)
     return abs(best_sigma), best_sigma, x1, x2, 1 << k
+
+
+# --- the certificate's inequalities, written out by hand --------------------
+
+def reference_check_sides(bundle, ysize: int) -> dict[str, tuple[Fraction, str, Fraction]]:
+    """(lhs, comparison, rhs) of every arithmetic check in its regime, each
+    side written as Python by hand: the formulas the certificate carried
+    before it computed both sides from the printed statement. Decimals are
+    exact (Fraction("2.31")), delta_j is the j-th huge vertex's imbalance
+    (1-based) and t = 2*delta_1 - delta_2 - delta_3."""
+    F = Fraction
+    n, m, m2, g, b = bundle.n, bundle.m, bundle.m2, bundle.g, bundle.b
+    theta, tau, d, k, deltas = bundle.theta, bundle.tau, bundle.d, bundle.k, bundle.deltas
+    hc = len(deltas)
+    sides = {}
+
+    def put(check_id, lhs, comparison, rhs):
+        sides[check_id] = (F(lhs), comparison, F(rhs))
+
+    if bundle.e_x == 0:
+        put("gap-le-ysize", theta, "<=", ysize)
+        put("residual-le-slack", g, "<=", ysize - theta)
+    put("gap-above-ratio", theta, ">", F(m, 2 * d - 1))
+    if k is not None:
+        lead, tail = sum(deltas[:k]), sum(deltas[k:])
+        put("tail-dominance", tail - lead, ">=", g + theta)
+    if k is not None and hc == 2 * k + 1:
+        put("form1-neg", d * (lead + g) - (d - 1) * tail + b + F(m2, 2), "<", 0)
+        s_mid = sum(deltas[k - 1: 2 * k - 1])
+        s_out = lead + tail - s_mid
+        if d >= 2:
+            put("form2-lower", b, ">",
+                F(d * d + 2 * d - 1, d - 1) * s_mid - d * s_out
+                + (d - 1) * g + F(d - 1, 2 * d) * m2)
+        put("form3-upper", b, "<",
+            F(2 * (2 * d - 1) * (k + 1), 3 * d - 1) * n
+            + F(d * d - 5 * d + 2, 3 * d - 1) * s_out
+            - F(d * d + 2 * d - 1, 3 * d - 1) * s_mid
+            + F(d * (d - 1), 3 * d - 1) * g
+            - F((d - 1) ** 2, 2 * d * (3 * d - 1)) * m2)
+        if d == 4 and k == 1:
+            d1, d2, d3 = (F(x) for x in deltas)
+            put("d4k1-alt-a", 2 * d2 + 2 * d3 - 3 * d1 - 3 * g - b + F(3 * m2, 14), "<", 0)
+            put("d4k1-alt-b1", 6 * d1 - 3 * d2 - 3 * d3 + 2 * g - b + F(3 * m2, 14), "<", 0)
+            put("d4k1-alt-b2",
+                6 * d3 - 3 * d1 - 3 * d2 - 3 * g + F(b, 3) + F(3 * m2, 14), "<", 0)
+            put("d4k1-tau-bound", b, "<",
+                3 * d2 + 3 * d3 - 4 * d1 - 4 * g - F(m2, 2) - F(7 * (n - tau), 4))
+    put("huge-ge-d", hc, ">=", d)
+    put("huge-single", hc, "==", 1)
+    if 2 * d - 2 * hc + 1 > 0:
+        put("tau-bound", tau, "<=", F(n + 2 * g + 2 * b, 2 * d - 2 * hc + 1))
+    if d == 4 and hc == 3:
+        d1, d2, d3 = (F(x) for x in deltas)
+        t = 2 * d1 - d2 - d3
+        slack = F(1, 1000)
+        put("chain-01", b, ">=", 4 * n - 3 * d1 - g - m2 + t)
+        put("chain-02", b, ">", 7 * n + 3 * m2 + 17 * g - 12 * d1 + 18 * t)
+        put("chain-03", b, ">", 3 * g + F(3, 8) * m2 - F(1, 3) * d1 + 4 * t)
+        put("chain-04", b, "<",
+            F(28, 11) * n - F(27, 11) * d1 + F(12, 11) * g - F(9, 88) * m2 + F(2, 11) * t)
+        put("chain-05", F(79, 8) * m2 + 23 * g, ">", 16 * n - 6 * d1 + 9 * t)
+        put("chain-05-slack", F(79, 8) * m2 + 23 * g, ">", 16 * n - 6 * d1 + 9 * t - slack * n)
+        put("chain-06", F(273, 8) * m2 + 175 * g, "<", 105 * d1 - 49 * n - 196 * t)
+        put("chain-07", F(63, 4) * m2 + 63 * g, "<", 84 * n - 70 * d1 - 126 * t)
+        put("chain-08", m2 + F("2.31") * g, ">", n)
+        put("chain-09", F("1.806") * t + F("0.759") * g, "<", d1 - F("0.829") * n)
+        put("chain-10", F("2.322") * t + F("0.435") * g, "<", F("0.968") * n - d1)
+        put("chain-11", d1, ">", F("0.829") * n)
+        put("chain-12", 3 * t + g, "<", F("0.117") * n)
+        put("chain-13", b, "<", F("0.564") * n)
+        put("chain-14", b, ">", F(3, 14) * m2 + 2 * g + 3 * t)
+        put("chain-15", F("1.373") * t + F("0.075") * g, "<", F("0.899") * n - d1)
+        put("chain-16", g + b + m2, ">", F("1.3") * n)
+        put("chain-17", 3 * t + g, "<", F("0.084") * n)
+    return sides

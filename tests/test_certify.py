@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,20 @@ from judipart import (
     verify_record,
 )
 from judipart.certify import (
+    _STATEMENTS,
     CheckRecord,
+    _evaluate,
     check_candidate_forms,
     check_d4_chain,
     check_gap_dichotomy,
     check_huge_regimes,
     check_min_gap_bounds,
 )
+
+from helpers import engine_corpus_50, hub_candidate_corpus, reference_check_sides
+
+# the two records that are not arithmetic: a parity and a disjunction
+NOT_ARITHMETIC = ("huge-odd", "d4k1-disjunction")
 
 GOLDEN = Path(__file__).parent / "golden" / "skew_d4_n20_checks.json"
 
@@ -296,3 +304,90 @@ def test_certificate_refuses_a_candidate_not_splitting_gr_x():
         bad = CandidateXPartition("T", x1, x2, Fraction(1, 2))
         with pytest.raises(PartitionError):
             build_certificate(D, gr, tr, cfg, candidates=[ok, bad])
+
+
+def arithmetic_sides(checks):
+    return {c.check_id: (Fraction(c.lhs), c.comparison, Fraction(c.rhs))
+            for c in checks if c.check_id not in NOT_ARITHMETIC}
+
+
+def test_every_arithmetic_record_matches_the_hand_written_sides():
+    """Each side computed from its statement equals the hand-written formula,
+    over the engine and hub corpora, skew-d4 and skew-d6 at several n, and the
+    skew-d6 n = 60 instance at d = 4 (certify --gen skew-d6 --n 60 --x-auto
+    --d 4), which reaches every check id."""
+    cases = [(D, split_by_degree(D), d) for D, d in engine_corpus_50()]
+    cases += [(gen_skew_d4(n), split_by_degree(gen_skew_d4(n)), 4) for n in (12, 20, 30, 45)]
+    for n, seed in ((30, 1), (60, 2), (90, 3), (150, 4)):
+        D = gen_skew_d6(n, seed=seed)
+        cases.append((D, split_by_degree(D), 6))
+    D = gen_skew_d6(60)
+    cases.append((D, split_by_degree(D), 4))
+    runs = [(D, min_gap_partition(D, x), EngineConfig(d=d)) for D, x, d in cases]
+    runs += hub_candidate_corpus(seeds=40)
+    seen = set()
+    for D, gr, cfg in runs:
+        cert = build_certificate(D, gr, essential_tight_components(D, gr.x), cfg)
+        want = reference_check_sides(cert.bundle, D.n - len(gr.x))
+        assert arithmetic_sides(cert.checks) == want, (D.n, gr.x, cfg.d)
+        seen |= {c.check_id for c in cert.checks}
+    assert seen == set(_STATEMENTS) | set(NOT_ARITHMETIC)
+    assert len(seen) == 34
+
+
+def in_regime_bundles():
+    """Bundles built from the d = 4, k = 1 one by replace, so that each
+    statement row is in its regime somewhere: the chain and the d4k1 rows at
+    d = 4 with three huge vertices, form2 at d >= 2, tau-bound while
+    2d - 2|huge| + 1 > 0, the forms at k = 0 and k = 2 as well."""
+    _, (kb, *_rest) = k1_bundle()
+    out = [kb]
+    for d in (1, 2, 3, 5, 6):
+        out.append(replace(kb, d=d))
+        out.append(replace(kb, d=d, deltas=(9,), k=0))
+        out.append(replace(kb, d=d, deltas=(9, 7, 5, 3, 1), k=2))
+    out.append(replace(kb, deltas=(2, 4), k=None, e_x=3))
+    return out
+
+
+def test_every_statement_compiles_and_evaluates_in_its_regime():
+    seen = set()
+    for bundle in in_regime_bundles():
+        ysize = bundle.n - len(bundle.deltas)
+        checks = []
+        for check in (partial(check_min_gap_bounds, ysize=ysize), check_gap_dichotomy,
+                      check_candidate_forms, check_huge_regimes, check_d4_chain):
+            try:
+                checks += check(bundle)
+            except NotApplicableError:
+                pass
+        assert all(verify_record(c) for c in checks)
+        assert arithmetic_sides(checks) == reference_check_sides(bundle, ysize), bundle
+        seen |= {c.check_id for c in checks}
+    assert set(_STATEMENTS) <= seen
+
+
+@pytest.mark.parametrize("statement, q, want", [
+    # decimals are exact: 2.31 is 231/100
+    ("2.31g > 0", {"g": 1}, (Fraction(231, 100), ">", 0)),
+    ("0.829n < 1.3n", {"n": 1000}, (829, "<", 1300)),
+    # a side-by-side product, and / exact on integers
+    ("7(n-tau)/4 == 0", {"n": 10, "tau": 1}, (Fraction(63, 4), "==", 0)),
+    ("d(d-1)/(3d-1) < (d-1)^2/(2d(3d-1))", {"d": 4},
+     (Fraction(12, 11), "<", Fraction(9, 88))),
+    ("2(2d-1)(k+1) >= 2t/11", {"d": 3, "k": 1, "t": 1}, (20, ">=", Fraction(2, 11))),
+    # the aliases
+    ("|huge| <= |Y|", {"huge": 3, "Y": 5}, (3, "<=", 5)),
+    ("sum_{j>k} delta_j - sum_{j<=k} delta_j >= 0", {"tail": 7, "lead": 2}, (5, ">=", 0)),
+    ("tau <= (n + 2g + 2b) / (2d - 2|huge| + 1)",
+     {"tau": 1, "n": 10, "g": 1, "b": 2, "d": 4, "huge": 3}, (1, "<=", Fraction(16, 3))),
+])
+def test_statement_notation(statement, q, want):
+    got = _evaluate(statement, q)
+    assert got == want
+    assert all(type(v) in (int, Fraction) for v in (got[0], got[2]))
+
+
+def test_a_statement_sees_no_builtins():
+    with pytest.raises(NameError):
+        _evaluate("len < 1", {})

@@ -285,6 +285,19 @@ def test_vertex_mask_of_an_empty_set(empty):
         vertex_mask(5, np.array([2.5]), "X")
 
 
+@pytest.mark.parametrize("vs", [[True], [3, True], (3, np.True_), {3, True}, [0, False, 2]],
+                         ids=["lone", "list", "tuple-numpy", "set", "false"])
+def test_vertex_mask_refuses_a_bool_id_beside_ints(vs):
+    """asarray makes [3, True] an int array; the bool is still refused, with
+    the message a lone bool gets."""
+    with pytest.raises(VertexOutOfRangeError, match=r"non-integer vertex ids \(bool\)"):
+        vertex_mask(5, vs, "X")
+    D = gen_random_minout(8, 2, seed=1)
+    for solve in (min_gap_partition, exact_min_gap):
+        with pytest.raises(PartitionError, match=r"\(bool\)"):
+            solve(D, vs)
+
+
 def test_bipartition_and_cut_counts():
     D = from_arc_list(4, [(0, 1), (1, 0), (2, 3), (0, 3)])
     P = Bipartition.from_side1(4, [0, 2])
