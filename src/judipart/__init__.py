@@ -34,7 +34,6 @@ from .errors import (
     JudipartError,
     LimitError,
     LoopArcError,
-    NotApplicableError,
     PartitionError,
     TooLargeError,
     TooSmallError,
@@ -58,11 +57,7 @@ from .certify import (
     CheckRecord,
     QuantityBundle,
     build_certificate,
-    check_candidate_forms,
-    check_d4_chain,
-    check_gap_dichotomy,
-    check_huge_regimes,
-    check_min_gap_bounds,
+    certificate_checks,
     compute_bundle,
     eval_f_h,
     render_text,

@@ -19,26 +19,24 @@ and flagged in metadata; the one bound that leans on o(n) in an essential way
 also ships a slack variant that allows a fixed additive n/1000.
 
 The min-gap bounds, the candidate forms and the d = 4 chain each hold in one
-regime and raise NotApplicableError outside it; build_certificate runs every
-check and skips those that raise, so each regime is stated once, in its
-check. The checks are diagnostic, not a proof: on instances that do admit a
-good partition, the contradiction chain must break somewhere, and the
-certificate shows where.
+regime; certificate_checks states each regime once, as the condition that
+guards its rows, and emits only the rows whose regime holds. The checks are
+diagnostic, not a proof: on instances that do admit a good partition, the
+contradiction chain must break somewhere, and the certificate shows where.
 """
 from __future__ import annotations
 
 import ast
 import operator
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from .digraph import Digraph, split_masks
-from .errors import IdentityViolationError, NotApplicableError, PartitionError
+from .errors import IdentityViolationError, PartitionError
 from .mingap import GapResult, MfMb, mf_mb
 from .tight import TightReport
 
@@ -53,7 +51,7 @@ _OPS = {
 }
 
 # Every arithmetic check as check_id: (statement, meta); the chain's
-# t = 2*delta_1 - delta_2 - delta_3 and slack are named in check_d4_chain
+# t = 2*delta_1 - delta_2 - delta_3 and slack are named in certificate_checks
 _STATEMENTS = {
     "gap-le-ysize": ("theta <= |Y|", {}),
     "residual-le-slack": ("g <= |Y| - theta", {}),
@@ -97,7 +95,7 @@ _STATEMENTS = {
 }
 _CHAIN = tuple(c for c in _STATEMENTS if c.startswith("chain-"))
 
-# the names the statements print for quantities _quantities computes
+# the names the statements print for quantities certificate_checks names
 _ALIASES = {
     "sum_{j<=k} delta_j": "lead",
     "sum_{j>k} delta_j": "tail",
@@ -243,17 +241,6 @@ def _records(q: dict, *check_ids: str, **meta) -> list[CheckRecord]:
     return out
 
 
-def _quantities(bundle: QuantityBundle, **named) -> dict:
-    """The bundle under the names the statements print, plus named: |huge|,
-    delta_1, delta_2, ... and, with k set, the two delta sums."""
-    deltas, k = bundle.deltas, bundle.k
-    q = dict(vars(bundle), huge=len(deltas), **named)
-    q.update((f"delta_{j}", x) for j, x in enumerate(deltas, 1))
-    if k is not None:
-        q.update(lead=sum(deltas[:k]), tail=sum(deltas[k:]))
-    return q
-
-
 def verify_record(rec: CheckRecord) -> bool:
     """Recompute holds from the stored strings; True when consistent."""
     return _OPS[rec.comparison](Fraction(rec.lhs), Fraction(rec.rhs)) == rec.holds
@@ -308,86 +295,56 @@ def eval_f_h(bundle: QuantityBundle, cand, mfmb: MfMb) -> tuple[Fraction, Fracti
     return f, h
 
 
-def check_min_gap_bounds(bundle: QuantityBundle, ysize: int) -> list[CheckRecord]:
-    """theta and the residual g are both capped by |Y| when e(X) = 0."""
-    if bundle.e_x != 0:
-        raise NotApplicableError(
-            f"min-gap bounds need e(X) = 0, got e(X) = {bundle.e_x}"
-        )
-    return _records(_quantities(bundle, Y=ysize), "gap-le-ysize", "residual-le-slack")
-
-
-def check_gap_dichotomy(bundle: QuantityBundle) -> list[CheckRecord]:
-    """Either the gap is small (p = 1/2 route succeeds) or the huge set is
-    odd (k set) with a dominated head; three labeled checks."""
-    q = _quantities(bundle)
-    out = _records(q, "gap-above-ratio")
-    out.append(_rec("huge-odd", "|huge| is odd", int(bundle.k is not None), "==", 1))
-    if bundle.k is not None:
+def certificate_checks(bundle: QuantityBundle, ysize: int) -> list[CheckRecord]:
+    """Every check whose regime holds, in record order, for |Y| = ysize.
+    Each regime is stated once, as the `if` that guards its rows. The
+    candidate forms need |huge| = 2k + 1, so delta_0, at k = 0, is the one
+    term that can be missing."""
+    deltas, d, k = bundle.deltas, bundle.d, bundle.k
+    huge = len(deltas)
+    q = dict(vars(bundle), huge=huge, Y=ysize, slack=_CHAIN_SLACK)
+    q.update((f"delta_{j}", x) for j, x in enumerate(deltas, 1))
+    out = []
+    if bundle.e_x == 0:
+        out += _records(q, "gap-le-ysize", "residual-le-slack")
+    # either the gap is small (the p = 1/2 route succeeds) or the huge set is
+    # odd (k set) with a dominated head
+    out += _records(q, "gap-above-ratio")
+    out.append(_rec("huge-odd", "|huge| is odd", int(k is not None), "==", 1))
+    if k is not None:
+        q.update(lead=sum(deltas[:k]), tail=sum(deltas[k:]))
         out += _records(q, "tail-dominance")
-    return out
-
-
-def check_candidate_forms(bundle: QuantityBundle) -> list[CheckRecord]:
-    """The three general-d inequalities of the candidate analysis, plus the
-    d=4, k=1 disjunction and its tau-refined bound. They need |huge| = 2k + 1,
-    so delta_0, at k = 0, is the one term that can be missing."""
-    d, k = bundle.d, bundle.k
-    if k is None or len(bundle.deltas) != 2 * k + 1:
-        raise NotApplicableError(
-            f"candidate forms need |huge| = 2k + 1, got |huge| = "
-            f"{len(bundle.deltas)}, k = {k}"
-        )
-    # mid window j = k..2k-1 (1-based); the outer terms j < k and j = 2k,
-    # 2k+1 are all the others
-    s_mid = sum(bundle.deltas[k - 1: 2 * k - 1])
-    q = _quantities(bundle, S_mid=s_mid, S_out=sum(bundle.deltas) - s_mid)
-    out = _records(q, "form1-neg", k=k)
-    meta = {"k": k}
-    if k == 0:
-        meta["dropped_terms"] = "delta_0"
-    # the S_mid coefficient of form2 divides by d - 1
-    ids = ("form2-lower", "form3-upper") if d >= 2 else ("form3-upper",)
-    out += _records(q, *ids, **meta)
-    if d == 4 and k == 1:
-        ra, rb1, rb2, tau_bound = _records(
-            q, "d4k1-alt-a", "d4k1-alt-b1", "d4k1-alt-b2", "d4k1-tau-bound")
-        out += [
-            ra, rb1, rb2,
-            _rec("d4k1-disjunction",
-                 "d4k1-alt-a holds, or both d4k1-alt-b1 and d4k1-alt-b2 hold",
-                 int(ra.holds or (rb1.holds and rb2.holds)), "==", 1,
-                 a=ra.holds, b1=rb1.holds, b2=rb2.holds),
-            tau_bound,
-        ]
-    return out
-
-
-def check_huge_regimes(bundle: QuantityBundle) -> list[CheckRecord]:
-    """Which huge-count regime the instance falls into, plus the tau cap."""
-    q = _quantities(bundle)
-    out = _records(q, "huge-ge-d", "huge-single")
-    denom = 2 * bundle.d - 2 * len(bundle.deltas) + 1
+    if k is not None and huge == 2 * k + 1:
+        # mid window j = k..2k-1 (1-based); the outer terms j < k and j = 2k,
+        # 2k+1 are all the others
+        q["S_mid"] = sum(deltas[k - 1: 2 * k - 1])
+        q["S_out"] = sum(deltas) - q["S_mid"]
+        out += _records(q, "form1-neg", k=k)
+        meta = {"k": k}
+        if k == 0:
+            meta["dropped_terms"] = "delta_0"
+        # the S_mid coefficient of form2 divides by d - 1
+        ids = ("form2-lower", "form3-upper") if d >= 2 else ("form3-upper",)
+        out += _records(q, *ids, **meta)
+        if d == 4 and k == 1:
+            ra, rb1, rb2, tau_bound = _records(
+                q, "d4k1-alt-a", "d4k1-alt-b1", "d4k1-alt-b2", "d4k1-tau-bound")
+            out += [
+                ra, rb1, rb2,
+                _rec("d4k1-disjunction",
+                     "d4k1-alt-a holds, or both d4k1-alt-b1 and d4k1-alt-b2 hold",
+                     int(ra.holds or (rb1.holds and rb2.holds)), "==", 1,
+                     a=ra.holds, b1=rb1.holds, b2=rb2.holds),
+                tau_bound,
+            ]
+    out += _records(q, "huge-ge-d", "huge-single")
+    denom = 2 * d - 2 * huge + 1
     if denom > 0:
         out += _records(q, "tau-bound", denominator=denom)
+    if d == 4 and huge == 3:
+        q["t"] = 2 * deltas[0] - deltas[1] - deltas[2]
+        out += _records(q, *_CHAIN, t=q["t"])
     return out
-
-
-def check_d4_chain(bundle: QuantityBundle) -> list[CheckRecord]:
-    """The seventeen-step d=4, |huge|=3 contradiction chain, exactly.
-
-    On instances admitting a good partition at least one step must fail;
-    the chain pinpoints which. o(n)-carrying steps are flagged, and the one
-    load-bearing such step also gets a slack variant allowing n/1000.
-    """
-    if bundle.d != 4 or len(bundle.deltas) != 3:
-        raise NotApplicableError(
-            f"chain needs d = 4 and three huge vertices, got d = {bundle.d}"
-            f" and {len(bundle.deltas)}"
-        )
-    d1, d2, d3 = bundle.deltas
-    t = 2 * d1 - d2 - d3
-    return _records(_quantities(bundle, t=t, slack=_CHAIN_SLACK), *_CHAIN, t=t)
 
 
 def build_certificate(
@@ -395,15 +352,9 @@ def build_certificate(
     candidates=(), flags=None,
 ) -> Certificate:
     """Bundle plus every in-regime check plus per-candidate f/h scores, for
-    X = gr.x and Y = V - X; every candidate must split gr.x. Each check
-    states its own regime: one that raises NotApplicableError is skipped."""
+    X = gr.x and Y = V - X; every candidate must split gr.x."""
     bundle = compute_bundle(D, gr, tr, cfg)
-    checks: list[CheckRecord] = []
-    for check in (partial(check_min_gap_bounds, ysize=D.n - len(gr.x)),
-                  check_gap_dichotomy, check_candidate_forms,
-                  check_huge_regimes, check_d4_chain):
-        with suppress(NotApplicableError):
-            checks += check(bundle)
+    checks = certificate_checks(bundle, D.n - len(gr.x))
     scores = []
     two = 2 * (2 * bundle.d - 1)
     x = set(gr.x)

@@ -268,12 +268,14 @@ class Bipartition:
     __slots__ = ("sides",)
 
     def __init__(self, sides: Sequence[int] | np.ndarray):
-        arr = np.asarray(sides, dtype=np.uint8)
+        arr = np.asarray(sides)
         if arr.ndim != 1:
             raise PartitionError("side assignment must be one-dimensional")
-        if not ((arr == 1) | (arr == 2)).all():  # np.isin costs ~10x on small n
-            raise PartitionError("sides must be 1 or 2")
-        arr = arr.copy()
+        # tested before the cast, which reads 257, -255 and 1.5 as 1; np.isin
+        # costs ~10x on small n
+        if arr.size and not (arr.dtype.kind in "iu" and ((arr == 1) | (arr == 2)).all()):
+            raise PartitionError("sides must be integers 1 or 2")
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         self.sides = arr
 

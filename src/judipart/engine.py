@@ -83,6 +83,7 @@ the rows as listed above), is kept (_dedupe).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -121,6 +122,16 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # d, trials and seed are stored as int and epsilon as float: a numpy
+        # integer d fails in the candidates' Fraction hashing, and a float
+        # one deep in the engine
+        for name in ("d", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.epsilon, numbers.Real):
+            raise InputError(f"epsilon must be a real number, got {self.epsilon!r}")
         if self.d < 1:
             raise InputError(f"d must be >= 1, got {self.d}")
         if not 0 < self.epsilon < 1:
@@ -129,6 +140,7 @@ class EngineConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 @dataclass(frozen=True)

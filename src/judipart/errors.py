@@ -1,9 +1,10 @@
 """Exception taxonomy.
 
 Two broad families matter to callers: bad input (CLI exit code 2) and blown
-resource limits (CLI exit code 3). Everything else is a control-flow signal or
-an internal-consistency failure. There are no warning classes: a claimed d
-above the minimum outdegree is a string in PartitionOutcome.warnings.
+resource limits (CLI exit code 3). The one other error is an
+internal-consistency failure; no error is a control-flow signal. There are no
+warning classes: a claimed d above the minimum outdegree is a string in
+PartitionOutcome.warnings.
 """
 from __future__ import annotations
 
@@ -54,10 +55,6 @@ class TooLargeError(LimitError):
 
 
 # certify
-
-class NotApplicableError(JudipartError):
-    """A check was requested outside its regime."""
-
 
 class IdentityViolationError(JudipartError):
     """A bookkeeping identity that must hold by construction failed."""

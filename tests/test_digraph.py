@@ -312,6 +312,13 @@ def test_bipartition_and_cut_counts():
     with pytest.raises(PartitionError):
         Bipartition([0, 1])
     assert Bipartition([]).n == 0
+    assert Bipartition(np.array([], dtype=float)).n == 0
+    # tested before the uint8 cast: none of these is read as side 1
+    for bad in ([257, 2], np.array([257, 2]), np.array([-255, 2]), [1.5, 2],
+                np.array([1.0, 2.0]), [True, True], [2**70, 1]):
+        with pytest.raises(PartitionError):
+            Bipartition(bad)
+    assert Bipartition(np.array([2, 1], dtype=np.int8)).sides.tolist() == [2, 1]
     with pytest.raises(PartitionError):
         cut_counts(D, Bipartition([1, 2]))
 

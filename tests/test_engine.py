@@ -123,6 +123,25 @@ def test_config_validation():
     assert EngineConfig(d=4).trials == 64
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", 4.5), ("d", True), ("d", "4"), ("d", np.bool_(True)),
+    ("trials", 2.5), ("trials", None), ("seed", 1.5), ("seed", False),
+    ("epsilon", "0.1"), ("epsilon", None), ("epsilon", 1j),
+])
+def test_config_refuses_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(InputError, match=field):
+        EngineConfig(**{"d": 4, field: value})
+
+
+def test_config_stores_numpy_numbers_as_python_ones():
+    cfg = EngineConfig(d=np.int64(4), trials=np.uint8(16), seed=np.int32(1),
+                       epsilon=np.float32(0.5))
+    assert [type(v) for v in (cfg.d, cfg.trials, cfg.seed, cfg.epsilon)] == [int] * 3 + [float]
+    D = gen_skew_d4(20)
+    want = partition(D, EngineConfig(d=4, trials=16, seed=1, epsilon=0.5)).to_jsonable()
+    assert partition(D, cfg).to_jsonable() == want
+
+
 def test_split_by_degree_cases():
     flat = gen_random_minout(100, 1, seed=0)  # degrees far below 100^0.75
     # force degree exactly 2 everywhere: a big directed cycle
