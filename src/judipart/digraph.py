@@ -23,9 +23,11 @@ Conventions used across the package:
   counts are e12 (side 1 -> side 2) and e21 (side 2 -> side 1).
 
 An edge list is a header line 'n m', then one 'tail head' line per arc: two
-int64 integers per line; '#' starts a comment anywhere on a line. numpy's
-tokenizer reads it in one pass; only a malformed text gets a line scan, which
-names the first bad line.
+int64 integers per line; '#' starts a comment anywhere on a line. A check of
+the bytes, 64 KiB at a time, proves that every line holds zero or two
+integers, and np.fromstring then reads all the digits in one call. Only a
+refused text, or one holding a value at an int64 extreme, gets a line scan in
+Python, which names the first bad line.
 
 The arc arrays keep construction order, so serializing and re-parsing a graph
 is an identity on both the vertex count and the arc sequence. Adjacency is one
@@ -166,15 +168,19 @@ def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digra
     if loops.any():
         i = int(np.argmax(loops))
         raise LoopArcError(f"loop arc at vertex {int(tails[i])}")
-    # a sort and a neighbour compare: np.unique may take a hash path that is
-    # tens of times slower on large inputs; the scan names the first repeat
-    codes = np.sort(tails * n + heads)
-    if (codes[1:] == codes[:-1]).any():
-        seen = set()
-        for u, v in zip(tails.tolist(), heads.tolist()):
-            if (u, v) in seen:
-                raise DuplicateArcError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
+    # codes that strictly increase repeat no arc, and format_edge_list and the
+    # generators write arcs so; other codes take a sort and a neighbour
+    # compare, as np.unique may take a hash path that is tens of times slower
+    # on large inputs. The scan names the first repeat
+    codes = tails * n + heads
+    if not (codes[1:] > codes[:-1]).all():
+        codes.sort()
+        if (codes[1:] == codes[:-1]).any():
+            seen = set()
+            for u, v in zip(tails.tolist(), heads.tolist()):
+                if (u, v) in seen:
+                    raise DuplicateArcError(f"duplicate arc ({u}, {v})")
+                seen.add((u, v))
     return Digraph(n, tails, heads)
 
 
@@ -268,7 +274,10 @@ class Bipartition:
     __slots__ = ("sides",)
 
     def __init__(self, sides: Sequence[int] | np.ndarray):
-        arr = np.asarray(sides)
+        try:
+            arr = np.asarray(sides)
+        except ValueError:  # a ragged nesting such as [1, [2]]
+            raise PartitionError("side assignment must be one-dimensional") from None
         if arr.ndim != 1:
             raise PartitionError("side assignment must be one-dimensional")
         # tested before the cast, which reads 257, -255 and 1.5 as 1; np.isin
@@ -316,6 +325,30 @@ def cut_counts(D: Digraph, P: Bipartition) -> CutValue:
 # a sign, then leading zeros apart, so int() never sees more than 19 digits
 _INT_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
 
+# every str.isspace() character beyond ASCII, in UTF-8: a blank inside a line
+_WIDE_BLANKS = re.compile(b"|".join(re.escape(c.encode()) for c in (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
+    "\u200a\u2028\u2029\u202f\u205f\u3000")))
+
+# A text of digits, line ends and the blanks C's isspace knows goes to
+# np.fromstring as it is. Any other block is cleaned first, by byte class:
+# comments and the blanks C does not know (_SPACED) are written over with
+# spaces, and a byte that can stand neither in an integer nor in a comment
+# refuses the text.
+_PLAIN_BYTES = b"0123456789 \t\v\f\n\r"
+_DIGIT, _SIGN, _BLANK, _SPACED, _EOL, _HASH, _STRAY = range(7)
+_BYTE_CLASS = np.full(256, _STRAY, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+_BYTE_CLASS[list(b" \t\v\f")] = _BLANK
+_BYTE_CLASS[list(b"\x1c\x1d\x1e\x1f")] = _SPACED
+_BYTE_CLASS[list(b"\n\r")] = _EOL
+_BYTE_CLASS[ord("#")] = _HASH
+
+# the line check takes about this many bytes at a time, cut at a line end, so
+# that its temporaries stay small and in cache
+_SCAN_BLOCK = 1 << 16
+
 
 def _data_lines(text: str):
     """(line number, line, tokens) of every line that holds data once its
@@ -331,16 +364,129 @@ def _is_int64(token: str) -> bool:
     return match is not None and -(2**63) <= int(match[1] + match[2]) < 2**63
 
 
-def _bad_line_error(text: str) -> EdgeListParseError:
-    """The error for the first data line that is not two int64 integers.
-
-    Runs only on text numpy's tokenizer refused, with the same rules."""
+def _first_bad_line(text: str) -> EdgeListParseError | None:
+    """The error for the first data line that is not two int64 integers, if
+    there is one."""
     for lineno, line, tokens in _data_lines(text):
         if len(tokens) != 2 or not all(map(_is_int64, tokens)):
             return EdgeListParseError(
                 f"line {lineno}: expected two integers, got {line!r}"
             )
-    return EdgeListParseError("edge list unreadable")
+    return None
+
+
+def _bad_line_error(text: str) -> EdgeListParseError:
+    """The error for text the block check or np.fromstring refused: the first
+    bad data line, found by a line scan with the same rules."""
+    return _first_bad_line(text) or EdgeListParseError("edge list unreadable")
+
+
+def _block_end(raw: bytes, lo: int) -> int:
+    """The end of the scan block that starts at lo: just past the last line
+    end in the _SCAN_BLOCK bytes from lo, else just past the first line end
+    after them, else len(raw)."""
+    hi = lo + _SCAN_BLOCK
+    if hi >= len(raw):
+        return len(raw)
+    cut = max(raw.rfind(b"\n", lo, hi), raw.rfind(b"\r", lo, hi))
+    if cut >= 0:
+        return cut + 1
+    lf = raw.find(b"\n", hi)
+    end = len(raw) if lf < 0 else lf + 1
+    cr = raw.find(b"\r", hi, end)
+    return end if cr < 0 else cr + 1
+
+
+def _clean_block(block: np.ndarray) -> bool:
+    """Overwrite the comments and the blanks C's isspace does not know (0x1C
+    to 0x1F and the wide ones) in block, whole lines of UTF-8, with spaces in
+    place. False when a byte outside the comments cannot stand in a decimal
+    integer: a stray byte, or a sign that does not start a token or is not
+    followed by a digit."""
+    if (block >= 0x80).any():
+        # a wide blank, two or three bytes, becomes as many spaces
+        block[:] = np.frombuffer(_WIDE_BLANKS.sub(lambda m: b" " * len(m[0]),
+                                                  block.tobytes()), dtype=np.uint8)
+    cls = _BYTE_CLASS.take(block)
+    if (cls == _HASH).any():
+        # a comment runs from a '#' that follows a line end (or the block's
+        # start) to the next line end: the marks where '#' and line end swap
+        marks = np.flatnonzero((cls == _HASH) | (cls == _EOL))
+        is_hash = cls[marks] == _HASH
+        swap = np.empty_like(is_hash)
+        swap[0] = is_hash[0]
+        np.not_equal(is_hash[1:], is_hash[:-1], out=swap[1:])
+        bounds = marks[swap]
+        inside = np.zeros(bounds.size + 1, dtype=bool)
+        inside[1::2] = True
+        np.putmask(cls, np.repeat(inside, np.diff(bounds, prepend=0, append=cls.size)),
+                   _SPACED)
+    if (cls == _STRAY).any():
+        return False
+    np.putmask(block, cls == _SPACED, ord(" "))
+    signs = np.flatnonzero(cls == _SIGN)
+    if signs.size == 0:
+        return True
+    # a sign starts a token, after a blank or a line end, and a digit follows
+    around = np.concatenate(([_EOL], cls, [_EOL]))
+    return bool(((around[signs] >= _BLANK) & (around[signs + 2] == _DIGIT)).all())
+
+
+def _block_tokens(block: np.ndarray) -> int:
+    """The number of tokens in block, whole lines of clean text, or -1 when
+    a line holds other than zero or two tokens. Clean text has its token
+    bytes (digits and signs) above the space and its blanks at or below."""
+    digit = block > ord(" ")
+    start = np.empty_like(digit)
+    start[0] = digit[0]
+    np.greater(digit[1:], digit[:-1], out=start[1:])
+    # token starts (True) and line ends (False) in text order: with a line end
+    # added at each side, every start must have exactly one start beside it
+    seq = start.compress(start | (block == ord("\n")) | (block == ord("\r")))
+    padded = np.zeros(seq.size + 2, dtype=bool)
+    padded[1:-1] = seq
+    if (seq & (padded[:-2] == padded[2:])).any():
+        return -1
+    return int(np.count_nonzero(seq))
+
+
+def _read_values(text: str) -> np.ndarray | None:
+    """Every int64 value of the edge-list text, in order, or None when some
+    line does not hold zero or two decimal integers.
+
+    The bytes are checked _SCAN_BLOCK at a time for the line layout, then
+    np.fromstring reads the digits in one call. fromstring clamps a value
+    beyond int64 to an extreme, so a value at an extreme is the caller's to
+    check."""
+    raw = text.encode("utf-8", "surrogatepass")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    count = lo = 0
+    while lo < len(raw):
+        hi = _block_end(raw, lo)
+        if raw[lo:hi].translate(None, _PLAIN_BYTES):
+            if not data.flags.writeable:  # copied at the first block to clean
+                data = data.copy()
+            if not _clean_block(data[lo:hi]):
+                return None
+        tokens = _block_tokens(data[lo:hi])
+        if tokens < 0:
+            return None
+        count += tokens
+        lo = hi
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    # as bytes, which end in a NUL: fromstring's digit reader stops there,
+    # where it reads on past the end of an array
+    if data.flags.writeable:
+        raw = data.tobytes()
+    # numpy 1.x warns and returns the values read so far where 2.x raises
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    return values if values.size == count else None
 
 
 def parse_edge_list(text: str) -> Digraph:
@@ -348,23 +494,26 @@ def parse_edge_list(text: str) -> Digraph:
 
     Blank lines are ignored and '#' starts a comment, on a line of its own or
     after data. The first data line is 'n m'; exactly m data lines 'u v'
-    follow (0-based vertex ids). Every value is a decimal int64.
+    follow (0-based vertex ids). Every value is a decimal int64: an optional
+    sign, then digits. Tokens are separated by any whitespace character
+    (str.isspace) other than the line ends LF, CRLF and CR. A text that breaks
+    these rules raises EdgeListParseError naming its first bad line.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64,
-                              comments="#", ndmin=2)
-    except ValueError as exc:
-        raise _bad_line_error(text) from exc
-    if rows.shape[0] == 0:
-        raise EdgeListParseError("no header line 'n m' found")
-    if rows.shape[1] != 2:
+    values = _read_values(text)
+    if values is None:
         raise _bad_line_error(text)
-    n, m = rows[0].tolist()
+    if values.size == 0:
+        raise EdgeListParseError("no header line 'n m' found")
+    info = np.iinfo(np.int64)
+    if values.max() == info.max or values.min() == info.min:
+        bad = _first_bad_line(text)
+        if bad is not None:
+            raise bad
+    n, m = values[:2].tolist()
     if n < 0 or m < 0:
         lineno = next(_data_lines(text))[0]
         raise EdgeListParseError(f"line {lineno}: header values must be nonnegative")
+    rows = values.reshape(-1, 2)
     if len(rows) - 1 != m:
         raise EdgeListParseError(f"header declares m={m} arcs but {len(rows) - 1} follow")
     try:

@@ -3,14 +3,17 @@
 The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
 Digraph container itself. The references below are the earlier, plainer
-versions of the random-graph generator, the trial draws, the search kernels
-(single flips and the pair escape), the min-gap subset-sum and the candidate
-X-partitions; the fast versions must reproduce them number for number.
+versions of the edge-list parser, the random-graph generator, the trial
+draws, the search kernels (single flips and the pair escape), the min-gap
+subset-sum and the candidate X-partitions; the fast versions must reproduce
+them number for number.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from zlib import crc32
@@ -21,7 +24,11 @@ from judipart import (
     Bipartition,
     CandidateXPartition,
     Digraph,
+    DuplicateArcError,
+    EdgeListParseError,
     EngineConfig,
+    LoopArcError,
+    VertexOutOfRangeError,
     cut_counts,
     e_between,
     from_arc_list,
@@ -34,6 +41,7 @@ from judipart import (
     min_gap_partition,
     mingap_candidate,
 )
+from judipart.digraph import _bad_line_error, _data_lines
 
 # The candidate labels in the row order of the engine's candidate table,
 # which is also the order _dedupe keeps the first of.
@@ -347,6 +355,33 @@ def complement(n: int, vs) -> list[int]:
 
 
 # --- generator and engine kernel references ---------------------------------
+
+def reference_parse_edge_list(text: str) -> Digraph:
+    """The edge-list parser as np.loadtxt over a universal-newline StringIO:
+    numpy's line tokenizer splits the values, and every refusal goes to the
+    package's line scan for its message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64,
+                              comments="#", ndmin=2)
+    except ValueError as exc:
+        raise _bad_line_error(text) from exc
+    if rows.shape[0] == 0:
+        raise EdgeListParseError("no header line 'n m' found")
+    if rows.shape[1] != 2:
+        raise _bad_line_error(text)
+    n, m = rows[0].tolist()
+    if n < 0 or m < 0:
+        lineno = next(_data_lines(text))[0]
+        raise EdgeListParseError(f"line {lineno}: header values must be nonnegative")
+    if len(rows) - 1 != m:
+        raise EdgeListParseError(f"header declares m={m} arcs but {len(rows) - 1} follow")
+    try:
+        return from_arc_list(n, rows[1:])
+    except (LoopArcError, DuplicateArcError, VertexOutOfRangeError) as exc:
+        raise type(exc)(f"edge list invalid: {exc}") from exc
+
 
 def reference_gen_random_minout(n: int, d: int, extra: int = 0, seed: int = 0) -> Digraph:
     """gen_random_minout one draw at a time: each row redrawn until its d

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import arc_codes, vertex_stats
+from helpers import arc_codes, reference_parse_edge_list, vertex_stats
 from judipart import (
     Bipartition,
     CandidateXPartition,
@@ -42,8 +43,11 @@ from judipart import (
     parse_edge_list,
     save_edge_list,
 )
+from judipart import digraph
 from judipart.digraph import (
     _CENSUS_BLOCK,
+    _SCAN_BLOCK,
+    _block_end,
     arc_census,
     index_dtype,
     stable_order,
@@ -315,7 +319,7 @@ def test_bipartition_and_cut_counts():
     assert Bipartition(np.array([], dtype=float)).n == 0
     # tested before the uint8 cast: none of these is read as side 1
     for bad in ([257, 2], np.array([257, 2]), np.array([-255, 2]), [1.5, 2],
-                np.array([1.0, 2.0]), [True, True], [2**70, 1]):
+                np.array([1.0, 2.0]), [True, True], [2**70, 1], [[1], [1, 2]], [1, [2]]):
         with pytest.raises(PartitionError):
             Bipartition(bad)
     assert Bipartition(np.array([2, 1], dtype=np.int8)).sides.tolist() == [2, 1]
@@ -409,6 +413,109 @@ def test_parse_survives_decoration_and_names_a_corrupted_line(case, data):
     broken[lineno - 1] = data.draw(st.sampled_from(CORRUPT_LINES))
     with pytest.raises(EdgeListParseError, match=f"^line {lineno}: "):
         parse_edge_list("".join(map(str.__add__, broken, ends)))
+
+
+def parse_outcome(parse, text):
+    """A parser's Digraph, or the type and message of what it raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the outcome compared, not handled
+        return type(exc), str(exc)
+
+
+INT64_MAX, INT64_MIN = "9223372036854775807", "-9223372036854775808"
+# digits, signs, every ASCII str.isspace() character and some wider ones, the
+# comment mark, characters no integer holds, and 19- and 20-digit tokens
+PARSE_ALPHABET = (list("0123456789+-") + list(" \t\n\v\f\r\x1c\x1d\x1e\x1f")
+                  + ["\x85", "\xa0", "\u2000", "\u2028", "\u3000", "#", "\r\n", "x",
+                     ".", "\x00", "\u0661", INT64_MAX, INT64_MIN, "9223372036854775808",
+                     "-9223372036854775809", "18446744073709551616",
+                     "00000000000000000001"])
+
+
+@st.composite
+def near_edge_lists(draw):
+    """A short edge list with a few tokens of PARSE_ALPHABET dropped in."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=5))
+    n = draw(st.sampled_from([3, 5]))
+    text = list(f"{n} {len(rows)}\n" + "".join(f"{u} {v}\n" for u, v in rows))
+    for token in draw(st.lists(st.sampled_from(PARSE_ALPHABET), max_size=3)):
+        text.insert(draw(st.integers(0, len(text))), token)
+    return "".join(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(near_edge_lists(), st.lists(st.sampled_from(PARSE_ALPHABET),
+                                              max_size=14).map("".join)),
+       st.sampled_from([1, 3, 8, _SCAN_BLOCK]))
+def test_parse_matches_the_loadtxt_reference(text, block):
+    """The block check and np.fromstring accept the texts np.loadtxt accepted,
+    into the same Digraph, and refuse the others with the same error, for
+    any scan block size."""
+    with mock.patch.object(digraph, "_SCAN_BLOCK", block):
+        got = parse_outcome(parse_edge_list, text)
+    assert got == parse_outcome(reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("text", [
+    "0 +\n", "0 -\n", "3 1\n- 1\n", "3 1\n0 +1-\n", "3 1\n0 1+\n",
+    f"3 0\n{INT64_MAX} 0\n", f"{INT64_MAX} 0\n", f"{INT64_MIN} 0\n", f"0 {INT64_MAX}\n",
+    f"3 1\n0 {INT64_MAX}\n", f"3 1\n{INT64_MIN} 1\n", f"3 1\n0 000{INT64_MAX}\n",
+    "3 1\n0 9223372036854775808\n", "3 1\n-9223372036854775809 1\n",
+    "3 1\n0 99999999999999999999\n",
+])
+def test_parse_signs_and_int64_extremes_as_the_reference(text):
+    """np.fromstring reads a lone sign as 0 and clamps a value beyond int64
+    to an extreme; neither may change what is accepted."""
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+
+def test_parse_refuses_a_lone_sign():
+    for text in ("0 +\n", "0 -\n", "3 1\n- 1\n", "3 1\n0 1 +\n"):
+        with pytest.raises(EdgeListParseError, match=f"^line {text.count(chr(10))}: "):
+            parse_edge_list(text)
+
+
+def test_parse_reads_every_unicode_blank_inside_a_line():
+    for blank in filter(str.isspace, map(chr, range(0x110000))):
+        if blank not in "\n\r":
+            text = f"2 1{blank}# c\n0{blank}{blank}1\n"
+            assert parse_edge_list(text) == from_arc_list(2, [(0, 1)]), repr(blank)
+
+
+def test_parse_names_a_bad_line_many_scan_blocks_deep():
+    D = gen_random_minout(6000, 3, seed=4)
+    lines = format_edge_list(D).splitlines()
+    assert len("\n".join(lines)) > 2 * _SCAN_BLOCK
+    for bad in ("0 1 2", "7", "0 x", "0 +", "1 9223372036854775808"):
+        broken = lines.copy()
+        broken[15000] = bad
+        with pytest.raises(EdgeListParseError, match="^line 15001: "):
+            parse_edge_list("\n".join(broken) + "\n")
+
+
+def test_parse_across_scan_block_cuts():
+    D = gen_random_minout(3000, 3, seed=2)
+    body = format_edge_list(D)
+    # a CRLF whose CR is the first block's last byte and whose LF starts the
+    # second, after a first line of padding
+    crlf = body.replace("\n", "\r\n")
+    p = crlf.rindex("\r", 0, _SCAN_BLOCK - 8)
+    text = "#" + "x" * (_SCAN_BLOCK - 4 - p) + "\r\n" + crlf
+    raw = text.encode()
+    assert raw[_SCAN_BLOCK - 1:_SCAN_BLOCK + 1] == b"\r\n"
+    assert _block_end(raw, 0) == _SCAN_BLOCK
+    assert parse_edge_list(text) == D == reference_parse_edge_list(text)
+    # a comment after an arc whose line end is the first block's last byte
+    q = body.rindex("\n", 0, _SCAN_BLOCK - 8)
+    text = body[:q] + " #" + "c" * (_SCAN_BLOCK - 3 - q) + body[q:]
+    raw = text.encode()
+    assert raw[_SCAN_BLOCK - 2:_SCAN_BLOCK] == b"c\n"
+    assert _block_end(raw, 0) == _SCAN_BLOCK
+    assert parse_edge_list(text) == D == reference_parse_edge_list(text)
+    # a comment longer than a block, then an arc
+    text = "3 1\n# " + "#1 2 x" * _SCAN_BLOCK + "\n0 1\n"
+    assert parse_edge_list(text) == from_arc_list(3, [(0, 1)]) == reference_parse_edge_list(text)
 
 
 @settings(max_examples=40, deadline=None)
