@@ -325,10 +325,12 @@ def cut_counts(D: Digraph, P: Bipartition) -> CutValue:
 # a sign, then leading zeros apart, so int() never sees more than 19 digits
 _INT_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
 
-# every str.isspace() character beyond ASCII, in UTF-8: a blank inside a line
-_WIDE_BLANKS = re.compile(b"|".join(re.escape(c.encode()) for c in (
+# every str.isspace() character beyond ASCII, in UTF-8: a blank inside a line.
+# Each is two bytes led by C2 or three led by E1, E2 or E3; _WIDE_KEYS holds
+# their bytes as big-endian integers, sorted, a two-byte one padded with a 0
+_WIDE_KEYS = np.array(sorted(int.from_bytes(c.encode().ljust(3, b"\0"), "big") for c in (
     "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
-    "\u200a\u2028\u2029\u202f\u205f\u3000")))
+    "\u200a\u2028\u2029\u202f\u205f\u3000")), dtype=np.int32)
 
 # A text of digits, line ends and the blanks C's isspace knows goes to
 # np.fromstring as it is. Any other block is cleaned first, by byte class:
@@ -397,16 +399,33 @@ def _block_end(raw: bytes, lo: int) -> int:
     return end if cr < 0 else cr + 1
 
 
-def _clean_block(block: np.ndarray) -> bool:
+def _blank_wide(block: np.ndarray) -> int:
+    """Overwrite each wide blank in block, whole lines of UTF-8, with as many
+    spaces as it has bytes, and return how many bytes that was. Every byte
+    from C2 up leads a character of two or more bytes, and the bytes after it
+    lie in the block, so each lead's character is looked up in _WIDE_KEYS by
+    its first two bytes, plus the third when the lead (E0 up) starts three or
+    more."""
+    lead = np.flatnonzero(block >= 0xC2)
+    first = block[lead]
+    three = first >= 0xE0
+    keys = (first.astype(np.int32) << 16 | block[lead + 1].astype(np.int32) << 8
+            | np.where(three, block.take(lead + 2, mode="clip"), 0))
+    found = _WIDE_KEYS.take(_WIDE_KEYS.searchsorted(keys), mode="clip") == keys
+    lead, three = lead[found], three[found]
+    block[lead] = block[lead + 1] = ord(" ")
+    block[lead[three] + 2] = ord(" ")
+    return 2 * lead.size + int(np.count_nonzero(three))
+
+
+def _clean_block(block: np.ndarray, odd: bytes) -> bool:
     """Overwrite the comments and the blanks C's isspace does not know (0x1C
-    to 0x1F and the wide ones) in block, whole lines of UTF-8, with spaces in
-    place. False when a byte outside the comments cannot stand in a decimal
-    integer: a stray byte, or a sign that does not start a token or is not
-    followed by a digit."""
-    if (block >= 0x80).any():
-        # a wide blank, two or three bytes, becomes as many spaces
-        block[:] = np.frombuffer(_WIDE_BLANKS.sub(lambda m: b" " * len(m[0]),
-                                                  block.tobytes()), dtype=np.uint8)
+    to 0x1F and the wide ones) in block, whole lines of UTF-8 whose bytes
+    outside _PLAIN_BYTES are odd, with spaces in place. False when a byte
+    outside the comments cannot stand in a decimal integer: a stray byte, or
+    a sign that does not start a token or is not followed by a digit."""
+    if not odd.isascii() and _blank_wide(block) == len(odd):
+        return True  # every odd byte was in a wide blank
     cls = _BYTE_CLASS.take(block)
     if (cls == _HASH).any():
         # a comment runs from a '#' that follows a line end (or the block's
@@ -463,10 +482,11 @@ def _read_values(text: str) -> np.ndarray | None:
     count = lo = 0
     while lo < len(raw):
         hi = _block_end(raw, lo)
-        if raw[lo:hi].translate(None, _PLAIN_BYTES):
+        odd = raw[lo:hi].translate(None, _PLAIN_BYTES)
+        if odd:
             if not data.flags.writeable:  # copied at the first block to clean
                 data = data.copy()
-            if not _clean_block(data[lo:hi]):
+            if not _clean_block(data[lo:hi], odd):
                 return None
         tokens = _block_tokens(data[lo:hi])
         if tokens < 0:

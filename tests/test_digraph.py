@@ -483,6 +483,21 @@ def test_parse_reads_every_unicode_blank_inside_a_line():
             assert parse_edge_list(text) == from_arc_list(2, [(0, 1)]), repr(blank)
 
 
+def test_parse_wide_blank_neighbours_as_the_reference():
+    """Only the wide blanks are blanked: a character one code point from one,
+    or sharing bytes of its UTF-8 with one (U+201A, U+2680, U+00A1, a
+    four-byte emoji), stays a stray byte, in a line, beside wide blanks, in a
+    comment and as the text's last character."""
+    wide = [c for c in map(chr, range(0x80, 0x3001)) if c.isspace()]
+    chars = {chr(ord(c) + k) for c in wide for k in (-1, 0, 1)}
+    chars |= {"\u201a", "\u2680", "\xa1", "\U0001f600"}
+    for ch in sorted(chars):
+        for text in (f"3 1\n0{ch}1\n", f"3 1{ch}\n0 1 #{ch}\n", f"3 1\n0 1{ch}",
+                     f"3 1\n0\xa0{ch}\u30001\n"):
+            assert parse_outcome(parse_edge_list, text) == parse_outcome(
+                reference_parse_edge_list, text), repr(text)
+
+
 def test_parse_names_a_bad_line_many_scan_blocks_deep():
     D = gen_random_minout(6000, 3, seed=4)
     lines = format_edge_list(D).splitlines()

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import judipart.oracle
-from helpers import reference_max_min_cut, reference_min_gap
+from helpers import complement, reference_max_min_cut, reference_min_gap
 from judipart import (
     Bipartition,
     EmptyGraphError,
     TooLargeError,
     cut_counts,
+    e_between,
     exact_max_min_cut,
     exact_min_gap,
     from_arc_list,
@@ -139,10 +140,22 @@ def test_optimum_survives_relabelling_and_arc_reversal():
         assert (r.e12, r.e21) == (c.e21, c.e12)
 
 
+def dense_graphs():
+    """The complete digraph on 13 vertices, the Eulerian circulant on 13, and
+    a 12-vertex graph whose every arc is one of an anti-parallel pair: their
+    sweeps hold values far from zero."""
+    complete = from_arc_list(13, [(u, v) for u in range(13) for v in range(13) if u != v])
+    rng = random.Random(7)
+    pairs = [(u, v) for u, v in itertools.combinations(range(12), 2) if rng.random() < 0.6]
+    both_ways = from_arc_list(12, sorted(pairs + [(v, u) for u, v in pairs]))
+    return [complete, gen_eulerian_complete(13), both_ways]
+
+
 def oracle_corpus():
-    """317 graphs: 150 random d = 3 graphs at n = 10-13 (the bench's
+    """320 graphs: 150 random d = 3 graphs at n = 10-13 (the bench's
     small-oracle recipe at the low end of its n range), n = 1..7 without
-    arcs, 40 graphs rich in anti-parallel pairs and 120 sparse random ones."""
+    arcs, 40 graphs rich in anti-parallel pairs, 120 sparse random ones and
+    the three dense_graphs."""
     graphs = []
     for i in range(150):
         n = 10 + i % 4
@@ -163,7 +176,7 @@ def oracle_corpus():
         rng = random.Random(1000 + i)
         n = rng.randint(6, 12)
         graphs.append(gen_random_minout(n, rng.randint(1, 2), extra=rng.randint(0, n), seed=i))
-    return graphs
+    return graphs + dense_graphs()
 
 
 @pytest.fixture(scope="module")
@@ -174,14 +187,17 @@ def walked():
 
 @pytest.fixture(scope="module")
 def gap_cases():
-    """The pinned skew-d4 case and 260 random X (empty and whole V
-    included) over the corpus, each with the Gray walk's result."""
+    """The pinned skew-d4 case, 260 random X (empty and whole V included)
+    over the corpus and three X in each dense graph, each with the Gray
+    walk's result."""
     rng = random.Random(5)
     graphs = oracle_corpus()
     cases = [(gen_skew_d4(20), list(range(5)))]
     for i in range(260):
         D = graphs[i % len(graphs)]
         cases.append((D, rng.sample(range(D.n), rng.randint(0, min(D.n, 12)))))
+    cases += [(D, x) for D in dense_graphs()
+              for x in (range(D.n), range(0, D.n, 2), [1, 4, 5, 9, 11])]
     return [(D, x, reference_min_gap(D, x)) for D, x in cases]
 
 
@@ -205,14 +221,70 @@ def test_min_gap_is_the_gray_walk(gap_cases, block_bits, monkeypatch):
         assert (got.theta_abs_min, got.theta, got.x1, got.x2, got.evaluated) == want
 
 
+@pytest.mark.parametrize("block_bits", [judipart.oracle._BLOCK_BITS, 3])
+def test_min_gap_of_a_few_hubs_in_a_large_graph(block_bits, monkeypatch):
+    """12 hubs with 2000-3650 extra out-arcs each in a graph of 113,900 arcs:
+    twice the sum of |w| is past int16, so the tables take a wider dtype
+    than X's size alone would suggest, and the result is still the walk's."""
+    monkeypatch.setattr(judipart.oracle, "_BLOCK_BITS", block_bits)
+    n, hubs = 20_000, list(range(0, 1200, 100))
+    base = gen_random_minout(n, 4, seed=3)
+    rng = np.random.default_rng(3)
+    tails = np.repeat(hubs, [2000 + 150 * i for i in range(len(hubs))])
+    heads = rng.integers(len(hubs) * 100, n, size=tails.size)
+    codes = np.unique(np.concatenate([base.tails * n + base.heads, tails * n + heads]))
+    D = from_arc_list(n, np.column_stack(np.divmod(codes, n)))
+    assert D.m >= 10**5
+    want = reference_min_gap(D, hubs)
+    ys = complement(n, hubs)
+    bound = 2 * sum(abs(e_between(D, [v], ys) - e_between(D, ys, [v])) for v in hubs)
+    assert bound > np.iinfo(np.int16).max
+    assert judipart.oracle._signed_dtype(bound) == np.int32
+    got = exact_min_gap(D, hubs)
+    assert (got.theta_abs_min, got.theta, got.x1, got.x2, got.evaluated) == want
+
+
+def test_block_widths_alternate_in_one_process(monkeypatch):
+    """The tables cached for one block width never serve another: the same
+    graphs at 16, 3 and 16 bits again, each time the walk's result."""
+    cases = [gen_random_minout(n, 3, extra=n, seed=n) for n in (5, 9, 13)]
+    wants = [(reference_max_min_cut(D), reference_min_gap(D, range(D.n))) for D in cases]
+    for block_bits in (16, 3, 16):
+        monkeypatch.setattr(judipart.oracle, "_BLOCK_BITS", block_bits)
+        for D, (cut_want, gap_want) in zip(cases, wants):
+            got = exact_max_min_cut(D)
+            assert (got.optimum, got.witness, got.evaluated) == cut_want
+            got = exact_min_gap(D, range(D.n))
+            assert (got.theta_abs_min, got.theta, got.x1, got.x2,
+                    got.evaluated) == gap_want
+
+
+def test_cached_tables_are_read_only():
+    popcount, states, orders = judipart.oracle._block_tables(8)
+    for table in (popcount, states, *orders):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert judipart.oracle._block_tables(8) is judipart.oracle._block_tables(8)
+
+
+def test_n26_outcome():
+    """n = 26 (2^25 states in 512 blocks, ten high vertices) reproduces the
+    optimum and witness of the sweep before its tables were narrowed."""
+    res = exact_max_min_cut(gen_random_minout(26, 3, seed=1), limit=26)
+    assert (res.optimum, res.evaluated) == (28, 2**25)
+    assert res.witness.side1() == (0, 3, 4, 5, 6, 7, 9, 12, 16, 21, 23, 24, 25)
+
+
 def test_n24_outcome_and_one_block_of_memory():
     """n = 24 (2^23 states in 128 blocks) reproduces the witness the Gray
-    walk found, and the sweep's traced peak at n = 22 stays far below the
-    2^21 states it scores."""
+    walk found, and the sweep's traced peak at n = 22, the cached tables
+    built inside it, stays far below the 2^21 states it scores."""
     res = exact_max_min_cut(gen_random_minout(24, 3, seed=1))
     assert (res.optimum, res.evaluated) == (27, 2**23)
     assert res.witness.side1() == (0, 3, 4, 5, 6, 7, 11, 15, 16, 19, 21, 22)
     D = gen_random_minout(22, 3, extra=22, seed=2)
+    judipart.oracle._block_tables.cache_clear()
     tracemalloc.start()
     try:
         exact_max_min_cut(D)
@@ -220,4 +292,4 @@ def test_n24_outcome_and_one_block_of_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
