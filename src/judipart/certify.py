@@ -252,8 +252,11 @@ def compute_bundle(D: Digraph, gr: GapResult, tr: TightReport, cfg) -> QuantityB
     in_y = ~in_x
     to_y, from_y = gr.y_census
     m1 = int(to_y[in_x].sum() + from_y[in_x].sum())
-    m2 = int(np.count_nonzero(in_y[D.tails] & in_y[D.heads]))
-    e_x = int(np.count_nonzero(in_x[D.tails] & in_x[D.heads]))
+    # one pair of gathers, independent of the census: an arc is in Y when
+    # both ends are, in X when neither is
+    tail_y, head_y = in_y[D.tails], in_y[D.heads]
+    m2 = int(np.count_nonzero(tail_y & head_y))
+    e_x = D.m - int(np.count_nonzero(tail_y | head_y))
     if m1 + m2 + e_x != D.m:
         raise IdentityViolationError(
             f"m1 + m2 + e(X) = {m1 + m2 + e_x} != m = {D.m}"

@@ -32,7 +32,11 @@ Python, which names the first bad line.
 The arc arrays keep construction order, so serializing and re-parsing a graph
 is an identity on both the vertex count and the arc sequence. Adjacency is one
 array over both directions (incidence()), built on first use, so a graph that
-is only parsed, counted or cut never pays for it.
+is only parsed, counted or cut never pays for it. Each vertex's run lists the
+other ends of all its arcs in ascending order: the build sorts one code
+key * n + other per arc end in place, in uint32 up to n = 2^16 and uint64
+beyond (code_dtype), and so holds 2m codes and 2m ends and nothing of the
+arc order.
 """
 from __future__ import annotations
 
@@ -61,11 +65,22 @@ def index_dtype(largest: int) -> type:
     return np.int32 if largest < 2**31 else np.int64
 
 
+def code_dtype(n: int) -> type:
+    """The unsigned integer width for codes key * n + other over vertices
+    0..n-1, the largest n^2 - 1: uint32 when n <= 2**16, else uint64.
+    Raises TooLargeError when n > 2**32, where n^2 - 1 needs more than 64
+    bits."""
+    if n > 2**32:
+        raise TooLargeError(f"vertex count n={n} is too large for 64-bit arc codes")
+    return np.uint32 if n <= 2**16 else np.uint64
+
+
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """np.argsort(keys, kind="stable") for nonnegative integer keys below
     bound, as an LSD radix sort: one stable argsort per 16-bit digit, which
     numpy runs as a radix sort on uint16, so ceil(bitlen(bound - 1) / 16)
-    passes, one when bound <= 2**16."""
+    passes, one when bound <= 2**16. Its one user is the local search's
+    rank order (engine._rank_order)."""
     order = keys.astype(np.uint16).argsort(kind="stable")
     for shift in range(16, (bound - 1).bit_length(), 16):
         # gather the 16-bit digits, not the wide keys
@@ -103,18 +118,29 @@ class Digraph:
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, ends): ends[indptr[v]:indptr[v + 1]] holds the other end of
-        every arc at v, out-arcs first, then in-arcs, each in arc order, so an
+        every arc at v, out- and in-arcs together, ascending, so an
         anti-parallel pair shows twice. This is the graph's one adjacency
-        array; it is built on the first call by stable_order over the arcs'
-        ends and kept. Both arrays have index_dtype(max(2m, n)): int32 on
-        every graph whose 2m and n fit, else int64."""
+        array, built on the first call and kept. Every arc end gets one code,
+        key * n + other, of width code_dtype(n) (uint32 up to n = 2^16, else
+        uint64); one in-place sort groups the codes by vertex, and the codes
+        % n, taken in place, are the other ends. So the build costs one sort
+        of 2m integers and holds the 2m codes and the 2m ends. Both arrays
+        have index_dtype(max(2m, n)): int32 on every graph whose 2m and n
+        fit, else int64. Raises TooLargeError when n > 2^32."""
         if self._incidence is None:
-            dtype = index_dtype(max(2 * self.m, self.n))
-            order = stable_order(np.concatenate((self.tails, self.heads), dtype=dtype),
-                                 self.n)
-            ends = np.concatenate((self.heads, self.tails), dtype=dtype)[order]
-            indptr = np.zeros(self.n + 1, dtype=dtype)
+            n, m = self.n, self.m
+            wide = code_dtype(n)
+            dtype = index_dtype(max(2 * m, n))
+            indptr = np.zeros(n + 1, dtype=dtype)
             np.cumsum(self.out_degrees + self.in_degrees, out=indptr[1:])
+            codes = np.empty(2 * m, dtype=wide)
+            for key, other, part in ((self.tails, self.heads, codes[:m]),
+                                     (self.heads, self.tails, codes[m:])):
+                np.multiply(key, n, out=part, dtype=wide, casting="unsafe")
+                np.add(part, other, out=part, dtype=wide, casting="unsafe")
+            codes.sort()
+            np.remainder(codes, n, out=codes)
+            ends = codes.astype(dtype)
             for arr in (indptr, ends):
                 arr.setflags(write=False)
             self._incidence = indptr, ends
@@ -237,11 +263,14 @@ def arc_census(D: Digraph, in_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex (e(v, S), e(S, v)) for the vertex set S marked by in_s,
     counted against the smaller of S and V - S, as e(v, S) = outdeg(v) -
     e(v, V - S) and e(S, v) = indeg(v) - e(V - S, v) when S is the larger:
-    for S = Y = V - X the bincounts then take only the arcs at X."""
-    flip = 2 * np.count_nonzero(in_s) > D.n
+    for S = Y = V - X the bincounts then take only the arcs at X, and none
+    when X is empty."""
+    size = np.count_nonzero(in_s)
+    flip = 2 * size > D.n
     side = ~in_s if flip else in_s
     to_s, from_s = np.zeros(D.n, dtype=np.intp), np.zeros(D.n, dtype=np.intp)
-    for lo in range(0, D.m, _CENSUS_BLOCK):
+    # no arc has an end on an empty smaller side
+    for lo in range(0, D.m if 0 < size < D.n else 0, _CENSUS_BLOCK):
         tails, heads = D.tails[lo:lo + _CENSUS_BLOCK], D.heads[lo:lo + _CENSUS_BLOCK]
         # compress, not a boolean index: 3-4x faster on a mask of mixed bits
         to_s += np.bincount(tails.compress(side[heads]), minlength=D.n)
@@ -317,8 +346,9 @@ def cut_counts(D: Digraph, P: Bipartition) -> CutValue:
         raise PartitionError(f"bipartition covers {P.n} vertices, graph has {D.n}")
     ts = P.sides[D.tails]
     hs = P.sides[D.heads]
-    e12 = int(np.count_nonzero((ts == 1) & (hs == 2)))
-    e21 = int(np.count_nonzero((ts == 2) & (hs == 1)))
+    # sides are 1 or 2: tail side below head side is an arc from 1 to 2
+    e12 = int(np.count_nonzero(ts < hs))
+    e21 = int(np.count_nonzero(ts > hs))
     return CutValue(e12, e21, min(e12, e21))
 
 

@@ -30,13 +30,18 @@ vectorized pass (_lift), ranks the screened ones by one integer code (a
 neighbour (Luby's independent set), and flips the best prefix of them in rank
 order. No arc joins two of them, so their deltas add exactly, and the
 neighbours' deltas catch up in two scatters over the arcs the round has
-already sliced. The per-vertex state takes the width of the graph's
-adjacency (int32 unless 2m or n reaches 2^31). Rounds run until nothing is
-screened. A two-vertex flip scores as the sum of its single flips plus a
-correction for the arcs joining the pair (Kernighan-Lin), from the same
-_flip_state, and is screened by the same _lift. The best trial, the best
-prefix of a round and the best candidate are all the first entry with the
-largest (min cut, total cut) (_first_best).
+already sliced. A round slices the arcs of the ranked order in at most two
+pieces: the top max(64, 2r) ranked vertices, r being one past the previous
+round's last flipped rank (all of them in a call's first round), and the
+rest only when the best prefix so far is below what a longer prefix could
+still reach, the cut after every kept vertex of the first piece plus the
+positive deltas of the vertices past it. The per-vertex state takes the
+width of the graph's adjacency (int32 unless 2m or n reaches 2^31). Rounds
+run until nothing is screened. A two-vertex flip scores as the sum of its
+single flips plus a correction for the arcs joining the pair
+(Kernighan-Lin), from the same _flip_state, and is screened by the same
+_lift. The best trial, the best prefix of a round and the best candidate are
+all the first entry with the largest (min cut, total cut) (_first_best).
 
 Dense or degree-flat instances skip the split entirely: when
 m >= 8n/max(eps, 1/28)^2 or max degree <= eps^2 m / 4, a plain p = 1/2 random
@@ -478,6 +483,28 @@ def _arc_slices(indptr: np.ndarray, degree: np.ndarray,
     return at, firsts, lens
 
 
+def _slice_ranked(indptr: np.ndarray, ends: np.ndarray, degree: np.ndarray,
+                  rank: np.ndarray, piece: np.ndarray,
+                  ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(other, lens, keep) of the ranked screened vertices piece, whose ranks
+    are ranks: the other ends of their arcs, run by run, as intp (an index:
+    intp gathers fastest), each run's length, and whether each vertex ranks
+    above every screened neighbour (a screened vertex has an arc, so no run
+    is empty). rank holds every screened vertex's rank in the round, so the
+    keep test of a vertex reads only ranks above its own."""
+    arcs, firsts, lens = _arc_slices(indptr, degree, piece)
+    other = ends[arcs].astype(np.intp)
+    return other, lens, np.minimum.reduceat(rank[other], firsts) > ranks
+
+
+def _prefix_cuts(d12: np.ndarray, d21: np.ndarray, kept: np.ndarray, e12: int,
+                 e21: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cut (e12, e21) moved by the summed deltas of each prefix of
+    kept, as int64."""
+    return (d12[kept].astype(np.int64).cumsum() + e12,
+            d21[kept].astype(np.int64).cumsum() + e21)
+
+
 def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     """Single-vertex flips, a batch of pairwise non-adjacent ones per round,
     until no single flip raises (min cut, total cut). No setting of cfg
@@ -495,6 +522,18 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     alone improves, so every round strictly raises (min, total), which is at
     most m: the loop ends.
 
+    A round slices the arcs of the ranked order in at most two pieces. The
+    first is the top max(64, 2r) ranked vertices, r being one more than the
+    rank of the previous round's last flip (the first round of a call slices
+    them all). The rest is sliced only when the first does not settle the
+    round: with (S12, S21) the cut after every kept vertex of the first
+    piece flipped and (P12, P21) the positive parts of the deltas of the
+    screened vertices past it, no later prefix can reach more than
+    (min(S12 + P12, S21 + P21), S12 + S21 + P12 + P21), so a best prefix at
+    least that high is the round's first best. The bound is exact: the keep
+    test at a rank reads only the ranks above it, _first_best keeps the
+    first best, and the kept deltas add exactly.
+
     Every vertex's flip deltas (d12, d21) are kept current from round to
     round: a flipped vertex negates both, and a neighbour u of a flipped v
     moves both by -sgn[u] * sgn[v] per arc joining them (v's sign before the
@@ -507,6 +546,7 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     sgn, d12, d21, e12, e21 = _flip_state(D, P.sides == 1)
     degree = D.degrees()
     rank = np.full(D.n, D.n, dtype=dtype)  # a screened vertex's rank in its round, else n
+    r = D.n  # the first round slices every ranked vertex
     while True:
         low, gain = _lift(d12, d21, e12, e21)
         screened = (low + (gain > 0) > 0).nonzero()[0]
@@ -515,21 +555,34 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         order = screened[_rank_order(low[screened], gain[screened])]
         ranks = np.arange(len(order), dtype=dtype)
         rank[order] = ranks
-        arcs, firsts, lens = _arc_slices(indptr, degree, order)
-        other = ends[arcs].astype(np.intp)  # an index: intp gathers fastest
-        # kept: every screened neighbour ranks below (a screened vertex has an
-        # arc, so no run is empty)
-        keep = np.minimum.reduceat(rank[other], firsts) > ranks
-        rank[order] = D.n
+        cut = max(64, 2 * r)
+        other, lens, keep = _slice_ranked(indptr, ends, degree, rank, order[:cut],
+                                          ranks[:cut])
         kept_rank = keep.nonzero()[0]
         kept = order[kept_rank]
-        sum12 = d12[kept].astype(np.int64).cumsum() + e12
-        sum21 = d21[kept].astype(np.int64).cumsum() + e21
+        sum12, sum21 = _prefix_cuts(d12, d21, kept, e12, e21)
         j = _first_best(sum12, sum21)
+        if cut < len(order):
+            rest = order[cut:]
+            s12, s21 = int(sum12[-1]), int(sum21[-1])
+            p12, p21 = (int(np.maximum(d[rest], 0).sum()) for d in (d12, d21))
+            # the rest is sliced unless no prefix through it can beat the best
+            if (min(sum12[j], sum21[j]), sum12[j] + sum21[j]) < (
+                    min(s12 + p12, s21 + p21), s12 + s21 + p12 + p21):
+                more = _slice_ranked(indptr, ends, degree, rank, rest, ranks[cut:])
+                more_rank = more[2].nonzero()[0] + cut
+                more_kept = order[more_rank]
+                other, lens, keep, kept_rank, kept, sum12, sum21 = (
+                    np.concatenate(pair) for pair in zip(
+                        (other, lens, keep, kept_rank, kept, sum12, sum21),
+                        (*more, more_rank, more_kept,
+                         *_prefix_cuts(d12, d21, more_kept, s12, s21))))
+                j = _first_best(sum12, sum21)
+        rank[order] = D.n
         e12, e21 = int(sum12[j]), int(sum21[j])
         # the runs of ranks 0..kept_rank[j] hold every flip's arcs; an arc of
         # a vertex that is not kept moves nothing
-        r = kept_rank[j] + 1
+        r = int(kept_rank[j]) + 1
         owner_sgn = np.repeat(sgn[order[:r]] * keep[:r], lens[:r])
         nbrs = other[: owner_sgn.size]
         step = sgn[nbrs] * owner_sgn
@@ -585,7 +638,7 @@ def partition(D: Digraph, cfg: EngineConfig) -> PartitionOutcome:
     cuts = np.array([(cv.e12, cv.e21) for _, _, cv in results])
     cand, bip, cut = results[_first_best(cuts[:, 0], cuts[:, 1])]
 
-    tr = essential_tight_components(D, gr.x)
+    tr = essential_tight_components(D, gr.x, gr.y_census)
     cert = certify_mod.build_certificate(
         D, gr, tr, cfg,
         candidates=[c for c, _, _ in results],

@@ -11,10 +11,11 @@ lower-bound certificates consume.
 
 essential_tight_components takes X, like every entry point, and counts tau at
 once over the good vertices: those of Y with an even number of arcs to Y
-(arc_census), as every vertex of an essential tight component is (even degree,
-no anti-parallel pair). The count labels the graph on the good vertices alone;
-a good vertex with an arc to Y outside it is dead, so is every component with
-a dead vertex, and the live ones are whole components of D[Y]. On a random
+(arc_census, or the gap's census of Y when the caller passes it), as every
+vertex of an essential tight component is (even degree, no anti-parallel
+pair). The count labels the graph on the good vertices alone; a good vertex
+with an arc to Y outside it is dead, so is every component with a dead
+vertex, and the live ones are whole components of D[Y]. On a random
 graph half of Y is not good and nearly every component dies. The report
 classifies all of D[Y] only when a field is first read (to_jsonable reads them
 all); partition and certify read tau alone. One numpy pass, _classify, serves
@@ -201,11 +202,13 @@ def _classify(n: int, within: np.ndarray, t: np.ndarray, h: np.ndarray,
     return roots, comp, tight, essential
 
 
-def essential_tight_components(D: Digraph, x) -> TightReport:
+def essential_tight_components(D: Digraph, x, y_census=None) -> TightReport:
     """The report on the components of D[Y], Y = V - X, with tau, the number
-    of essential tight ones, counted over the good vertices alone."""
+    of essential tight ones, counted over the good vertices alone. y_census,
+    when the caller has it, is arc_census(D, Y): a GapResult's y_census for
+    its x."""
     inside = ~split_masks(D.n, [x], "X")[0]
-    ydeg = np.add(*arc_census(D, inside))
+    ydeg = np.add(*(arc_census(D, inside) if y_census is None else y_census))
     good = inside & ((ydeg & 1) == 0)
     t, h = _arcs_within(D, good)
     dead = None

@@ -4,7 +4,8 @@ The naive checkers here are deliberately independent of the package
 internals: brute-force enumeration only, no shared code paths beyond the
 Digraph container itself. The references below are the earlier, plainer
 versions of the edge-list parser, the random-graph generator, the trial
-draws, the search kernels (single flips and the pair escape), the min-gap
+draws, the search kernels (single flips, with every round's arcs sliced in
+full, and the pair escape), the min-gap
 subset-sum and the candidate X-partitions; the fast versions must reproduce
 them number for number.
 """
@@ -557,6 +558,47 @@ def reference_local_improve(D: Digraph, P: Bipartition):
         assert cut() == prefixes[best]
         assert key(*prefixes[best]) > here
         e12, e21 = prefixes[best]
+
+
+def reference_full_slice_local_improve(D: Digraph, P: Bipartition) -> Bipartition:
+    """engine.local_improve with every round slicing the arcs of every
+    screened vertex, in one piece. It shares the engine's screen, rank code,
+    flip state and best-prefix rule, so it checks the bounded slicing alone."""
+    from judipart.engine import _arc_slices, _first_best, _flip_state, _lift, _rank_order
+
+    indptr, ends = D.incidence()
+    dtype = indptr.dtype
+    sgn, d12, d21, e12, e21 = _flip_state(D, P.sides == 1)
+    degree = D.degrees()
+    rank = np.full(D.n, D.n, dtype=dtype)
+    while True:
+        low, gain = _lift(d12, d21, e12, e21)
+        screened = (low + (gain > 0) > 0).nonzero()[0]
+        if not screened.size:
+            break
+        order = screened[_rank_order(low[screened], gain[screened])]
+        ranks = np.arange(len(order), dtype=dtype)
+        rank[order] = ranks
+        arcs, firsts, lens = _arc_slices(indptr, degree, order)
+        other = ends[arcs].astype(np.intp)
+        keep = np.minimum.reduceat(rank[other], firsts) > ranks
+        rank[order] = D.n
+        kept_rank = keep.nonzero()[0]
+        kept = order[kept_rank]
+        sum12 = d12[kept].astype(np.int64).cumsum() + e12
+        sum21 = d21[kept].astype(np.int64).cumsum() + e21
+        j = _first_best(sum12, sum21)
+        e12, e21 = int(sum12[j]), int(sum21[j])
+        r = kept_rank[j] + 1
+        owner_sgn = np.repeat(sgn[order[:r]] * keep[:r], lens[:r])
+        nbrs = other[: owner_sgn.size]
+        step = sgn[nbrs] * owner_sgn
+        np.subtract.at(d12, nbrs, step)
+        np.subtract.at(d21, nbrs, step)
+        flips = kept[: j + 1]
+        for arr in (sgn, d12, d21):
+            arr[flips] = -arr[flips]
+    return Bipartition(np.where(sgn > 0, 1, 2))
 
 
 def reference_pair_escape(D: Digraph, P: Bipartition):

@@ -2,6 +2,7 @@
 edge-list round trips."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -49,6 +50,7 @@ from judipart.digraph import (
     _SCAN_BLOCK,
     _block_end,
     arc_census,
+    code_dtype,
     index_dtype,
     stable_order,
     vertex_mask,
@@ -68,34 +70,27 @@ def test_basic_construction():
     assert D.out_degrees.tolist() == [1, 1, 1, 1]
     assert D.in_degrees.tolist() == [2, 1, 1, 0]
     indptr, ends = D.incidence()
-    assert ends[indptr[0]:indptr[1]].tolist() == [1, 2, 3]  # out, then in
+    assert ends[indptr[0]:indptr[1]].tolist() == [1, 2, 3]  # out and in, ascending
     assert D.degrees().tolist() == [3, 2, 2, 1]
     assert arc_codes(D) == {0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 0, 3 * 4 + 0}
 
 
 def assert_adjacency_matches_arc_scan(D):
-    """incidence() against per-vertex lists built by scanning the arcs in
-    order: each vertex's slice holds its out-neighbours, then its
-    in-neighbours."""
-    outs = [[] for _ in range(D.n)]
-    ins = [[] for _ in range(D.n)]
+    """incidence() against per-vertex lists built by scanning the arcs: each
+    vertex's run is the sorted multiset of its out- and in-neighbours."""
+    nbrs = [[] for _ in range(D.n)]
     for u, v in zip(D.tails.tolist(), D.heads.tolist()):
-        outs[u].append(v)
-        ins[v].append(u)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     indptr, ends = D.incidence()
     assert D.incidence() is D.incidence()
-    sizes = [len(o) + len(i) for o, i in zip(outs, ins)]
-    assert indptr.tolist() == np.cumsum([0] + sizes).tolist()
-    assert ends.tolist() == [w for o, i in zip(outs, ins) for w in o + i]
-    for v in range(D.n):
-        split = indptr[v] + D.out_degrees[v]
-        assert ends[indptr[v]:split].tolist() == outs[v]
-        assert ends[split:indptr[v + 1]].tolist() == ins[v]
+    assert indptr.tolist() == np.cumsum([0] + [len(a) for a in nbrs]).tolist()
+    assert ends.tolist() == [w for a in nbrs for w in sorted(a)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(arcs_strategy(), st.randoms(use_true_random=False))
-def test_incidence_lists_out_then_in_neighbours(case, rnd):
+def test_incidence_lists_the_sorted_neighbour_multiset(case, rnd):
     n, arcs = case
     anti = [(v, u) for u, v in arcs[::2] if (v, u) not in arcs]
     arcs = arcs + anti  # anti-parallel pairs
@@ -112,20 +107,46 @@ def test_incidence_on_sparse_graphs(n, arcs):
     assert_adjacency_matches_arc_scan(from_arc_list(n, arcs))
 
 
-@pytest.mark.parametrize("n", [2**16, 2**16 + 5], ids=["one-digit", "two-digits"])
-def test_incidence_across_the_radix_digit_boundary(n):
-    """Ids up to 2**16 - 1 sort in one 16-bit pass, larger ones in two; arcs
-    at the top ids and anti-parallel pairs land in arc order either way."""
+@pytest.mark.parametrize("n, wide", [(2**16, np.uint32), (2**16 + 1, np.uint64)],
+                         ids=["uint32-codes", "uint64-codes"])
+def test_incidence_across_the_code_width_boundary(n, wide):
+    """Codes key * n + other reach n^2 - 1: 2^32 - 1 at n = 2^16, the last
+    n in uint32. Arcs at the top ids and anti-parallel pairs land in their
+    runs either way, and both arrays stay int32."""
+    assert code_dtype(n) is wide
     rng = np.random.default_rng(n)
     top = np.arange(n - 40, n)
     ends = np.concatenate((top, rng.integers(0, n, size=200), [0, 1, 2**16 - 1]))
     arcs = {(int(u), int(v)) for u, v in rng.choice(ends, size=(600, 2)) if u != v}
     arcs = sorted(arcs) + [(v, u) for u, v in sorted(arcs)[::3] if (v, u) not in arcs]
+    arcs += [(n - 1, n - 2), (n - 2, n - 1)]  # the two largest codes
     order = rng.permutation(len(arcs))
     D = from_arc_list(n, [arcs[i] for i in order])
-    assert D.tails.max() >= n - 40 and D.heads.max() >= n - 40
     assert_adjacency_matches_arc_scan(D)
     assert D.incidence()[0].dtype == D.incidence()[1].dtype == np.int32
+
+
+def test_code_width_refuses_n_past_two_to_the_32():
+    assert code_dtype(0) is code_dtype(2**16) is np.uint32
+    assert code_dtype(2**32) is np.uint64
+    with pytest.raises(TooLargeError):
+        code_dtype(2**32 + 1)
+
+
+def test_incidence_build_holds_only_the_codes_and_the_ends():
+    """At n = 2 * 10^5 and m = 10^6 the build's tracemalloc peak is at most
+    the 2m uint64 codes plus the 2m int32 ends, and 10 %: the build holds
+    no other array of 2m entries."""
+    D = gen_random_minout(200_000, 5, seed=3)
+    assert D.m == 10**6 and code_dtype(D.n) is np.uint64
+    tracemalloc.start()
+    try:
+        D.incidence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 2 * D.m * (8 + 4)
+    assert peak <= 1.1 * held, (peak, held)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**40])

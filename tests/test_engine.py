@@ -61,6 +61,7 @@ from helpers import (
     reference_bit_counts,
     reference_candidate_x_partitions,
     reference_extension_trial_cuts,
+    reference_full_slice_local_improve,
     reference_local_improve,
     reference_pair_escape,
     reference_trial_matrix,
@@ -611,9 +612,9 @@ def test_partition_deterministic():
 
 
 def test_partition_counts_the_y_arcs_once(monkeypatch):
-    """min_gap_partition counts the arcs of Y = V - X once; the X5 candidate
-    and the certificate's bundle and f/h scores read that census, and tau's
-    count over the good vertices takes the one other pass over Y."""
+    """min_gap_partition counts the arcs of Y = V - X once; the X5 candidate,
+    the certificate's bundle and f/h scores and tau's count over the good
+    vertices read that census."""
     D = hub_digraph(73, 3, seed=44)
     cfg = cfg4(trials=16, seed=44)
     in_y = np.ones(D.n, dtype=bool)
@@ -632,7 +633,7 @@ def test_partition_counts_the_y_arcs_once(monkeypatch):
     out = partition(D, cfg)
     assert {"X4", "X5"} <= {r.label for r in out.per_candidate}
     assert len(out.certificate.fh_values) == len(out.per_candidate)
-    assert over_y == ["judipart.mingap", "judipart.tight"]
+    assert over_y == ["judipart.mingap"]
 
 
 def test_golden_outcomes_still_reproduce():
@@ -738,6 +739,54 @@ def test_local_improve_ends_at_a_single_flip_optimum(data):
     e12, e21 = single_flip_cuts(D, got)
     low, total = np.minimum(e12, e21), e12 + e21
     assert not ((low > c.minval) | ((low == c.minval) & (total > c.e12 + c.e21))).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("random", "hub", "tight-union")), st.integers(65, 1500),
+       st.integers(1, 4), st.integers(0, 2**16))
+def test_local_improve_matches_the_full_slice_reference(family, n, d, seed):
+    """Graphs with more than 64 vertices, so that a round's first piece can
+    leave screened vertices unsliced: the same sides as slicing every round
+    in full."""
+    D = {
+        "random": lambda: gen_random_minout(n, d, extra=seed % n, seed=seed),
+        "hub": lambda: hub_digraph(n, d, seed=seed),
+        "tight-union": lambda: gen_tight_union(d + 1, n // (d + 1), augment=True),
+    }[family]()
+    P = Bipartition(np.random.default_rng(seed).integers(1, 3, size=D.n).astype(np.uint8))
+    assert local_improve(D, P, EngineConfig(d=1)) == reference_full_slice_local_improve(D, P)
+
+
+def test_local_improve_slices_the_rest_only_when_the_first_piece_does_not_settle(
+        monkeypatch):
+    """On this graph and start some round's first piece leaves screened
+    vertices unsliced and settles the round, and some round needs the
+    second piece; the sides are those of the full-slice reference."""
+    D = gen_random_minout(1000, 3, extra=500, seed=2)
+    P = Bipartition(np.random.default_rng(0).integers(1, 3, size=D.n).astype(np.uint8))
+    rounds = []
+    rank_order, slice_ranked = engine_mod._rank_order, engine_mod._slice_ranked
+
+    def ranking(low, gain):
+        rounds.append((len(low), []))
+        return rank_order(low, gain)
+
+    def slicing(indptr, ends, degree, rank, piece, ranks):
+        rounds[-1][1].append((int(ranks[0]), len(piece)))
+        return slice_ranked(indptr, ends, degree, rank, piece, ranks)
+
+    monkeypatch.setattr(engine_mod, "_rank_order", ranking)
+    monkeypatch.setattr(engine_mod, "_slice_ranked", slicing)
+    got = local_improve(D, P, EngineConfig(d=1))
+    monkeypatch.undo()
+    assert got == reference_full_slice_local_improve(D, P)
+    assert rounds[0][1] == [(0, rounds[0][0])]  # the first round slices all
+    for screened, pieces in rounds:
+        assert pieces[0][0] == 0 and sum(size for _, size in pieces) <= screened
+        if len(pieces) == 2:
+            assert pieces[1] == (pieces[0][1], screened - pieces[0][1])
+    assert any(len(pieces) == 2 for _, pieces in rounds)
+    assert any(len(pieces) == 1 and pieces[0][1] < screened for screened, pieces in rounds)
 
 
 def _relabelled(D, seed):
