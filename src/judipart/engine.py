@@ -497,14 +497,6 @@ def _slice_ranked(indptr: np.ndarray, ends: np.ndarray, degree: np.ndarray,
     return other, lens, np.minimum.reduceat(rank[other], firsts) > ranks
 
 
-def _prefix_cuts(d12: np.ndarray, d21: np.ndarray, kept: np.ndarray, e12: int,
-                 e21: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cut (e12, e21) moved by the summed deltas of each prefix of
-    kept, as int64."""
-    return (d12[kept].astype(np.int64).cumsum() + e12,
-            d21[kept].astype(np.int64).cumsum() + e21)
-
-
 def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
     """Single-vertex flips, a batch of pairwise non-adjacent ones per round,
     until no single flip raises (min cut, total cut). No setting of cfg
@@ -555,29 +547,29 @@ def local_improve(D: Digraph, P: Bipartition, cfg: EngineConfig) -> Bipartition:
         order = screened[_rank_order(low[screened], gain[screened])]
         ranks = np.arange(len(order), dtype=dtype)
         rank[order] = ranks
-        cut = max(64, 2 * r)
-        other, lens, keep = _slice_ranked(indptr, ends, degree, rank, order[:cut],
-                                          ranks[:cut])
-        kept_rank = keep.nonzero()[0]
-        kept = order[kept_rank]
-        sum12, sum21 = _prefix_cuts(d12, d21, kept, e12, e21)
-        j = _first_best(sum12, sum21)
-        if cut < len(order):
-            rest = order[cut:]
+        # at most two passes: the top max(64, 2r) ranks are sliced, then all
+        # the rest when they do not settle the round
+        top = max(64, 2 * r)
+        other, lens, keep = _slice_ranked(indptr, ends, degree, rank, order[:top],
+                                          ranks[:top])
+        while True:
+            kept_rank = keep.nonzero()[0]
+            kept = order[kept_rank]
+            sum12 = d12[kept].astype(np.int64).cumsum() + e12
+            sum21 = d21[kept].astype(np.int64).cumsum() + e21
+            j = _first_best(sum12, sum21)
+            rest = order[len(keep):]
+            if not rest.size:
+                break
             s12, s21 = int(sum12[-1]), int(sum21[-1])
             p12, p21 = (int(np.maximum(d[rest], 0).sum()) for d in (d12, d21))
-            # the rest is sliced unless no prefix through it can beat the best
-            if (min(sum12[j], sum21[j]), sum12[j] + sum21[j]) < (
+            # settled: no prefix through the rest can beat the best
+            if (min(sum12[j], sum21[j]), sum12[j] + sum21[j]) >= (
                     min(s12 + p12, s21 + p21), s12 + s21 + p12 + p21):
-                more = _slice_ranked(indptr, ends, degree, rank, rest, ranks[cut:])
-                more_rank = more[2].nonzero()[0] + cut
-                more_kept = order[more_rank]
-                other, lens, keep, kept_rank, kept, sum12, sum21 = (
-                    np.concatenate(pair) for pair in zip(
-                        (other, lens, keep, kept_rank, kept, sum12, sum21),
-                        (*more, more_rank, more_kept,
-                         *_prefix_cuts(d12, d21, more_kept, s12, s21))))
-                j = _first_best(sum12, sum21)
+                break
+            more = _slice_ranked(indptr, ends, degree, rank, rest, ranks[len(keep):])
+            other, lens, keep = (np.concatenate(pair)
+                                 for pair in zip((other, lens, keep), more))
         rank[order] = D.n
         e12, e21 = int(sum12[j]), int(sum21[j])
         # the runs of ranks 0..kept_rank[j] hold every flip's arcs; an arc of
