@@ -362,9 +362,9 @@ def build_certificate(
     two = 2 * (2 * bundle.d - 1)
     x = set(gr.x)
     for cand in candidates:
+        mm = mf_mb(D, cand.x1, cand.x2, gr.y_census)  # types the parts first
         if set(cand.x1) | set(cand.x2) != x:
             raise PartitionError(f"candidate {cand.label} does not split X")
-        mm = mf_mb(D, cand.x1, cand.x2, gr.y_census)
         f, h = eval_f_h(bundle, cand, mm)
         scores.append(CandidateScore(
             label=cand.label, p=Fraction(cand.p), f=f, h=h,

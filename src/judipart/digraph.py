@@ -2,17 +2,17 @@
 
 Conventions used across the package:
 
-- Vertices are integers 0..n-1, held as int64. from_arc_list takes an (m, 2)
-  integer array as it is, or any iterable of (tail, head) pairs; an id that
-  is not an integer (float, bool, beyond int64) is a VertexOutOfRangeError.
+- Vertices are integers 0..n-1, held as int64. Every vertex id, (tail, head)
+  pair and side label that enters the library passes one typing rule,
+  stated in id_array: from_arc_list (arcs and n), vertex_mask (so every
+  vertex set and part) and Bipartition call it, and nothing else types ids.
 - An arc is an ordered pair (tail, head). Loops and duplicate same-direction
   arcs are rejected at construction; anti-parallel pairs (u, v) and (v, u) are
   allowed and count as two arcs.
 - e(A, B) counts arcs with tail in A and head in B; A and B need not be
   disjoint from the rest of the graph, only valid vertex sets. Vertex sets
-  become boolean masks through vertex_mask, which rejects a vertex id that is
-  not an integer in 0..n-1 (a float such as 2.5 included) with
-  VertexOutOfRangeError.
+  become boolean masks through vertex_mask, which refuses an id outside
+  0..n-1 with VertexOutOfRangeError.
 - The analysis splits V into X and Y = V - X. A function takes X (or its
   parts x1, x2), never Y, tau's tight components included: it derives Y as
   the complement, so the two sets cannot disagree. Parts are checked in one
@@ -43,8 +43,9 @@ from __future__ import annotations
 import io
 import re
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -166,22 +167,76 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
+def _ill_shaped(what: str, pairs: bool) -> Exception:
+    if pairs:
+        return EdgeListParseError(f"{what} must be (tail, head) pairs")
+    return VertexOutOfRangeError(f"{what} must be one-dimensional")
+
+
+def _non_integer(what: str, types) -> Exception:
+    return VertexOutOfRangeError(
+        f"non-integer vertex ids ({', '.join(sorted(map(str, types)))}) in {what}")
+
+
+def id_array(values, what: str, pairs: bool = False) -> np.ndarray:
+    """The one typing rule for vertex ids, (tail, head) pairs and side
+    labels, applied at every library entry point: values as an integer
+    array of shape (k,), or (m, 2) with pairs. Whether the values lie in
+    their range is the caller's to check.
+
+    An ndarray is judged by its dtype and shape alone, and one of an integer
+    dtype passes as it is. Any other collection is materialised once and
+    must be flat, or with pairs hold only sequences of length 2; every id
+    must be a Python int or a numpy integer (a bool or np.bool_ never) that
+    fits in int64, and the ids become one int64 array. An empty collection
+    of any dtype is the empty array.
+
+    Input that breaks the rule raises VertexOutOfRangeError naming what, or
+    EdgeListParseError when pairs are not (tail, head) pairs."""
+    shape = (-1, 2) if pairs else (-1,)
+    if isinstance(values, np.ndarray):
+        if values.size == 0:
+            return np.zeros(0, dtype=np.int64).reshape(shape)
+        if values.shape[1:] != shape[1:] or values.ndim != len(shape):
+            raise _ill_shaped(what, pairs)
+        if values.dtype.kind not in "iu":
+            raise _non_integer(what, [values.dtype])
+        return values
+    if not isinstance(values, (list, tuple)):
+        try:
+            values = iter(values)
+        except TypeError:  # a scalar or None
+            raise VertexOutOfRangeError(
+                f"{what} must be a collection of vertex ids, "
+                f"not {type(values).__name__}") from None
+        values = list(values)
+    flat = values
+    if pairs and values:
+        if not all(issubclass(t, Sequence) for t in set(map(type, values))) \
+                or set(map(len, values)) != {2}:
+            raise _ill_shaped(what, pairs)
+        flat = list(chain.from_iterable(values))
+    bad = {t.__name__ for t in set(map(type, flat))
+           if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        raise _non_integer(what, bad)
+    try:
+        arr = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        raise VertexOutOfRangeError(f"vertex ids beyond int64 in {what}") from None
+    return arr.reshape(shape) if pairs else arr
+
+
 def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digraph:
-    """Validate and build a digraph from an (m, 2) integer array of
-    (tail, head) rows, or from any iterable of such pairs."""
+    """Validate and build a digraph on n vertices from (tail, head) pairs:
+    an (m, 2) integer array or any collection of pairs, typed by id_array.
+    n must be an integer too (a numpy one included, a bool not)."""
+    (n,) = id_array((n,), "the vertex count n").tolist()
     if n < 0:
         raise VertexOutOfRangeError(f"vertex count must be nonnegative, got {n}")
     if n >= np.iinfo(np.intp).max // 8:  # n + 1 int64 entries must be addressable
         raise TooLargeError(f"vertex count n={n} is too large for per-vertex arrays")
-    arr = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs))
-    if arr.size == 0:
-        arr = np.zeros((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise EdgeListParseError("arcs must be (tail, head) pairs")
-    if arr.dtype.kind not in "iu":
-        raise VertexOutOfRangeError(
-            f"arcs must hold integer vertex ids that fit in int64, got {arr.dtype}"
-        )
+    arr = id_array(arcs, "arcs", pairs=True)
     # min and max first: the per-row scan that names the first bad arc runs
     # only when some id is out of range
     if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -211,28 +266,15 @@ def from_arc_list(n: int, arcs: np.ndarray | Iterable[tuple[int, int]]) -> Digra
 
 
 def vertex_mask(n: int, vs: Iterable[int], what: str) -> np.ndarray:
-    """Membership mask over 0..n-1 of the vertex set vs (repeats allowed).
-
-    The ids keep their own type, so a float or bool id is refused, not
-    converted; an empty set of any type is the all-false mask."""
-    items = vs if isinstance(vs, (list, tuple, np.ndarray)) else list(vs)
-    idx = np.asarray(items)
-    if idx.size == 0:
-        return np.zeros(n, dtype=bool)
-    dtype = idx.dtype
-    # asarray makes [3, True] an int array: look for the bool among the items
-    if not isinstance(items, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in items):
-        dtype = np.dtype(bool)
-    if dtype.kind not in "iu":
-        raise VertexOutOfRangeError(
-            f"{what} contains non-integer vertex ids ({dtype}), n={n}"
-        )
-    bad = (idx < 0) | (idx >= n)
-    if bad.any():
-        v = int(idx[np.argmax(bad)])
-        raise VertexOutOfRangeError(f"{what} contains vertex {v}, n={n}")
+    """Membership mask over 0..n-1 of the vertex set vs (repeats allowed),
+    typed by id_array; an id outside 0..n-1 raises VertexOutOfRangeError."""
     mask = np.zeros(n, dtype=bool)
+    if isinstance(vs, (tuple, list)) and not vs:  # the commonest X skips the gate
+        return mask
+    idx = id_array(vs, what)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        v = int(idx[np.argmax((idx < 0) | (idx >= n))])
+        raise VertexOutOfRangeError(f"{what} contains vertex {v}, n={n}")
     mask[idx] = True
     return mask
 
@@ -303,15 +345,12 @@ class Bipartition:
     __slots__ = ("sides",)
 
     def __init__(self, sides: Sequence[int] | np.ndarray):
+        """sides[v] is 1 or 2, typed by id_array."""
         try:
-            arr = np.asarray(sides)
-        except ValueError:  # a ragged nesting such as [1, [2]]
-            raise PartitionError("side assignment must be one-dimensional") from None
-        if arr.ndim != 1:
-            raise PartitionError("side assignment must be one-dimensional")
-        # tested before the cast, which reads 257, -255 and 1.5 as 1; np.isin
-        # costs ~10x on small n
-        if arr.size and not (arr.dtype.kind in "iu" and ((arr == 1) | (arr == 2)).all()):
+            arr = id_array(sides, "sides")
+        except VertexOutOfRangeError as exc:
+            raise PartitionError(str(exc)) from None
+        if not ((arr == 1) | (arr == 2)).all():
             raise PartitionError("sides must be integers 1 or 2")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)

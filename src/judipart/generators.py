@@ -75,20 +75,22 @@ def gen_star_triangle(n: int) -> Digraph:
     """Directed triangle 0 -> 1 -> 2 -> 0 plus v -> 0 for every v >= 3."""
     if n < 4:
         raise TooSmallError(f"star-triangle needs n >= 4, got {n}")
-    arcs = [(0, 1), (1, 2), (2, 0)]
-    arcs.extend((v, 0) for v in range(3, n))
-    return from_arc_list(n, arcs)
+    heads = np.zeros(n, dtype=np.int64)
+    heads[:3] = (1, 2, 0)
+    return from_arc_list(n, np.column_stack((np.arange(n), heads)))
 
 
 def gen_skew_d4(n: int) -> Digraph:
     """Five-core instance with minimum outdegree 4 and core imbalance n-5."""
     if n < 10:
         raise TooSmallError(f"skew-d4 needs n >= 10, got {n}")
-    core = range(5)
-    arcs = [(u, v) for u in core for v in core if u != v]
-    arcs.extend((0, y) for y in range(5, n))
-    arcs.extend((y, v) for y in range(5, n) for v in range(1, 5))
-    return from_arc_list(n, arcs)
+    u, v = np.divmod(np.arange(25), 5)
+    ys = np.arange(5, n)
+    return from_arc_list(n, np.concatenate((
+        np.column_stack((u, v))[u != v],  # the 20 ordered core pairs
+        np.column_stack((np.zeros_like(ys), ys)),  # 0 -> y
+        np.column_stack((np.repeat(ys, 4), np.tile(np.arange(1, 5), n - 5))),  # y -> 1..4
+    )))
 
 
 def gen_skew_d6(n: int, seed: int = 0) -> Digraph:

@@ -19,6 +19,8 @@ from judipart import (
     CutValue,
     DuplicateArcError,
     EdgeListParseError,
+    InputError,
+    JudipartError,
     LoopArcError,
     PartitionError,
     EngineConfig,
@@ -654,3 +656,191 @@ def test_bad_split_raises_at_every_entry_point(entry, case):
 def test_the_good_split_passes_every_entry_point():
     for call, _, _ in SPLIT_ENTRY_POINTS.values():
         call(SPLIT_D, (3, 4))
+
+
+# The acceptance cases of the typing gate (digraph.id_array): each is
+# refused with an InputError that names its argument, none misread
+GATE_D = gen_random_minout(8, 2, seed=1)
+BAD_X = {
+    "nested": [[1, 3]],  # was read as X = {1, 3}
+    "2-d array": np.array([[1, 3]]),
+    "ragged": [1, [2]],  # numpy's inhomogeneous-shape ValueError
+    "None": None,  # TypeError
+    "scalar": 5,  # TypeError
+}
+X_ENTRY_POINTS = {
+    "vertex_mask": (lambda x: vertex_mask(8, x, "X"), VertexOutOfRangeError),
+    "min_gap_partition": (lambda x: min_gap_partition(GATE_D, x), PartitionError),
+    "essential_tight_components": (
+        lambda x: essential_tight_components(GATE_D, x), PartitionError),
+    "exact_min_gap": (lambda x: exact_min_gap(GATE_D, x), PartitionError),
+    "from_side1": (lambda x: Bipartition.from_side1(8, x), VertexOutOfRangeError),
+}
+X_NAMES = {"vertex_mask": "X", "min_gap_partition": "X", "essential_tight_components": "X",
+           "exact_min_gap": "X", "from_side1": "side 1"}
+
+
+@pytest.mark.parametrize("entry", X_ENTRY_POINTS)
+@pytest.mark.parametrize("case", BAD_X)
+def test_malformed_x_is_refused_naming_its_argument(entry, case):
+    call, error = X_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=f"\\b{X_NAMES[entry]}\\b"):
+        call(BAD_X[case])
+
+
+@pytest.mark.parametrize("arcs, error, message", [
+    ([(0, True), (2, 0)], VertexOutOfRangeError,
+     r"^non-integer vertex ids \(bool\) in arcs$"),  # built the arc (0, 1)
+    ([(0, 1, 2), (1,)], EdgeListParseError, r"^arcs must be \(tail, head\) pairs$"),
+    ([{0, 1}], EdgeListParseError, r"^arcs must be"),  # a set has no order
+    ([0, 1], EdgeListParseError, r"^arcs must be"),
+    ([(0, 1.0)], VertexOutOfRangeError, r"\(float\) in arcs$"),
+    ([(0, np.True_)], VertexOutOfRangeError, r"\(bool\) in arcs$"),
+    (np.array([[0, 1]], dtype=object), VertexOutOfRangeError, r"\(object\) in arcs$"),
+    (np.array([0, 1]), EdgeListParseError, r"^arcs must be"),
+    (None, VertexOutOfRangeError, r"^arcs must be a collection"),
+])
+def test_malformed_arcs_are_refused_naming_them(arcs, error, message):
+    with pytest.raises(error, match=message):
+        from_arc_list(3, arcs)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None, np.float64(3), np.array(3)])
+def test_a_vertex_count_that_is_not_an_integer_is_refused(n):
+    """2.5 and 3.0 raised a bare TypeError, "3" one from a comparison, and
+    True passed as n = 1."""
+    with pytest.raises(VertexOutOfRangeError, match="vertex count n"):
+        from_arc_list(n, [(0, 1)])
+
+
+def test_a_numpy_integer_vertex_count_still_works():
+    for n in (np.int64(3), np.uint8(3), np.int32(3)):
+        D = from_arc_list(n, [(0, 1), (1, 2)])
+        assert D.n == 3 and type(D.n) is int
+
+
+@pytest.mark.parametrize("last", [(True, 0), (0, 1.0)], ids=["bool", "float"])
+def test_the_type_scan_reads_every_pair(last):
+    """140,036 pairs (tight-union's relabel size) whose last pair alone holds
+    a bool or a float: the gate reads every id, not a sample."""
+    pairs = [(v, v + 1) for v in range(140_035)] + [last]
+    with pytest.raises(VertexOutOfRangeError, match="non-integer vertex ids"):
+        from_arc_list(140_037, pairs)
+    pairs[-1] = (140_036, 0)
+    assert from_arc_list(140_037, pairs).m == 140_036
+
+
+@settings(max_examples=60, deadline=None)
+@given(arcs_strategy(), st.data())
+def test_every_form_of_an_arc_list_builds_the_array_path_graph(case, data):
+    """One arc set, handed over as a list of tuples, a list of lists, a zip,
+    a generator or pairs of numpy scalars, gives what the (m, 2) int64 array
+    gives: the same digraph or the same error."""
+    n, arcs = case
+    if data.draw(st.booleans(), label="with a bad arc"):
+        # a repeat, a loop or an id out of range, to compare the errors too
+        bad = data.draw(st.sampled_from([(0, 0), (n, 0), (0, -1)] + arcs[:1]))
+        arcs = arcs + [bad]
+    scalar = data.draw(st.sampled_from([np.int64, np.int32, np.uint16]), label="scalar type")
+
+    def outcome(given):
+        try:
+            return from_arc_list(n, given)
+        except JudipartError as exc:
+            return type(exc), str(exc)
+
+    want = outcome(np.array(arcs, dtype=np.int64).reshape(-1, 2))
+    forms = {
+        "tuples": [tuple(a) for a in arcs],
+        "lists": [list(a) for a in arcs],
+        "zip": zip([u for u, _ in arcs], [v for _, v in arcs]),
+        "generator": (a for a in arcs),
+        "numpy scalars": [(np.int64(u), scalar(v) if v >= 0 else np.int64(v))
+                          for u, v in arcs],
+    }
+    for name, given in forms.items():
+        assert outcome(given) == want, name
+
+
+# ids that break the typing rule, of every kind the gate refuses
+BAD_IDS = [True, False, np.True_, np.False_, 2.5, 3.0, np.float64(1.0), "3", None,
+           [1], (1, 3), [[2]], 2**63, np.array(1), object()]
+# whole collections that break it, as vertex sets and as arc lists
+BAD_SETS = [None, 5, np.int64(5), 2.5, "34", np.array(3), np.array([[1, 3]]),
+            np.array([1.0, 2.0]), np.array([True]), np.array([1, 2], dtype=object),
+            np.array([1, None], dtype=object), [[1], [1, 2]]]
+BAD_ARC_LISTS = [None, 5, "34", np.array(3), np.array([1, 3]), np.array([[1.0, 2.0]]),
+                 np.array([[True, False]]), np.array([[1, 2]], dtype=object),
+                 np.array([[0, 1, 2]]), [[1], [1, 2]], [5], [(1,)]]
+BAD_PAIRS = [(1,), (0, 1, 2), 5, {0, 1}, "01", [0, 1, 2], np.array([0, 1])]
+
+
+@st.composite
+def malformed(draw, wholes, good, bad):
+    """A collection holding one malformed entry among good ones, in some
+    container, or a malformed collection as a whole; as a factory, since a
+    generator can be read once."""
+    whole = draw(st.sampled_from(wholes))
+    items = draw(st.lists(good, max_size=4))
+    items.insert(draw(st.integers(0, len(items))), draw(bad))
+    form = draw(st.sampled_from(["whole", "list", "tuple", "generator", "object array"]))
+    if form == "whole":
+        return lambda: whole
+    if form == "object array":
+        arr = np.empty(len(items), dtype=object)
+        for i, v in enumerate(items):
+            arr[i] = v
+        return lambda: arr
+    return {"list": lambda: list(items), "tuple": lambda: tuple(items),
+            "generator": lambda: (v for v in items)}[form]
+
+
+IDS = st.integers(0, 4)
+MALFORMED_SETS = malformed(BAD_SETS, IDS, st.sampled_from(BAD_IDS))
+MALFORMED_ARC_LISTS = malformed(
+    BAD_ARC_LISTS, st.tuples(IDS, IDS),
+    st.one_of(st.sampled_from(BAD_PAIRS),
+              st.sampled_from(BAD_IDS).flatmap(lambda b: st.sampled_from([(0, b), (b, 1)]))))
+
+
+def _cand_of(x1, x2):
+    return CandidateXPartition("MINGAP", x1, x2, Fraction(1, 2))
+
+
+# every public entry point that takes X, a part, side labels or arcs, each
+# called with the malformed collection where one of them goes
+MALFORMED_ENTRY_POINTS = {
+    "vertex_mask": lambda bad: vertex_mask(5, bad, "X"),
+    "e_between": lambda bad: e_between(SPLIT_D, (3,), bad),
+    "gap": lambda bad: gap(SPLIT_D, bad, (4,)),
+    "mf_mb": lambda bad: mf_mb(SPLIT_D, (3,), bad),
+    "min_gap_partition": lambda bad: min_gap_partition(SPLIT_D, bad),
+    "exact_min_gap": lambda bad: exact_min_gap(SPLIT_D, bad),
+    "essential_tight_components": lambda bad: essential_tight_components(SPLIT_D, bad),
+    "extension_trial_cuts": lambda bad: extension_trial_cuts(
+        SPLIT_D, _cand_of(bad, (4,)), SPLIT_CFG),
+    "extend_partition_randomized": lambda bad: extend_partition_randomized(
+        SPLIT_D, _cand_of((3,), bad), SPLIT_CFG),
+    "compute_bundle": lambda bad: compute_bundle(
+        SPLIT_D, replace(SPLIT_GR, x=bad), SPLIT_TR, SPLIT_CFG),
+    "build_certificate": lambda bad: build_certificate(
+        SPLIT_D, SPLIT_GR, SPLIT_TR, SPLIT_CFG, candidates=[_cand_of(bad, (4,))]),
+    "from_side1": lambda bad: Bipartition.from_side1(5, bad),
+    "Bipartition": Bipartition,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(MALFORMED_SETS, MALFORMED_ARC_LISTS, st.sampled_from(BAD_IDS))
+def test_malformed_ids_raise_an_input_error_at_every_entry_point(make_set, make_arcs, n):
+    """A bool, np.bool_, float, str, None, nested, ragged or object id, alone
+    or beside integers, never escapes as a bare numpy or Python error and is
+    never read as a vertex: every entry point raises an InputError, and so
+    does from_arc_list on a malformed arc list or vertex count."""
+    for name, call in MALFORMED_ENTRY_POINTS.items():
+        with pytest.raises(InputError):
+            call(make_set())
+    with pytest.raises(InputError):
+        from_arc_list(5, make_arcs())
+    with pytest.raises(InputError):
+        from_arc_list(n, [])

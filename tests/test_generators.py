@@ -75,6 +75,23 @@ def test_circulant_families_match_loop_reference():
         assert arc_list(gen_tight_union(d, copies, augment)) == tight_union(d, copies, augment)
 
 
+def test_array_built_families_match_loop_reference():
+    """star-triangle and skew-d4 build their arcs as arrays, in the order
+    of these pair loops, so their edge lists are unchanged."""
+    def star_triangle(n):
+        return [(0, 1), (1, 2), (2, 0)] + [(v, 0) for v in range(3, n)]
+
+    def skew_d4(n):
+        arcs = [(u, v) for u in range(5) for v in range(5) if u != v]
+        arcs += [(0, y) for y in range(5, n)]
+        return arcs + [(y, v) for y in range(5, n) for v in range(1, 5)]
+
+    for n in (4, 5, 9, 30):
+        assert arc_list(gen_star_triangle(n)) == star_triangle(n)
+    for n in (10, 11, 20, 41):
+        assert arc_list(gen_skew_d4(n)) == skew_d4(n)
+
+
 def test_star_triangle():
     for n in (4, 7, 30):
         D = gen_star_triangle(n)
