@@ -53,7 +53,8 @@ Every function takes X, or a candidate's parts x1 and x2, and derives
 Y = V - X itself, essential_tight_components included; a GapResult carries
 its X (gr.x), so nothing takes X beside one. X, which records hold, is a
 tuple; any collection of ids that digraph.id_array types is accepted, and
-checked by digraph.split_masks.
+checked by digraph.split_masks. A candidate's parts are read more than once,
+so they must be collections, not iterators.
 
 Randomness contract: candidate labeled L draws all its trials from the raw
 64-bit words of one stream, np.random.PCG64(SeedSequence((seed, crc32(L)))).
